@@ -17,8 +17,8 @@ cargo fmt --all -- --check
 echo "== clippy =="
 # The vendored stand-ins mimic external crate APIs and are exempt from
 # first-party lint standards.
-# `-D deprecated` keeps the run/run_metered/run_traced shims
-# compile-warn only: first-party code must stay on the builder API.
+# `-D deprecated` fails the gate on any use of a `#[deprecated]` item,
+# so an API can only be retired by migrating every caller first.
 cargo clippy --offline --workspace \
     --exclude rand --exclude proptest --exclude criterion \
     --all-targets -- -D warnings -D deprecated
@@ -38,10 +38,11 @@ echo "== batched stepping gate (controller vs frozen reference) =="
 # ops/s on an identical op sequence (asserts >= 1x internally).
 cargo bench --offline -p hdmr-bench --bench stepping
 
-echo "== bench smoke (wall-clock guardrail) =="
-# Fails when a smoke target regresses >20% against the newest recorded
-# BENCH_PR*.json baseline; skips silently when none is recorded.
-./scripts/bench_smoke.sh check
+echo "== perfbench (builds against the workspace, runs its output checks) =="
+# The benchmark depends on the workspace crates by path, so removing an
+# API it calls fails here; its tests also check the benchmark's result
+# lines and digests on small rounds.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== jobs-invariance (parallel vs serial experiments) =="
 # The full evaluation under the parallel runner must produce
@@ -63,15 +64,6 @@ sed -i "s|$DET_DIR/ser|METRICS|" "$DET_DIR/ser.out"
 diff -u "$DET_DIR/ser.out" "$DET_DIR/par.out"
 diff -u "$DET_DIR/ser/all.metrics.jsonl" "$DET_DIR/par/all.metrics.jsonl"
 echo "wall-clock: --jobs $(nproc) ran in ${t_par}s, --jobs 1 in ${t_ser}s"
-
-echo "== windows-invariance (windowed vs unwindowed experiments) =="
-# --windows batches the hot loop's telemetry flushes; stdout and the
-# metrics export must be byte-identical to the unwindowed serial run.
-"$EXP" all --quick --ops 1200 --jobs 1 --windows 7 \
-    --metrics "$DET_DIR/win" > "$DET_DIR/win.out"
-sed -i "s|$DET_DIR/win|METRICS|" "$DET_DIR/win.out"
-diff -u "$DET_DIR/ser.out" "$DET_DIR/win.out"
-diff -u "$DET_DIR/ser/all.metrics.jsonl" "$DET_DIR/win/all.metrics.jsonl"
 
 echo "== trace + drift report smoke =="
 # A traced single-target run must be byte-identical across --jobs

@@ -158,26 +158,22 @@ fn simulate(
 }
 
 /// Executes a prepared node to completion, split into `windows` time
-/// windows driven through [`runner::windows::window_chain`]. The
-/// cursor API makes any partition byte-identical to `node.run(..)`,
-/// so windowing changes *when* tallies flush into telemetry — once
-/// per window boundary instead of once per op — never *what* they
-/// total to. The final window's budget is unbounded, so an uneven
-/// op count still runs to completion.
+/// windows. The cursor API makes any partition byte-identical to
+/// `node.run(..)`, so windowing changes *when* tallies flush into
+/// telemetry — once per window boundary instead of once per op — never
+/// *what* they total to. The final window's budget is unbounded, so an
+/// uneven op count still runs to completion.
 fn run_windowed(mut node: NodeSim, streams: Vec<TraceGen>, windows: u32) -> SimResult {
     if windows <= 1 {
         return node.run(streams);
     }
-    let windows = windows as usize;
     let total_ops: u64 = streams.iter().map(|s| s.remaining() as u64).sum();
-    let budget = total_ops.div_ceil(windows as u64).max(1);
-    let cursor = node.begin(streams);
-    let ((mut node, cursor), _) =
-        runner::windows::window_chain((node, cursor), windows, |(mut node, mut cursor), i| {
-            let cap = if i + 1 == windows { u64::MAX } else { budget };
-            node.run_steps(&mut cursor, cap);
-            ((node, cursor), ())
-        });
+    let budget = total_ops.div_ceil(u64::from(windows)).max(1);
+    let mut cursor = node.begin(streams);
+    for _ in 1..windows {
+        node.run_steps(&mut cursor, budget);
+    }
+    node.run_steps(&mut cursor, u64::MAX);
     node.finish(cursor)
 }
 
@@ -304,78 +300,16 @@ impl NodeModel {
     }
 
     /// Runs (or recalls) the simulation of `design` on `suite` with
-    /// the design fully active.
+    /// the design fully active. A miss takes the [`prime`] path, so a
+    /// single run and a primed batch share one miss path.
+    ///
+    /// [`prime`]: NodeModel::prime
     pub fn run(&self, design: MemoryDesign, suite: Suite) -> SimResult {
         if let Some(hit) = self.cache.borrow().get(&(design, suite)) {
             return hit.clone();
         }
-        let result = self.run_uncached(design, suite);
-        self.cache
-            .borrow_mut()
-            .insert((design, suite), result.clone());
-        result
-    }
-
-    /// A run that missed this engine's memo: consult the shared cache
-    /// (replaying the stored telemetry snapshot on a hit, so metrics
-    /// output is indistinguishable from simulating here), or simulate
-    /// and publish.
-    fn run_uncached(&self, design: MemoryDesign, suite: Suite) -> SimResult {
-        if !self.shared {
-            let sink = self
-                .metrics
-                .as_ref()
-                .map(|s| s.scope(&run_label(design, suite)));
-            return simulate(
-                &self.hierarchy,
-                &self.config,
-                sink.as_ref(),
-                self.trace.as_ref(),
-                design,
-                suite,
-            );
-        }
-        if let Some(result) = self.shared_lookup(design, suite) {
-            return result;
-        }
-        SHARED_MISSES.fetch_add(1, Ordering::Relaxed);
-        self.trace_cache_event("cache.miss", design, suite);
-        let key = (self.fingerprint, design, suite);
-        match &self.metrics {
-            Some(scope) => {
-                let (result, snap) = simulate_snapshotted(
-                    &self.hierarchy,
-                    &self.config,
-                    self.trace.as_ref(),
-                    design,
-                    suite,
-                );
-                scope.absorb(&snap);
-                // Unconditional insert: also upgrades a snapshot-less
-                // entry left by a metrics-free run.
-                shared_cache()
-                    .lock()
-                    .unwrap()
-                    .insert(key, (result.clone(), Some(snap)));
-                result
-            }
-            None => {
-                let result = simulate(
-                    &self.hierarchy,
-                    &self.config,
-                    None,
-                    self.trace.as_ref(),
-                    design,
-                    suite,
-                );
-                shared_cache()
-                    .lock()
-                    .unwrap()
-                    .entry(key)
-                    .or_insert_with(|| (result.clone(), None));
-                result
-            }
-        }
+        self.prime(&[(design, suite)]);
+        self.cache.borrow()[&(design, suite)].clone()
     }
 
     /// A shared-cache hit usable by this engine. With metrics attached
@@ -724,6 +658,10 @@ mod tests {
         assert_eq!(r.snapshot(), once, "memoized replays record nothing");
     }
 
+    /// `run` misses through `prime`, so priming a batch and then
+    /// recalling it must leave exactly what running the pairs one by
+    /// one leaves: the same `SimResult`s, metrics and trace events,
+    /// with the shared cache on and off.
     #[test]
     fn prime_matches_serial_runs() {
         let pairs = [
@@ -731,14 +669,45 @@ mod tests {
             (MemoryDesign::ExploitFreqLat, Suite::Hpcg),
             (MemoryDesign::ExploitFreqLat, Suite::Hpcg), // duplicate is fine
         ];
-        let primed = model(HierarchyConfig::hierarchy1());
-        primed.prime(&pairs);
-        let serial = model(HierarchyConfig::hierarchy1());
-        for (design, suite) in [pairs[0], pairs[1]] {
+        let observe = |shared: bool, primed: bool| {
+            // Private seed so this test owns its shared-cache entries;
+            // evicting them makes every variant start cold.
+            let mut m = NodeModel::new(
+                HierarchyConfig::hierarchy1(),
+                EvalConfig {
+                    ops_per_core: 2_000,
+                    seed: 0x9817,
+                    windows: 1,
+                },
+            );
+            shared_cache()
+                .lock()
+                .unwrap()
+                .retain(|key, _| key.0 != m.fingerprint);
+            m.set_shared_cache(shared);
+            let registry = Registry::new();
+            m.set_metrics_scope(registry.scope("node"));
+            let tracer = Tracer::new();
+            m.set_trace(&tracer);
+            if primed {
+                m.prime(&pairs);
+            }
+            let results: Vec<SimResult> = pairs.iter().map(|&(d, s)| m.run(d, s)).collect();
+            (results, registry.snapshot(), tracer.take())
+        };
+        let (plain, plain_metrics, _) = observe(false, false);
+        for shared in [false, true] {
+            let (results, metrics, events) = observe(shared, false);
+            let primed = observe(shared, true);
+            assert_eq!(primed.0, results, "shared={shared}: SimResult");
+            assert_eq!(primed.1, metrics, "shared={shared}: metrics");
+            assert_eq!(primed.2, events, "shared={shared}: trace events");
+            let sims = events.iter().filter(|e| e.name.starts_with("sim.")).count();
+            assert_eq!(sims, 2, "shared={shared}: one sim span per distinct pair");
+            assert_eq!(results, plain, "shared={shared}: SimResult vs unshared");
             assert_eq!(
-                primed.run(design, suite).exec_time_ps,
-                serial.run(design, suite).exec_time_ps,
-                "{design:?}/{suite:?}"
+                metrics, plain_metrics,
+                "shared={shared}: metrics vs unshared"
             );
         }
     }

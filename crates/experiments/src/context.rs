@@ -61,10 +61,6 @@ pub struct Ctx {
     pub seed: u64,
     /// Memory operations simulated per core in node-level runs.
     pub ops_per_core: usize,
-    /// Time windows each node simulation is split into (`--windows`).
-    /// Results and telemetry are byte-identical for any value; windows
-    /// only set the tally-flush granularity of the batched hot loop.
-    pub windows: u32,
     /// Monte Carlo trials for distribution experiments.
     pub trials: usize,
     /// Jobs in the system-wide trace.
@@ -114,7 +110,6 @@ impl Default for Ctx {
         Ctx {
             seed: 0xD1A2,
             ops_per_core: 40_000,
-            windows: 1,
             trials: 50_000,
             trace_jobs: 58_000,
             fleet_jobs: None,

@@ -43,10 +43,6 @@ run with --list for every individual target name.
 options:
   --seed N       master RNG seed (default 0xD1A2)
   --ops N        memory operations per core in node-level runs
-  --windows N    split every node simulation into N time windows
-                 (default 1); stdout, metrics and traces are
-                 byte-identical for every N — windows only batch the
-                 hot loop's telemetry flushes
   --jobs N       worker threads for running targets (0 or default:
                  one per CPU); output is identical for every N
   --quick        shrink every run for a fast smoke pass
@@ -120,14 +116,8 @@ fn main() {
                 ctx.ops_per_core = iter
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage_error("--ops needs an integer"));
-            }
-            "--windows" => {
-                ctx.windows = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&w| w >= 1)
-                    .unwrap_or_else(|| usage_error("--windows needs an integer >= 1"));
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage_error("--ops needs an integer >= 1"));
             }
             "--jobs" => {
                 jobs = iter
@@ -140,7 +130,8 @@ fn main() {
                 ctx.fleet_jobs = Some(
                     iter.next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage_error("--fleet-jobs needs an integer")),
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage_error("--fleet-jobs needs an integer >= 1")),
                 );
             }
             "--no-model-cache" => ctx.model_cache = false,
@@ -375,7 +366,7 @@ fn write_trace(ctx: &Ctx, target: &str, outcomes: &[RunOutcome]) -> std::io::Res
 /// requested. Per-task series snapshots merge in canonical target
 /// order, and window aggregation is order-independent, so the JSONL
 /// file is byte-identical across runs of the same seed at any
-/// `--jobs` / `--windows`.
+/// `--jobs`.
 fn write_series(ctx: &Ctx, target: &str, outcomes: &[RunOutcome]) -> std::io::Result<()> {
     let Some(dir) = &ctx.series_dir else {
         return Ok(());

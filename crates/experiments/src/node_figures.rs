@@ -17,7 +17,7 @@ pub(crate) fn model(ctx: &Ctx, h: HierarchyConfig) -> NodeModel {
         EvalConfig {
             ops_per_core: ctx.ops_per_core,
             seed: ctx.seed,
-            windows: ctx.windows,
+            windows: 1,
         },
     );
     m.set_shared_cache(ctx.model_cache);

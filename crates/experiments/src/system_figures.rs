@@ -4,7 +4,7 @@
 use crate::context::{say, Ctx};
 use energy::EnergyModel;
 use hetero_dmr::monte_carlo::MonteCarlo;
-use hetero_dmr::{EvalConfig, MemoryDesign, NodeModel};
+use hetero_dmr::MemoryDesign;
 use margin::composition::SelectionPolicy;
 use memsim::config::HierarchyConfig;
 use scheduler::{
@@ -84,21 +84,7 @@ pub fn fig17(ctx: &mut Ctx) {
     let mut at_800 = [0.0f64; 2];
     let mut at_600 = [0.0f64; 2];
     for h in HierarchyConfig::both() {
-        let mut m = NodeModel::new(
-            h,
-            EvalConfig {
-                ops_per_core: ctx.ops_per_core,
-                seed: ctx.seed,
-                windows: ctx.windows,
-            },
-        );
-        m.set_shared_cache(ctx.model_cache);
-        if let Some(scope) = ctx.metrics_scope(&format!("node.{}", telemetry::slug(h.name))) {
-            m.set_metrics_scope(scope);
-        }
-        if let Some(t) = &ctx.tracer {
-            m.set_trace(t);
-        }
+        let m = crate::node_figures::model(ctx, h);
         for (slot, bucket) in [
             (0, hetero_dmr::UsageBucket::Low),
             (1, hetero_dmr::UsageBucket::Mid),

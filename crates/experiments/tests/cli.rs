@@ -52,12 +52,28 @@ fn unknown_target_fails_with_the_valid_list() {
     assert!(err.contains("fig12"), "diagnostic lists valid targets");
 }
 
+/// Unknown flags, missing or non-integer values, and zero sizes are
+/// usage errors: exit 2 with a diagnostic naming the flag and pointing
+/// at `--help`, before any target prints a row.
 #[test]
-fn unknown_flag_points_at_help() {
-    let out = run(&["--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--frobnicate") && err.contains("--help"));
+fn malformed_arguments_exit_2() {
+    for (args, flag) in [
+        (&["--frobnicate"][..], "--frobnicate"),
+        (&["fig5", "--quick", "--windows", "5"], "--windows"),
+        (&["fig5", "--quick", "--ops"], "--ops"),
+        (&["fig5", "--quick", "--jobs", "x"], "--jobs"),
+        (&["fig5", "--quick", "--ops", "0"], "--ops"),
+        (&["fleet", "--quick", "--fleet-jobs", "0"], "--fleet-jobs"),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flag) && err.contains("--help"),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
 }
 
 #[test]

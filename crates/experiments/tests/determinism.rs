@@ -312,54 +312,16 @@ fn single_target_traces_are_jobs_invariant_and_well_formed() {
     }
 }
 
-/// Windowed execution (`--windows`) composes with every other
-/// determinism contract: for a windowed node-simulation target,
-/// stdout, the metrics JSONL, *and* the trace bytes agree between
-/// `--jobs 1` and `--jobs 8`, and the windowed stdout/JSONL equal the
-/// unwindowed run's bytes (windows may only change flush batching,
-/// never observables).
-#[test]
-fn windowed_runs_are_jobs_invariant_and_match_unwindowed() {
-    let target = "fig5";
-    let windowed: &[&str] = &["--windows", "5"];
-    let dir = tmp_dir("windowed");
-    let (w_serial_out, w_serial_jsonl) = run_with_jobs_and(target, "1", &dir, windowed);
-    let (w_par_out, w_par_jsonl) = run_with_jobs_and(target, "8", &dir, windowed);
-    assert_eq!(w_serial_out, w_par_out, "windowed stdout jobs 1 vs 8");
-    assert_eq!(w_serial_jsonl, w_par_jsonl, "windowed JSONL jobs 1 vs 8");
-
-    let (plain_out, plain_jsonl) = run_with_jobs(target, "1", &dir);
-    assert_eq!(
-        w_serial_out, plain_out,
-        "stdout differs between --windows 5 and unwindowed"
-    );
-    assert_eq!(
-        w_serial_jsonl, plain_jsonl,
-        "metrics JSONL differs between --windows 5 and unwindowed"
-    );
-
-    let trace_dir = tmp_dir("windowed_trace");
-    let t_serial = run_with_trace_and(target, "1", &trace_dir, windowed);
-    let t_parallel = run_with_trace_and(target, "8", &trace_dir, windowed);
-    assert_eq!(t_serial, t_parallel, "windowed trace jobs 1 vs 8");
-    let t_plain = run_with_trace(target, "1", &trace_dir);
-    assert_eq!(
-        t_serial, t_plain,
-        "trace bytes differ between --windows 5 and unwindowed"
-    );
-}
-
 /// The health plane's determinism contract is three-way: stdout, the
 /// windowed series JSONL, and the incident ledger must all be
-/// byte-identical between `--jobs 1` and `--jobs 8`, and `--windows`
-/// (which only re-batches hot-loop telemetry flushes) must not move
-/// a single byte of any of them. Both exports must also round-trip
-/// through the telemetry parsers, and the headline — the CUSUM alarm
-/// leading the governor's UE retreat — must be on stdout.
+/// byte-identical between `--jobs 1` and `--jobs 8`. Both exports must
+/// also round-trip through the telemetry parsers, and the headline —
+/// the CUSUM alarm leading the governor's UE retreat — must be on
+/// stdout.
 #[test]
 fn health_series_and_incidents_are_jobs_invariant() {
     let dir = tmp_dir("health");
-    let run = |jobs: &str, extra: &[&str]| -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let run = |jobs: &str| -> (Vec<u8>, Vec<u8>, Vec<u8>) {
         let _ = std::fs::remove_dir_all(&dir);
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args([
@@ -372,7 +334,6 @@ fn health_series_and_incidents_are_jobs_invariant() {
                 "--series",
                 dir.to_str().unwrap(),
             ])
-            .args(extra)
             .output()
             .expect("spawn experiments binary");
         assert!(out.status.success(), "health --jobs {jobs} failed: {out:?}");
@@ -384,16 +345,11 @@ fn health_series_and_incidents_are_jobs_invariant() {
     };
     // The same dir for every run keeps the stdout `series:` summary
     // line (which echoes the path) directly comparable.
-    let serial = run("1", &[]);
-    let parallel = run("8", &[]);
+    let serial = run("1");
+    let parallel = run("8");
     assert_eq!(serial.0, parallel.0, "health stdout jobs 1 vs 8");
     assert_eq!(serial.1, parallel.1, "health series JSONL jobs 1 vs 8");
     assert_eq!(serial.2, parallel.2, "health incident ledger jobs 1 vs 8");
-
-    let windowed = run("1", &["--windows", "5"]);
-    assert_eq!(serial.0, windowed.0, "health stdout --windows 5");
-    assert_eq!(serial.1, windowed.1, "health series JSONL --windows 5");
-    assert_eq!(serial.2, windowed.2, "health incident ledger --windows 5");
 
     let stdout = String::from_utf8(serial.0).expect("stdout is utf8");
     assert!(

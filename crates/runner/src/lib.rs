@@ -8,10 +8,6 @@
 //! - [`pool`] — a bounded scoped-thread worker pool with
 //!   order-preserving [`parallel_map`] and chunking-independent
 //!   integer reductions ([`parallel_count`], [`parallel_tally`]).
-//! - [`windows`] — coarse-grained time-parallel window chains:
-//!   [`windows::window_chain`] runs a stateful simulation split into
-//!   windows serially, [`windows::speculative_chain`] overlaps future
-//!   windows on spare permits and reconciles them deterministically.
 //! - [`Scenario`]/[`Runner`] — named, seeded experiment tasks with
 //!   buffered output, per-task telemetry snapshots, and panic
 //!   isolation; outcomes come back in input order.
@@ -34,7 +30,6 @@
 pub mod pool;
 mod scenario;
 pub mod seed;
-pub mod windows;
 
 pub use pool::{jobs, parallel_count, parallel_map, parallel_tally, set_jobs};
 pub use scenario::{RunOutcome, RunStatus, Runner, Scenario, ScenarioBuilder, TaskCtx};

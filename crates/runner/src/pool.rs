@@ -52,10 +52,10 @@ fn permit_pool() -> &'static AtomicIsize {
 }
 
 /// RAII over borrowed permits so panics release them too.
-pub(crate) struct Permits(pub(crate) usize);
+struct Permits(usize);
 
 impl Permits {
-    pub(crate) fn take(want: usize) -> Permits {
+    fn take(want: usize) -> Permits {
         let pool = permit_pool();
         let mut got = 0usize;
         while got < want {

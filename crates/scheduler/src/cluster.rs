@@ -182,8 +182,7 @@ pub struct Variant {
     /// Display label (also useful as a telemetry scope prefix).
     pub label: String,
     pub cluster: Cluster,
-    pub policy: Policy,
-    pub speedups: SpeedupModel,
+    pub config: SchedulerConfig,
     /// When set, the run is metered under this scope; otherwise it
     /// runs unobserved.
     pub scope: Option<Scope>,
@@ -202,12 +201,10 @@ pub fn run_variants(jobs: &[Job], variants: Vec<Variant>) -> Vec<(String, Vec<Jo
         let Variant {
             label,
             cluster,
-            policy,
-            speedups,
+            config,
             scope,
             tracer,
         } = v;
-        let config = SchedulerConfig::from_parts_unchecked(policy, speedups);
         let mut run = cluster.schedule(SliceSource::new(jobs)).config(config);
         if let Some(scope) = &scope {
             run = run.metrics(scope);
@@ -280,58 +277,6 @@ impl Cluster {
             tracer: None,
             series: None,
         }
-    }
-
-    /// Deprecated spelling of the builder entry point.
-    #[deprecated(
-        note = "use `cluster.schedule(SliceSource::new(jobs)).config(cfg).run()` \
-                (see README: migrating from run/run_metered/run_traced)"
-    )]
-    pub fn run(&self, jobs: &[Job], policy: Policy, speedups: &SpeedupModel) -> Vec<JobOutcome> {
-        self.schedule(SliceSource::new(jobs))
-            .config(SchedulerConfig::from_parts_unchecked(policy, *speedups))
-            .run()
-    }
-
-    /// Deprecated spelling of the builder entry point with metrics.
-    #[deprecated(
-        note = "use `cluster.schedule(SliceSource::new(jobs)).config(cfg).metrics(scope).run()` \
-                (see README: migrating from run/run_metered/run_traced)"
-    )]
-    pub fn run_metered(
-        &self,
-        jobs: &[Job],
-        policy: Policy,
-        speedups: &SpeedupModel,
-        scope: &Scope,
-    ) -> Vec<JobOutcome> {
-        self.schedule(SliceSource::new(jobs))
-            .config(SchedulerConfig::from_parts_unchecked(policy, *speedups))
-            .metrics(scope)
-            .run()
-    }
-
-    /// Deprecated spelling of the builder entry point with tracing.
-    #[deprecated(
-        note = "use `cluster.schedule(SliceSource::new(jobs)).config(cfg).tracer(t).run()` \
-                (see README: migrating from run/run_metered/run_traced)"
-    )]
-    pub fn run_traced(
-        &self,
-        jobs: &[Job],
-        policy: Policy,
-        speedups: &SpeedupModel,
-        scope: Option<&Scope>,
-        tracer: &Tracer,
-    ) -> Vec<JobOutcome> {
-        let mut run = self
-            .schedule(SliceSource::new(jobs))
-            .config(SchedulerConfig::from_parts_unchecked(policy, *speedups))
-            .tracer(tracer);
-        if let Some(scope) = scope {
-            run = run.metrics(scope);
-        }
-        run.run()
     }
 
     /// The event-driven core: pulls jobs from `source`, keeps
@@ -879,16 +824,14 @@ mod tests {
                 Variant {
                     label: "conventional".into(),
                     cluster: conv.clone(),
-                    policy: Policy::Default,
-                    speedups: SpeedupModel::conventional(),
+                    config: conventional(),
                     scope: None,
                     tracer: None,
                 },
                 Variant {
                     label: "margin_aware".into(),
                     cluster: hdmr.clone(),
-                    policy: Policy::MarginAware,
-                    speedups: SpeedupModel::hetero_dmr_default(),
+                    config: aware(),
                     scope: None,
                     tracer: None,
                 },
@@ -989,30 +932,6 @@ mod tests {
             assert!(o.start_s >= j.submit_s);
             assert!(o.exec_s <= j.duration_s + 1e-9);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder() {
-        let c = Cluster::new(64, [0.62, 0.36, 0.02]);
-        let trace = crate::trace::GrizzlyTrace::scaled(400, 64).generate(11);
-        let speedups = SpeedupModel::hetero_dmr_default();
-        assert_eq!(
-            c.run(&trace, Policy::MarginAware, &speedups),
-            run(&c, &trace, aware())
-        );
-        let registry = telemetry::Registry::new();
-        let metered = c.run_metered(
-            &trace,
-            Policy::MarginAware,
-            &speedups,
-            &registry.scope("old"),
-        );
-        assert_eq!(metered, run(&c, &trace, aware()));
-        let tracer = Tracer::new();
-        let traced = c.run_traced(&trace, Policy::MarginAware, &speedups, None, &tracer);
-        assert_eq!(traced, run(&c, &trace, aware()));
-        assert!(!tracer.take().is_empty());
     }
 
     #[test]

@@ -146,16 +146,6 @@ impl SchedulerConfig {
     pub fn traced_job_cap(&self) -> usize {
         self.traced_job_cap
     }
-
-    /// Compatibility escape hatch for the deprecated `Cluster::run*`
-    /// wrappers, which historically accepted any table unchecked.
-    pub(crate) fn from_parts_unchecked(policy: Policy, speedups: SpeedupModel) -> SchedulerConfig {
-        SchedulerConfig {
-            policy,
-            speedups,
-            traced_job_cap: crate::cluster::TRACED_JOB_CAP,
-        }
-    }
 }
 
 /// Builder for [`SchedulerConfig`]; `build` validates the table.

@@ -216,18 +216,11 @@ impl Federation {
     /// keeps only its own jobs — cheap for counter-seeded generators,
     /// and the price of zero cross-shard communication). Shards run
     /// in parallel on the worker pool; results merge in member order.
-    pub fn run<S, F>(&self, placement: PlacementPolicy, salt: u64, make_source: F) -> FederationRun
-    where
-        S: JobSource,
-        F: Fn() -> S + Sync,
-    {
-        self.run_observed(placement, salt, make_source, None, None, None)
-    }
-
-    /// [`run`](Self::run) with observability: each shard meters into
-    /// a private registry scoped by member name, traces into a
-    /// private tracer, and (when `series` is given) streams its
-    /// queue delays into a private series store as
+    ///
+    /// Observation is optional and never changes the schedule: each
+    /// shard meters into a private registry scoped by member name,
+    /// traces into a private tracer, and (when `series` is given)
+    /// streams its queue delays into a private series store as
     /// `<prefix>.<member>.queue_delay_ms` with
     /// [`QUEUE_SERIES_WIDTH_MS`]-wide windows; snapshots, trace
     /// buffers, and series windows are absorbed into `scope` /
@@ -440,6 +433,23 @@ mod tests {
         );
     }
 
+    /// A run of `gen`'s stream seeded by `salt`, with no telemetry.
+    fn unobserved(
+        fed: &Federation,
+        gen: &SyntheticJobs,
+        placement: PlacementPolicy,
+        salt: u64,
+    ) -> FederationRun {
+        fed.run_observed(
+            placement,
+            salt,
+            || from_specs(gen.stream(salt)),
+            None,
+            None,
+            None,
+        )
+    }
+
     fn fleet_stream(fed: &Federation, jobs: u64) -> SyntheticJobs {
         SyntheticJobs {
             jobs,
@@ -454,9 +464,7 @@ mod tests {
     fn every_job_lands_on_exactly_one_member() {
         let fed = small_federation();
         let gen = fleet_stream(&fed, 3_000);
-        let run = fed.run(PlacementPolicy::MarginAware, 9, || {
-            from_specs(gen.stream(9))
-        });
+        let run = unobserved(&fed, &gen, PlacementPolicy::MarginAware, 9);
         assert_eq!(run.members.len(), 2);
         let per_member: u64 = run.members.iter().map(|m| m.routed).sum();
         assert_eq!(per_member, 3_000);
@@ -471,12 +479,8 @@ mod tests {
     fn federation_runs_are_replayable() {
         let fed = small_federation();
         let gen = fleet_stream(&fed, 2_000);
-        let a = fed.run(PlacementPolicy::MarginAware, 5, || {
-            from_specs(gen.stream(5))
-        });
-        let b = fed.run(PlacementPolicy::MarginAware, 5, || {
-            from_specs(gen.stream(5))
-        });
+        let a = unobserved(&fed, &gen, PlacementPolicy::MarginAware, 5);
+        let b = unobserved(&fed, &gen, PlacementPolicy::MarginAware, 5);
         assert_eq!(a.fleet.jobs(), b.fleet.jobs());
         assert_eq!(a.fleet.mean_turnaround_s(), b.fleet.mean_turnaround_s());
         assert_eq!(a.fleet.makespan_s(), b.fleet.makespan_s());
@@ -519,6 +523,17 @@ mod tests {
             .map(|e| e.total_count())
             .sum();
         assert_eq!(tapped, 1_000, "one sample per routed job");
+        // Observation is invisible to the schedule: the same stream
+        // run unobserved routes and schedules identically.
+        let plain = unobserved(&fed, &gen, PlacementPolicy::MarginAware, 3);
+        let routed = |r: &FederationRun| r.members.iter().map(|m| m.routed).collect::<Vec<_>>();
+        assert_eq!(routed(&plain), routed(&run));
+        assert_eq!(plain.fleet.jobs(), run.fleet.jobs());
+        assert_eq!(
+            plain.fleet.mean_turnaround_s(),
+            run.fleet.mean_turnaround_s()
+        );
+        assert_eq!(plain.fleet.makespan_s(), run.fleet.makespan_s());
     }
 
     #[test]
@@ -543,12 +558,8 @@ mod tests {
         ])
         .unwrap();
         let gen = fleet_stream(&fed, 6_000);
-        let aware = fed.run(PlacementPolicy::MarginAware, 7, || {
-            from_specs(gen.stream(7))
-        });
-        let oblivious = fed.run(PlacementPolicy::CapacityWeighted, 7, || {
-            from_specs(gen.stream(7))
-        });
+        let aware = unobserved(&fed, &gen, PlacementPolicy::MarginAware, 7);
+        let oblivious = unobserved(&fed, &gen, PlacementPolicy::CapacityWeighted, 7);
         let margin_share = |run: &FederationRun| {
             let [g800, g600, g0] = run.fleet.started_per_group();
             (g800 + g600) as f64 / (g800 + g600 + g0) as f64
