@@ -20,7 +20,7 @@ echo "== clippy =="
 # `-D deprecated` fails the gate on any use of a `#[deprecated]` item,
 # so an API can only be retired by migrating every caller first.
 cargo clippy --offline --workspace \
-    --exclude rand --exclude proptest --exclude criterion \
+    --exclude rand --exclude proptest \
     --all-targets -- -D warnings -D deprecated
 
 echo "== benches compile =="
@@ -36,7 +36,7 @@ cargo test --offline -q -p memsim --test differential windowed -- --nocapture
 echo "== batched stepping gate (controller vs frozen reference) =="
 # The indexed controller must sustain at least the naive reference's
 # ops/s on an identical op sequence (asserts >= 1x internally).
-cargo bench --offline -p hdmr-bench --bench stepping
+cargo bench --offline -p memsim --bench stepping
 
 echo "== perfbench (builds against the workspace, runs its output checks) =="
 # The benchmark depends on the workspace crates by path, so removing an

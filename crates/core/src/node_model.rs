@@ -854,6 +854,56 @@ mod tests {
         }
     }
 
+    /// Section III-A1: each write batch pays two 1 µs frequency
+    /// switches, so Hetero-DMR needs ~12 800-write batches to amortize
+    /// them; 128-write batches must not be faster.
+    #[test]
+    fn large_write_batches_amortize_frequency_switches() {
+        let exec_with_batch = |watermark: usize| {
+            let h = HierarchyConfig::hierarchy1();
+            let mut mode = MemoryDesign::HeteroDmr { margin_mts: 800 }.channel_mode();
+            mode.write_high_watermark = watermark;
+            mode.turnaround_penalty_ps = dram::PS_PER_US;
+            let mut node = NodeSim::new(h, mode);
+            let params = Suite::Hpcg.params();
+            let streams: Vec<_> = (0..h.cores)
+                .map(|i| TraceGen::new(params, 100 + i as u64, 4_000))
+                .collect();
+            let warm = node.l3_blocks_per_core();
+            for (i, s) in streams.iter().enumerate() {
+                node.prewarm_core(i, s.warmup_blocks(warm, params.write_fraction));
+            }
+            node.run(streams).exec_time_ps
+        };
+        let small = exec_with_batch(128);
+        let large = exec_with_batch(12_800);
+        assert!(
+            small >= large,
+            "large batches must not lose: small {small} vs large {large}"
+        );
+    }
+
+    /// Section III-A's strawman: splitting channels into a fast half
+    /// and a mirrored spec half loses to same-channel Hetero-DMR.
+    #[test]
+    fn naive_channel_split_dmr_loses_to_hetero_dmr() {
+        let mut m = NodeModel::new(
+            HierarchyConfig::hierarchy2(),
+            EvalConfig {
+                ops_per_core: 2_000,
+                seed: 0xAB1A,
+                windows: 1,
+            },
+        );
+        m.set_shared_cache(false);
+        let naive = m.suite_average(MemoryDesign::NaiveDmr { margin_mts: 800 }, UsageBucket::Low);
+        let hdmr = m.suite_average(
+            MemoryDesign::HeteroDmr { margin_mts: 800 },
+            UsageBucket::Low,
+        );
+        assert!(naive < hdmr, "naive {naive} vs Hetero-DMR {hdmr}");
+    }
+
     #[test]
     fn energy_improves_under_hetero_dmr() {
         let m = model(HierarchyConfig::hierarchy1());

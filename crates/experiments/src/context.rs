@@ -5,7 +5,7 @@
 use std::fs;
 use std::io::Write;
 use telemetry::trace::Tracer;
-use telemetry::{Registry, Scope};
+use telemetry::{escape_csv, Registry, Scope};
 
 /// Appends a formatted line to the context's output buffer (the
 /// parallel-safe replacement for `println!`): the runner prints every
@@ -27,32 +27,6 @@ macro_rules! sayp {
 }
 
 pub(crate) use {say, sayp};
-
-/// How chatty the run is on stderr (`--log-level`). Stdout is never
-/// affected — it stays byte-comparable across levels and `--jobs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LogLevel {
-    /// Nothing beyond errors.
-    Off,
-    /// One line per run: wall time, worker count, event-log pressure.
-    #[default]
-    Summary,
-    /// Summary plus every retained event-log entry, in canonical
-    /// target order.
-    Verbose,
-}
-
-impl LogLevel {
-    /// Parses a `--log-level` value.
-    pub fn parse(s: &str) -> Option<LogLevel> {
-        Some(match s {
-            "off" => LogLevel::Off,
-            "summary" => LogLevel::Summary,
-            "verbose" => LogLevel::Verbose,
-            _ => return None,
-        })
-    }
-}
 
 /// Global experiment parameters.
 #[derive(Debug, Clone)]
@@ -94,8 +68,6 @@ pub struct Ctx {
     /// contexts each get their *own* tracer ([`Ctx::for_task`]); the
     /// runner collects the buffers in canonical target order.
     pub tracer: Option<Tracer>,
-    /// stderr verbosity (never affects stdout or exported files).
-    pub log_level: LogLevel,
     /// The registry every instrumented component records into; present
     /// exactly when `metrics_dir` is. Task contexts built by
     /// [`Ctx::for_task`] each get their *own* registry so concurrent
@@ -121,7 +93,6 @@ impl Default for Ctx {
             series_dir: None,
             series: None,
             tracer: None,
-            log_level: LogLevel::Summary,
             registry: None,
             out: String::new(),
         }
@@ -202,7 +173,9 @@ impl Ctx {
     }
 
     /// Writes `rows` (first row = header) as `<name>.csv` when a CSV
-    /// directory was requested.
+    /// directory was requested. Every field is RFC 4180-quoted, so
+    /// `experiments report`'s [`telemetry::parse_csv_line`] reads each
+    /// row back field for field.
     pub fn csv(&self, name: &str, rows: &[Vec<String>]) {
         let Some(dir) = &self.csv_dir else { return };
         if fs::create_dir_all(dir).is_err() {
@@ -213,7 +186,8 @@ impl Ctx {
         match fs::File::create(&path) {
             Ok(mut f) => {
                 for row in rows {
-                    let _ = writeln!(f, "{}", row.join(","));
+                    let fields: Vec<String> = row.iter().map(|c| escape_csv(c)).collect();
+                    let _ = writeln!(f, "{}", fields.join(","));
                 }
             }
             Err(e) => eprintln!("cannot write {path}: {e}"),
@@ -310,12 +284,23 @@ mod tests {
         assert!(!dir.exists());
         // Enabled: file with the right contents.
         ctx.csv_dir = Some(dir.to_string_lossy().into_owned());
+        let label = "HPCG, \"tuned\"";
         ctx.csv(
             "t",
-            &[vec!["h1".into(), "h2".into()], vec!["1".into(), "2".into()]],
+            &[
+                vec!["h1".into(), "h2".into()],
+                vec!["1".into(), "2".into()],
+                vec![label.into(), "3".into()],
+            ],
         );
         let text = fs::read_to_string(dir.join("t.csv")).unwrap();
-        assert_eq!(text, "h1,h2\n1,2\n");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[..2], ["h1,h2", "1,2"], "plain fields stay bare");
+        // A field with a separator and quotes reads back as one field.
+        assert_eq!(
+            telemetry::parse_csv_line(lines[2]),
+            vec![label.to_string(), "3".to_string()]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

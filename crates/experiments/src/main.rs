@@ -27,7 +27,7 @@ mod scenarios;
 mod system_figures;
 mod tables;
 
-use context::{Ctx, LogLevel};
+use context::Ctx;
 use runner::{RunOutcome, RunStatus, Runner};
 use scenarios::TARGETS;
 use telemetry::trace::TraceGroup;
@@ -63,8 +63,6 @@ options:
                  deterministic for a fixed seed at any --jobs); the
                  'health' target also writes its incident ledger to
                  DIR/health.incidents.jsonl
-  --log-level L  stderr verbosity: off, summary (default) or verbose
-                 (stdout and exported files are never affected)
   --no-model-cache
                  disable the cross-target node-model result cache
                  (output is identical either way; runs are slower)
@@ -159,12 +157,6 @@ fn main() {
                     .unwrap_or_else(|| usage_error("--series needs a directory"));
                 ctx.enable_series(dir.clone());
             }
-            "--log-level" => {
-                ctx.log_level = iter
-                    .next()
-                    .and_then(|v| LogLevel::parse(v))
-                    .unwrap_or_else(|| usage_error("--log-level needs off, summary or verbose"));
-            }
             other if !other.starts_with('-') => target = other.to_string(),
             other => {
                 eprintln!("unknown flag {other} (run with --help for usage)");
@@ -184,8 +176,7 @@ fn main() {
     };
 
     let start = std::time::Instant::now();
-    let runner = Runner::new(jobs);
-    let outcomes = runner.run(scenarios::build(&ctx, &names));
+    let outcomes = Runner::new(jobs).run(scenarios::build(&ctx, &names));
 
     // Print buffered outputs in canonical order; failures go to stderr
     // after each target's partial output so the run context survives.
@@ -214,27 +205,14 @@ fn main() {
     }
     // Timing is inherently non-deterministic, so it goes to stderr
     // only: stdout stays byte-comparable across --jobs values.
-    if ctx.log_level != LogLevel::Off {
-        let recorded: u64 = outcomes.iter().map(|o| o.events_recorded).sum();
-        let dropped: u64 = outcomes.iter().map(|o| o.events_dropped).sum();
-        let rss = peak_rss_kb()
-            .map(|kb| format!("; peak RSS {kb} kB"))
-            .unwrap_or_default();
-        eprintln!(
-            "ran {} target(s) in {wall_ms} ms on {} worker(s); {recorded} event(s) logged, {dropped} dropped{rss}",
-            outcomes.len(),
-            runner::jobs()
-        );
-    }
-    if ctx.log_level == LogLevel::Verbose {
-        // Retained event-log entries, in canonical target order (the
-        // outcome order), so verbose output is reproducible too.
-        for o in &outcomes {
-            for ev in &o.events {
-                eprintln!("[{}] #{} {} = {}", o.name, ev.seq, ev.label, ev.value);
-            }
-        }
-    }
+    let rss = peak_rss_kb()
+        .map(|kb| format!("; peak RSS {kb} kB"))
+        .unwrap_or_default();
+    eprintln!(
+        "ran {} target(s) in {wall_ms} ms on {} worker(s){rss}",
+        outcomes.len(),
+        runner::jobs()
+    );
     if failed > 0 {
         eprintln!("{failed} target(s) failed");
         std::process::exit(1);
@@ -309,11 +287,7 @@ fn write_metrics(
         .with_git_describe()
         .with_snapshot(&sim)
         .with_wall_ms(wall_ms)
-        .with_target_walls(outcomes.iter().map(|o| (o.name.clone(), o.wall_ms as u64)))
-        .with_events(
-            outcomes.iter().map(|o| o.events_recorded).sum(),
-            outcomes.iter().map(|o| o.events_dropped).sum(),
-        );
+        .with_target_walls(outcomes.iter().map(|o| (o.name.clone(), o.wall_ms as u64)));
     std::fs::write(format!("{dir}/manifest.json"), manifest.to_json())?;
     println!(
         "\nmetrics: {} series -> {dir}/{target}.metrics.jsonl (+ manifest.json)",

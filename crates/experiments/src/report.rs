@@ -274,21 +274,6 @@ fn render_provenance(md: &mut String, manifest: &Json, snapshot: &Snapshot) {
         }
     }
     let _ = writeln!(md, "| metrics parsed | {} series |", snapshot.len());
-    let recorded = manifest
-        .get("events_recorded")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let dropped = manifest
-        .get("events_dropped")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let _ = writeln!(md, "| event log | {recorded} recorded, {dropped} dropped |");
-    if dropped > 0 {
-        let _ = writeln!(
-            md,
-            "\n> Note: the bounded event ring evicted {dropped} event(s); the retained window is partial."
-        );
-    }
     md.push('\n');
 }
 

@@ -94,12 +94,6 @@ pub fn build(template: &Ctx, names: &[&str]) -> Vec<Scenario> {
                 tc.out = std::mem::take(&mut ctx.out);
                 tc.snapshot = ctx.registry.as_ref().map(|r| r.snapshot());
                 tc.series = ctx.series.as_ref().map(|s| s.snapshot());
-                if let Some(r) = &ctx.registry {
-                    let log = r.events();
-                    tc.events_recorded = log.total_pushed();
-                    tc.events_dropped = log.dropped();
-                    tc.events = log.drain_snapshot();
-                }
             })
             .build()
         })

@@ -60,6 +60,10 @@ fn malformed_arguments_exit_2() {
     for (args, flag) in [
         (&["--frobnicate"][..], "--frobnicate"),
         (&["fig5", "--quick", "--windows", "5"], "--windows"),
+        (
+            &["fig5", "--quick", "--log-level", "summary"],
+            "--log-level",
+        ),
         (&["fig5", "--quick", "--ops"], "--ops"),
         (&["fig5", "--quick", "--jobs", "x"], "--jobs"),
         (&["fig5", "--quick", "--ops", "0"], "--ops"),

@@ -2,14 +2,14 @@
 //! versus the frozen naive [`ReferenceController`] on an identical op
 //! sequence.
 //!
-//! Unlike the other bench targets this one *gates*: it asserts the
-//! optimized controller sustains at least the reference's ops/s
-//! (best-of-3 each, interleaved so thermal drift hits both sides), so
-//! `ci.sh` catches a hot-path regression that the differential tests —
-//! which only check *behaviour* — would wave through. The two
-//! controllers are driven through the same mixed read/write/drain
-//! sequence the node simulator issues: bursts of untracked reads,
-//! tracked reads resolved out of order, and batched write drains.
+//! This bench *gates*: it asserts the optimized controller sustains at
+//! least the reference's ops/s (best-of-3 each, interleaved so thermal
+//! drift hits both sides), so `ci.sh` catches a hot-path regression
+//! that the differential tests — which only check *behaviour* — would
+//! wave through. The two controllers are driven through the same mixed
+//! read/write/drain sequence the node simulator issues: bursts of
+//! untracked reads, tracked reads resolved out of order, and batched
+//! write drains.
 
 use memsim::address::{AddressMapping, DramCoord};
 use memsim::config::{ChannelMode, MemoryConfig};

@@ -15,7 +15,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use telemetry::trace::{kv, Clock, TraceEvent, Tracer};
-use telemetry::{Event, Registry, Snapshot};
+use telemetry::Snapshot;
 
 /// What a task sees while running: its derived seed plus buffers for
 /// everything it wants to surface. Tasks write human-readable output
@@ -34,12 +34,6 @@ pub struct TaskCtx {
     /// The task's windowed time-series, captured from a task-private
     /// series store (the health plane's snapshot analogue).
     pub series: Option<telemetry::series::SeriesSnapshot>,
-    /// Event-log pressure from the task's registry: total pushes and
-    /// ring evictions (see `telemetry::EventLog::dropped`).
-    pub events_recorded: u64,
-    pub events_dropped: u64,
-    /// The retained event window, for verbose diagnostic dumps.
-    pub events: Vec<Event>,
 }
 
 impl TaskCtx {
@@ -179,11 +173,6 @@ pub struct RunOutcome {
     /// Deterministic: every timestamp comes from a simulation clock
     /// or the tracer's tick counter, never from wall time.
     pub trace: Option<Vec<TraceEvent>>,
-    /// Event-log pressure, copied from the [`TaskCtx`].
-    pub events_recorded: u64,
-    pub events_dropped: u64,
-    /// Retained event window, for verbose diagnostic dumps.
-    pub events: Vec<Event>,
     /// Wall-clock duration. Non-deterministic by nature — report it on
     /// diagnostic channels only, never in byte-compared output.
     pub wall_ms: u128,
@@ -196,14 +185,7 @@ impl RunOutcome {
 }
 
 /// Executes scenario batches on the worker pool.
-///
-/// The runner keeps its own registry of run-level telemetry (a
-/// `task.<name>` span per scenario plus `tasks_ok`/`tasks_failed`
-/// counters), deliberately separate from the tasks' own snapshots so
-/// engine bookkeeping never leaks into experiment metrics.
-pub struct Runner {
-    registry: Registry,
-}
+pub struct Runner;
 
 impl Runner {
     /// A runner with a process-wide worker budget of `jobs` threads
@@ -211,21 +193,13 @@ impl Runner {
     /// last-constructed runner's value wins.
     pub fn new(jobs: usize) -> Self {
         pool::set_jobs(jobs);
-        Runner {
-            registry: Registry::new(),
-        }
-    }
-
-    /// The runner's own bookkeeping registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        Runner
     }
 
     /// Run every scenario, in parallel, returning outcomes in input
     /// order. A panicking task yields [`RunStatus::Failed`] with its
     /// buffered partial output; the other tasks are unaffected.
     pub fn run(&self, scenarios: Vec<Scenario>) -> Vec<RunOutcome> {
-        let registry = &self.registry;
         pool::parallel_map(scenarios, |_, scenario| {
             let Scenario {
                 name,
@@ -233,7 +207,6 @@ impl Runner {
                 task,
                 tracer,
             } = scenario;
-            let _span = registry.span(&format!("task.{name}"));
             let task_span = tracer
                 .as_ref()
                 .map(|t| t.begin(format!("task.{name}"), "runner", Clock::Ticks, t.tick()));
@@ -243,21 +216,12 @@ impl Runner {
                 out: String::new(),
                 snapshot: None,
                 series: None,
-                events_recorded: 0,
-                events_dropped: 0,
-                events: Vec::new(),
             };
             let status = match catch_unwind(AssertUnwindSafe(|| task(&mut ctx))) {
-                Ok(()) => {
-                    registry.counter("tasks_ok").inc();
-                    RunStatus::Completed
-                }
-                Err(payload) => {
-                    registry.counter("tasks_failed").inc();
-                    RunStatus::Failed {
-                        panic: panic_message(payload.as_ref()),
-                    }
-                }
+                Ok(()) => RunStatus::Completed,
+                Err(payload) => RunStatus::Failed {
+                    panic: panic_message(payload.as_ref()),
+                },
             };
             let trace = tracer.map(|t| {
                 let label = match &status {
@@ -276,9 +240,6 @@ impl Runner {
                 snapshot: ctx.snapshot,
                 series: ctx.series,
                 trace,
-                events_recorded: ctx.events_recorded,
-                events_dropped: ctx.events_dropped,
-                events: ctx.events,
                 wall_ms: started.elapsed().as_millis(),
             }
         })
@@ -343,8 +304,7 @@ mod tests {
                 })
                 .build(),
         );
-        let runner = Runner::new(0);
-        let outcomes = runner.run(scenarios);
+        let outcomes = Runner::new(0).run(scenarios);
         assert_eq!(outcomes.len(), 4);
         assert!(outcomes[1].is_failed());
         assert_eq!(
@@ -361,10 +321,6 @@ mod tests {
             assert_eq!(outcomes[idx].status, RunStatus::Completed);
             assert!(!outcomes[idx].out.is_empty());
         }
-        let snap = runner.registry().snapshot();
-        assert_eq!(snap.counter("tasks_ok"), 3);
-        assert_eq!(snap.counter("tasks_failed"), 1);
-        assert!(snap.get("task.poisoned.wall_ns").is_some());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Hand-rolled exporters: JSONL, CSV, and a console table. No serde —
-//! every value we serialize is an integer, a string, or a list of
-//! integer triples, so the writers stay tiny and dependency-free.
+//! Hand-rolled exporters: JSONL for snapshots plus CSV field quoting.
+//! No serde — every value we serialize is an integer, a string, or a
+//! list of integer triples, so the writers stay tiny and
+//! dependency-free.
 
 use crate::metric::HistogramSnapshot;
 use crate::registry::{MetricValue, Snapshot};
@@ -94,7 +95,9 @@ pub fn format_jsonl(snapshot: &Snapshot) -> String {
     out
 }
 
-fn escape_csv(s: &str) -> String {
+/// Quote `s` as one CSV field: fields holding a separator, quote or
+/// line break are wrapped in quotes with inner quotes doubled.
+pub fn escape_csv(s: &str) -> String {
     // RFC 4180 quoting: `\r` matters too — a bare CR in a label would
     // otherwise split the record on CRLF-aware readers.
     if s.contains([',', '"', '\n', '\r']) {
@@ -199,66 +202,6 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
     Ok(Snapshot { entries })
 }
 
-/// Flat CSV: histograms contribute their aggregate columns (count,
-/// sum, min, max); scalar metrics leave the aggregate columns empty.
-pub fn format_csv(snapshot: &Snapshot) -> String {
-    let mut out = String::from("name,type,value,count,sum,min,max\n");
-    for entry in &snapshot.entries {
-        let name = escape_csv(&entry.name);
-        match &entry.value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "{name},counter,{v},,,,");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "{name},gauge,{v},,,,");
-            }
-            MetricValue::Histogram(h) => {
-                let _ = writeln!(
-                    out,
-                    "{name},histogram,,{},{},{},{}",
-                    h.count, h.sum, h.min, h.max
-                );
-            }
-        }
-    }
-    out
-}
-
-/// A right-padded two-column table for terminal output.
-pub fn format_console_table(snapshot: &Snapshot) -> String {
-    let width = snapshot
-        .entries
-        .iter()
-        .map(|e| e.name.len())
-        .max()
-        .unwrap_or(4)
-        .max("name".len());
-    let mut out = format!("{:width$}  value\n", "name");
-    let _ = writeln!(out, "{:-<width$}  -----", "");
-    for entry in &snapshot.entries {
-        match &entry.value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "{:width$}  {v}", entry.name);
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "{:width$}  {v}", entry.name);
-            }
-            MetricValue::Histogram(h) => {
-                let _ = writeln!(
-                    out,
-                    "{:width$}  n={} mean={:.1} min={} max={}",
-                    entry.name,
-                    h.count,
-                    h.mean(),
-                    h.min,
-                    h.max
-                );
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,17 +250,6 @@ mod tests {
         assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = format_csv(&sample());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,type,value,count,sum,min,max");
-        assert_eq!(lines[1], "ctrl.read_latency_ps,histogram,,3,200,0,100");
-        assert_eq!(lines[2], "ctrl.reads,counter,10,,,,");
-        assert_eq!(lines[3], "queue.depth,gauge,-2,,,,");
-        assert_eq!(escape_csv("a,b"), "\"a,b\"");
-    }
-
     /// Labels with CSV/JSON metacharacters must survive a full
     /// export → parse round trip.
     #[test]
@@ -350,28 +282,11 @@ mod tests {
             let line = escape_csv(nasty);
             assert_eq!(parse_csv_line(&line), vec![nasty.to_string()]);
         }
-        // A full record: the label field with every metacharacter plus
-        // the numeric columns.
-        let r = Registry::new();
-        r.counter("a,b \"c\"\r\nd").add(1);
-        let csv = format_csv(&r.snapshot());
-        // escape_csv keeps the record as ONE line: the newline lives
-        // inside quotes, so splitting on raw '\n' would be wrong —
-        // parse the record that starts after the header.
-        let record = csv
-            .strip_prefix("name,type,value,count,sum,min,max\n")
-            .unwrap();
-        let fields = parse_csv_line(record.trim_end_matches('\n'));
-        assert_eq!(fields[0], "a,b \"c\"\r\nd");
-        assert_eq!(fields[1], "counter");
-        assert_eq!(fields[2], "1");
-    }
-
-    #[test]
-    fn console_table_renders_every_entry() {
-        let table = format_console_table(&sample());
-        assert!(table.contains("ctrl.reads"));
-        assert!(table.contains("n=3 mean=66.7 min=0 max=100"));
-        assert!(table.contains("queue.depth"));
+        // A full record: a field with every metacharacter between plain
+        // ones. escape_csv keeps the record as ONE line: the newline
+        // lives inside quotes.
+        let fields = ["a,b \"c\"\r\nd", "counter", "1"];
+        let record: Vec<String> = fields.iter().map(|f| escape_csv(f)).collect();
+        assert_eq!(parse_csv_line(&record.join(",")), fields);
     }
 }

@@ -82,6 +82,7 @@ impl Json {
 /// an error. Errors carry a byte offset and a short description.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -95,6 +96,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -243,11 +245,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar, decoded from `text`
+                    // (valid UTF-8 already): validating the rest of the
+                    // input per char would make string parsing
+                    // quadratic in the document length.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     if (ch as u32) < 0x20 {
                         return Err(self.err("unescaped control character in string"));
                     }
@@ -327,7 +333,7 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let nasty = "comma, \"quote\"\nnewline\ttab\r\\slash \u{1} é";
+        let nasty = "comma, \"quote\"\nnewline\ttab\r\\slash \u{1} é 😀";
         let encoded = format!("\"{}\"", crate::escape_json(nasty));
         assert_eq!(parse(&encoded).unwrap(), Json::Str(nasty.to_string()));
     }

@@ -1,5 +1,5 @@
-//! Workspace-wide observability: cheap atomic metrics, scoped spans,
-//! a bounded event log, exporters, and run manifests.
+//! Workspace-wide observability: cheap atomic metrics, exporters, run
+//! manifests, causal traces, and windowed health series.
 //!
 //! The crate is `std`-only and allocation-free on the hot path: a
 //! [`Counter`], [`Gauge`], or [`Histogram`] handle is an `Arc` around
@@ -11,11 +11,9 @@
 //! - [`Registry`] owns named metrics; [`Scope`] prefixes names so each
 //!   subsystem registers under its own namespace (`controller.reads`,
 //!   `governor.fallbacks`, …).
-//! - [`Span`] is an RAII timer: on drop it records wall time and an
-//!   optional caller-supplied unit count (cycles, picoseconds, ops)
-//!   into histograms, and appends to the registry's [`EventLog`].
 //! - [`Snapshot`] is a point-in-time copy of every metric, exportable
-//!   as JSONL, CSV, or a console table (all hand-rolled, no serde).
+//!   as JSONL (hand-rolled, no serde) and parsed back by
+//!   [`parse_jsonl`].
 //! - [`RunManifest`] captures run provenance (seed, knobs, git
 //!   describe, wall time) next to the metric files.
 //! - [`trace`] records causal spans against deterministic clocks and
@@ -39,7 +37,6 @@
 
 #![forbid(unsafe_code)]
 
-mod event;
 mod export;
 pub mod json;
 mod manifest;
@@ -49,10 +46,7 @@ mod registry;
 pub mod series;
 pub mod trace;
 
-pub use event::{Event, EventLog, Span};
-pub use export::{
-    escape_json, format_console_table, format_csv, format_jsonl, parse_csv_line, parse_jsonl, slug,
-};
+pub use export::{escape_csv, escape_json, format_jsonl, parse_csv_line, parse_jsonl, slug};
 pub use manifest::RunManifest;
 pub use metric::{
     bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS, GAUGE_SCALE,

@@ -26,12 +26,6 @@ pub struct RunManifest {
     /// diagnostic only — never part of byte-compared output.
     pub target_wall_ms: Vec<(String, u64)>,
     pub metric_count: usize,
-    /// Events pushed into the run's bounded event logs…
-    pub events_recorded: u64,
-    /// …and how many of those the ring evicted. Non-zero means the
-    /// retained window is partial — the overflow is surfaced here
-    /// instead of being silently discarded.
-    pub events_dropped: u64,
 }
 
 impl RunManifest {
@@ -56,15 +50,6 @@ impl RunManifest {
     /// Record each target's wall-clock duration.
     pub fn with_target_walls(mut self, walls: impl IntoIterator<Item = (String, u64)>) -> Self {
         self.target_wall_ms = walls.into_iter().collect();
-        self
-    }
-
-    /// Record event-log pressure: total events pushed and how many
-    /// the bounded ring evicted (see [`EventLog::dropped`]
-    /// (crate::EventLog::dropped)).
-    pub fn with_events(mut self, recorded: u64, dropped: u64) -> Self {
-        self.events_recorded = recorded;
-        self.events_dropped = dropped;
         self
     }
 
@@ -115,9 +100,7 @@ impl RunManifest {
         } else {
             out.push_str("\n  },\n");
         }
-        let _ = writeln!(out, "  \"metric_count\": {},", self.metric_count);
-        let _ = writeln!(out, "  \"events_recorded\": {},", self.events_recorded);
-        let _ = writeln!(out, "  \"events_dropped\": {}", self.events_dropped);
+        let _ = writeln!(out, "  \"metric_count\": {}", self.metric_count);
         out.push_str("}\n");
         out
     }
@@ -155,7 +138,6 @@ mod tests {
             .knob("quick", true)
             .with_wall_ms(17)
             .with_target_walls([("fig12".to_string(), 11), ("fig13".to_string(), 6)])
-            .with_events(1500, 476)
             .with_snapshot(&r.snapshot());
         let json = m.to_json();
         assert!(json.contains("\"target\": \"fig12\""));
@@ -166,8 +148,6 @@ mod tests {
         assert!(json.contains("\"fig12\": 11"));
         assert!(json.contains("\"fig13\": 6"));
         assert!(json.contains("\"metric_count\": 2"));
-        assert!(json.contains("\"events_recorded\": 1500"));
-        assert!(json.contains("\"events_dropped\": 476"));
         // The emitted document must satisfy our own parser.
         let doc = crate::json::parse(&json).expect("manifest parses as JSON");
         assert_eq!(doc.get("seed").and_then(|v| v.as_u64()), Some(42));

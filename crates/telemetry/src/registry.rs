@@ -1,6 +1,5 @@
 //! The metric registry: named handles, scoped namespaces, snapshots.
 
-use crate::event::{EventLog, Span};
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -17,12 +16,6 @@ enum Metric {
     Histogram(Histogram),
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    metrics: Mutex<BTreeMap<String, Metric>>,
-    events: EventLog,
-}
-
 /// A shared, thread-safe collection of named metrics.
 ///
 /// Cloning a `Registry` is cheap and aliases the same underlying
@@ -32,7 +25,7 @@ struct Inner {
 /// returns the same metric.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    inner: Arc<Inner>,
+    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
 }
 
 impl Registry {
@@ -45,7 +38,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut metrics = self.inner.metrics.lock().unwrap();
+        let mut metrics = self.metrics.lock().unwrap();
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Counter::new()))
@@ -57,7 +50,7 @@ impl Registry {
 
     /// Get or create the gauge `name` (same contract as `counter`).
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.inner.metrics.lock().unwrap();
+        let mut metrics = self.metrics.lock().unwrap();
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Gauge::new()))
@@ -69,7 +62,7 @@ impl Registry {
 
     /// Get or create the histogram `name` (same contract as `counter`).
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut metrics = self.inner.metrics.lock().unwrap();
+        let mut metrics = self.metrics.lock().unwrap();
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Histogram::new()))
@@ -77,18 +70,6 @@ impl Registry {
             Metric::Histogram(h) => h.clone(),
             other => panic!("metric '{name}' already registered as {}", kind_of(other)),
         }
-    }
-
-    /// Register pre-existing handles under `name`, folding any prior
-    /// contents of the handle into the registry's view. Used when a
-    /// component that recorded into detached handles is later
-    /// attached to a registry.
-    pub fn adopt_histogram(&self, name: &str, hist: &Histogram) {
-        self.histogram(name).merge_from(hist);
-    }
-
-    pub fn adopt_counter(&self, name: &str, counter: &Counter) {
-        self.counter(name).add(counter.get());
     }
 
     /// A namespaced view: every metric created through the scope gets
@@ -100,26 +81,9 @@ impl Registry {
         }
     }
 
-    /// The registry's bounded event log.
-    pub fn events(&self) -> EventLog {
-        self.inner.events.clone()
-    }
-
-    /// Start an RAII span named `label`: wall time goes to
-    /// `<label>.wall_ns`, units to `<label>.units`, completion events
-    /// to the registry log.
-    pub fn span(&self, label: &str) -> Span {
-        Span::start(
-            label,
-            self.histogram(&format!("{label}{WALL_SUFFIX}")),
-            Some(self.histogram(&format!("{label}.units"))),
-            Some(self.events()),
-        )
-    }
-
     /// A point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.inner.metrics.lock().unwrap();
+        let metrics = self.metrics.lock().unwrap();
         Snapshot {
             entries: metrics
                 .iter()
@@ -162,10 +126,6 @@ impl Scope {
 
     pub fn histogram(&self, name: &str) -> Histogram {
         self.registry.histogram(&self.qualified(name))
-    }
-
-    pub fn span(&self, label: &str) -> Span {
-        self.registry.span(&self.qualified(label))
     }
 
     /// A nested scope `self.prefix + "." + prefix`.
@@ -368,25 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_span_registers_wall_and_units() {
-        let r = Registry::new();
-        {
-            let mut span = r.span("phase1");
-            span.record_units(99);
-        }
-        let snap = r.snapshot();
-        match snap.get("phase1.units") {
-            Some(MetricValue::Histogram(h)) => {
-                assert_eq!(h.count, 1);
-                assert_eq!(h.sum, 99);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(snap.get("phase1.wall_ns").is_some());
-        assert_eq!(r.events().total_pushed(), 1);
-    }
-
-    #[test]
     fn merged_equals_single_registry_result() {
         // Two tasks recording into private registries, merged at join,
         // must equal one registry fed both streams.
@@ -459,22 +400,5 @@ mod tests {
             scope.histogram("lat").record(v);
         }
         assert_eq!(absorbed.snapshot(), direct.snapshot());
-    }
-
-    #[test]
-    fn adopt_folds_existing_values() {
-        let r = Registry::new();
-        let c = Counter::new();
-        c.add(5);
-        r.adopt_counter("pre.count", &c);
-        let h = Histogram::new();
-        h.record(10);
-        r.adopt_histogram("pre.hist", &h);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("pre.count"), 5);
-        match snap.get("pre.hist") {
-            Some(MetricValue::Histogram(hs)) => assert_eq!(hs.sum, 10),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }
