@@ -65,6 +65,29 @@ diff -u "$DET_DIR/ser.out" "$DET_DIR/par.out"
 diff -u "$DET_DIR/ser/all.metrics.jsonl" "$DET_DIR/par/all.metrics.jsonl"
 echo "wall-clock: --jobs $(nproc) ran in ${t_par}s, --jobs 1 in ${t_ser}s"
 
+echo "== five-artifact jobs-invariance (every sink, model cache off) =="
+# With the cross-target model cache off, which target pays each node
+# simulation no longer depends on completion order, so every artifact
+# of the full sweep must be byte-identical between a parallel and a
+# serial run: stdout, metrics, Chrome trace, span tree, series and the
+# health incident ledger. All three sinks fork and merge through one
+# telemetry::Obs path, so this step covers that path end to end.
+for run in par ser; do
+    jobs=1
+    [ "$run" = par ] && jobs=$(nproc)
+    out="$DET_DIR/obs_$run"
+    t0=$SECONDS
+    "$EXP" all --quick --ops 1200 --no-model-cache --jobs "$jobs" \
+        --metrics "$out" --trace "$out" --series "$out" > "$out.out"
+    echo "wall-clock: --jobs $jobs ran in $((SECONDS - t0))s"
+    sed -i "s|$out|DIR|" "$out.out"
+done
+diff -u "$DET_DIR/obs_ser.out" "$DET_DIR/obs_par.out"
+for f in all.metrics.jsonl all.trace.json all.spans.txt all.series.jsonl \
+    health.incidents.jsonl; do
+    diff -u "$DET_DIR/obs_ser/$f" "$DET_DIR/obs_par/$f"
+done
+
 echo "== trace + drift report smoke =="
 # A traced single-target run must be byte-identical across --jobs
 # (the 'all' sweep is excluded: its shared model cache makes which

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use telemetry::trace::{kv, Clock, Tracer};
-use telemetry::{slug, Registry, Scope, Snapshot};
+use telemetry::{slug, Obs, Scope, Snapshot};
 use workloads::{Suite, TraceGen};
 
 /// The paper's Figure 12 memory-usage buckets.
@@ -97,17 +97,17 @@ fn run_label(design: MemoryDesign, suite: Suite) -> String {
 
 /// One full simulation of `design` on `suite`: pure with respect to
 /// its arguments (no memoization, no engine state), which is what
-/// makes [`NodeModel::prime`] safe to fan out across workers.
-/// `sink`, when present, is the fully-labelled scope the run's
-/// telemetry lands under (callers nest [`run_label`] themselves).
+/// makes [`NodeModel::prime`] safe to fan out across workers. `obs`
+/// is the fully-labelled handle the run's telemetry lands under
+/// (callers nest [`run_label`] themselves).
 fn simulate(
     hierarchy: &HierarchyConfig,
     config: &EvalConfig,
-    sink: Option<&Scope>,
-    trace: Option<&Tracer>,
+    obs: &Obs,
     design: MemoryDesign,
     suite: Suite,
 ) -> SimResult {
+    let trace = obs.tracer();
     // The sim span opens at t=0 on the simulation clock and closes at
     // the run's final exec time; the simulator's own spans (write
     // drains, recovery chains) nest under it by stack discipline.
@@ -121,7 +121,7 @@ fn simulate(
     });
     let (modes, mirror) = design.per_channel_modes(hierarchy.memory.channels);
     let mut node = NodeSim::with_modes(*hierarchy, modes, mirror);
-    if let Some(scope) = sink {
+    if let Some(scope) = obs.scope() {
         node.attach_telemetry(scope);
     }
     if let Some(t) = trace {
@@ -177,23 +177,6 @@ fn run_windowed(mut node: NodeSim, streams: Vec<TraceGen>, windows: u32) -> SimR
     node.finish(cursor)
 }
 
-/// [`simulate`] with its telemetry captured in a private registry, so
-/// the run's metrics travel with the result: the shared cache stores
-/// the snapshot and replays it (see [`Scope::absorb`]) into whichever
-/// scope later recalls the entry.
-fn simulate_snapshotted(
-    hierarchy: &HierarchyConfig,
-    config: &EvalConfig,
-    trace: Option<&Tracer>,
-    design: MemoryDesign,
-    suite: Suite,
-) -> (SimResult, Snapshot) {
-    let registry = Registry::new();
-    let scope = registry.scope(&run_label(design, suite));
-    let result = simulate(hierarchy, config, Some(&scope), trace, design, suite);
-    (result, registry.snapshot())
-}
-
 /// A shared-cache key: the content fingerprint of everything that
 /// determines a run's outcome (hierarchy and eval config, hashed) plus
 /// the design and suite, kept exact.
@@ -247,8 +230,7 @@ pub struct NodeModel {
     hierarchy: HierarchyConfig,
     config: EvalConfig,
     cache: RefCell<HashMap<(MemoryDesign, Suite), SimResult>>,
-    metrics: Option<Scope>,
-    trace: Option<Tracer>,
+    obs: Obs,
     fingerprint: u64,
     shared: bool,
 }
@@ -261,8 +243,7 @@ impl NodeModel {
             hierarchy,
             config,
             cache: RefCell::new(HashMap::new()),
-            metrics: None,
-            trace: None,
+            obs: Obs::default(),
             fingerprint,
             shared: true,
         }
@@ -281,7 +262,7 @@ impl NodeModel {
     /// each configuration contributes exactly one run's worth of
     /// counts no matter how many figures consult it.
     pub fn set_metrics_scope(&mut self, scope: Scope) {
-        self.metrics = Some(scope);
+        self.obs.set_metrics(scope);
     }
 
     /// Routes causal trace spans into `tracer`: fresh runs record a
@@ -291,7 +272,7 @@ impl NodeModel {
     /// clock. Engine-local memo hits record nothing, mirroring the
     /// metrics contract.
     pub fn set_trace(&mut self, tracer: &Tracer) {
-        self.trace = Some(tracer.clone());
+        self.obs.set_tracer(tracer.clone());
     }
 
     /// The hierarchy under evaluation.
@@ -319,7 +300,7 @@ impl NodeModel {
     fn shared_lookup(&self, design: MemoryDesign, suite: Suite) -> Option<SimResult> {
         let cache = shared_cache().lock().unwrap();
         let (result, snap) = cache.get(&(self.fingerprint, design, suite))?;
-        let result = match (&self.metrics, snap) {
+        let result = match (self.obs.scope(), snap) {
             (None, _) => result.clone(),
             (Some(scope), Some(snap)) => {
                 scope.absorb(snap);
@@ -335,7 +316,7 @@ impl NodeModel {
     /// A `cache.hit` / `cache.miss` instant on the engine's tick
     /// clock, naming the run it resolved.
     fn trace_cache_event(&self, name: &str, design: MemoryDesign, suite: Suite) {
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.obs.tracer() {
             let tick = t.tick();
             t.instant(
                 name,
@@ -349,10 +330,11 @@ impl NodeModel {
 
     /// Runs every not-yet-memoized `(design, suite)` pair on the
     /// worker pool and fills the cache, so subsequent [`run`] calls
-    /// are recalls. Each simulation is single-threaded and seeded
-    /// purely from the engine config, and telemetry lands under a
-    /// per-pair scope, so priming in parallel yields bit-identical
-    /// results and metrics to running the pairs one by one.
+    /// are recalls. Each simulation is single-threaded, seeded purely
+    /// from the engine config, and observed through its own
+    /// [`Obs::fork`] labelled by the pair; the engine absorbs the forks
+    /// in `pairs` order, so priming in parallel yields bit-identical
+    /// results, metrics and traces to running the pairs one by one.
     ///
     /// [`run`]: NodeModel::run
     pub fn prime(&self, pairs: &[(MemoryDesign, Suite)]) {
@@ -379,70 +361,32 @@ impl NodeModel {
         if missing.is_empty() {
             return;
         }
-        let (hierarchy, config, metrics) = (&self.hierarchy, &self.config, self.metrics.as_ref());
-        // Workers trace into private tracers; the engine absorbs the
-        // buffers in `missing` input order, so the merged trace is
-        // identical to running the pairs serially.
-        let want_trace = self.trace.is_some();
-        if !self.shared {
-            let results = runner::parallel_map(missing.clone(), move |_, (design, suite)| {
-                let sink = metrics.map(|s| s.scope(&run_label(design, suite)));
-                let worker = want_trace.then(Tracer::new);
-                let result = simulate(
-                    hierarchy,
-                    config,
-                    sink.as_ref(),
-                    worker.as_ref(),
-                    design,
-                    suite,
-                );
-                (result, worker.map(|t| t.take()))
-            });
-            let mut cache = self.cache.borrow_mut();
-            for (pair, (result, spans)) in missing.into_iter().zip(results) {
-                if let (Some(t), Some(spans)) = (&self.trace, spans) {
-                    t.absorb(spans);
-                }
-                cache.insert(pair, result);
-            }
-            return;
-        }
-        let want_snap = metrics.is_some();
+        let (hierarchy, config, obs) = (&self.hierarchy, &self.config, &self.obs);
         let results = runner::parallel_map(missing.clone(), move |_, (design, suite)| {
-            let worker = want_trace.then(Tracer::new);
-            let out = if want_snap {
-                let (result, snap) =
-                    simulate_snapshotted(hierarchy, config, worker.as_ref(), design, suite);
-                (result, Some(snap))
-            } else {
-                (
-                    simulate(hierarchy, config, None, worker.as_ref(), design, suite),
-                    None,
-                )
-            };
-            (out.0, out.1, worker.map(|t| t.take()))
+            let worker = obs.fork();
+            let run = worker.child(&run_label(design, suite));
+            let result = simulate(hierarchy, config, &run, design, suite);
+            (result, worker.take())
         });
-        SHARED_MISSES.fetch_add(results.len() as u64, Ordering::Relaxed);
+        if self.shared {
+            SHARED_MISSES.fetch_add(results.len() as u64, Ordering::Relaxed);
+        }
         let mut cache = self.cache.borrow_mut();
-        for ((design, suite), (result, snap, spans)) in missing.into_iter().zip(results) {
-            if let (Some(scope), Some(snap)) = (&self.metrics, &snap) {
-                scope.absorb(snap);
-            }
-            if let (Some(t), Some(spans)) = (&self.trace, spans) {
+        for ((design, suite), (result, snap)) in missing.into_iter().zip(results) {
+            if self.shared {
                 self.trace_cache_event("cache.miss", design, suite);
-                t.absorb(spans);
-            }
-            let key = (self.fingerprint, design, suite);
-            let mut shared = shared_cache().lock().unwrap();
-            match snap {
-                Some(snap) => {
-                    shared.insert(key, (result.clone(), Some(snap)));
+                // A run with metrics replaces any entry; a metrics-free
+                // run never evicts one that carries a snapshot.
+                let key = (self.fingerprint, design, suite);
+                let entry = (result.clone(), snap.metrics.clone());
+                let mut shared = shared_cache().lock().unwrap();
+                if entry.1.is_some() {
+                    shared.insert(key, entry);
+                } else {
+                    shared.entry(key).or_insert(entry);
                 }
-                None => {
-                    shared.entry(key).or_insert_with(|| (result.clone(), None));
-                }
             }
-            drop(shared);
+            self.obs.absorb(snap);
             cache.insert((design, suite), result);
         }
     }
@@ -685,7 +629,7 @@ mod tests {
                 .unwrap()
                 .retain(|key, _| key.0 != m.fingerprint);
             m.set_shared_cache(shared);
-            let registry = Registry::new();
+            let registry = telemetry::Registry::new();
             m.set_metrics_scope(registry.scope("node"));
             let tracer = Tracer::new();
             m.set_trace(&tracer);

@@ -26,7 +26,6 @@ use rand::Rng;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use telemetry::series::{Series, SeriesStore};
 use telemetry::trace::{kv, Clock, Tracer};
 use telemetry::{Counter, Scope};
 
@@ -170,19 +169,6 @@ pub struct HeteroDmrChannel {
     roles_swapped: bool,
     /// Causal trace sink (see [`HeteroDmrChannel::attach_trace`]).
     trace: Option<Tracer>,
-    /// Health-plane rollups (see [`HeteroDmrChannel::attach_series`]).
-    series: Option<EccSeries>,
-}
-
-/// Windowed sim-time rollups of the channel's ECC event stream.
-#[derive(Debug, Clone)]
-struct EccSeries {
-    /// Detection-only decode failures per window.
-    detect: Series,
-    /// Re-read recovery latency sketch (picoseconds per recovery).
-    reread_ps: Series,
-    /// Budget-exhausted down-bins per window.
-    down_bin: Series,
 }
 
 impl HeteroDmrChannel {
@@ -212,7 +198,6 @@ impl HeteroDmrChannel {
             faulty_copy_blocks: HashSet::new(),
             roles_swapped: false,
             trace: None,
-            series: None,
         }
     }
 
@@ -248,21 +233,6 @@ impl HeteroDmrChannel {
     /// instant when the governor exhausts the epoch budget.
     pub fn attach_trace(&mut self, tracer: &Tracer) {
         self.trace = Some(tracer.clone());
-    }
-
-    /// Streams the channel's ECC events into sim-time windowed series
-    /// under `prefix`: `<prefix>.ecc.detect` (detections per window),
-    /// `<prefix>.ecc.reread_ps` (re-read recovery latency sketch, one
-    /// sample per recovery), and `<prefix>.ecc.down_bin` (budget
-    /// exhaustions per window) — all on the simulation-picosecond
-    /// clock with `width_ps`-wide windows, the same timestamps the
-    /// trace spans carry.
-    pub fn attach_series(&mut self, store: &SeriesStore, prefix: &str, width_ps: u64) {
-        self.series = Some(EccSeries {
-            detect: store.series(&format!("{prefix}.ecc.detect"), width_ps),
-            reread_ps: store.series(&format!("{prefix}.ecc.reread_ps"), width_ps),
-            down_bin: store.series(&format!("{prefix}.ecc.down_bin"), width_ps),
-        });
     }
 
     /// Switches the operating mode, tallying actual transitions.
@@ -559,9 +529,6 @@ impl HeteroDmrChannel {
                 Ok((observed.data, ReadOutcome::FastClean, now))
             }
             DetectOutcome::Detected => {
-                if let Some(series) = &self.series {
-                    series.detect.record(now, 1);
-                }
                 let detect = self.trace.as_ref().map(|t| {
                     t.instant(
                         "ecc.detect",
@@ -599,9 +566,6 @@ impl HeteroDmrChannel {
         }
         if self.codec.correct(addr, &mut original).is_err() {
             self.tally.note_ue();
-            if let Some(series) = &self.series {
-                series.reread_ps.record(now, safe_at.saturating_sub(now));
-            }
             if let Some(tracer) = &self.trace {
                 tracer.complete_with_parent(
                     "ecc.reread",
@@ -635,12 +599,6 @@ impl HeteroDmrChannel {
                 safe_at
             }
         };
-        if let Some(series) = &self.series {
-            series.reread_ps.record(now, end.saturating_sub(now));
-            if self.mode == OpMode::Degraded {
-                series.down_bin.record(safe_at, 1);
-            }
-        }
         if let Some(tracer) = &self.trace {
             let outcome = match self.mode {
                 OpMode::ReadMode => "resumed",
@@ -806,32 +764,6 @@ mod tests {
             .args
             .iter()
             .any(|(k, v)| k == "outcome" && v == "degraded"));
-    }
-
-    #[test]
-    fn series_tap_mirrors_the_ecc_event_stream() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut ch = HeteroDmrChannel::with_governor(BLOCKS, EpochGovernor::new(1));
-        let store = SeriesStore::new();
-        // One-millisecond windows on the picosecond clock.
-        ch.attach_series(&store, "chan0", 1_000_000_000);
-        let t = ch.set_used_blocks(BLOCKS / 4, 0);
-        let (_, outcome, end) = ch
-            .read(1, t, Some((&mut rng, ErrorModel::SingleByte)))
-            .unwrap();
-        assert_eq!(outcome, ReadOutcome::Recovered);
-        assert_eq!(ch.mode(), OpMode::Degraded);
-        let snap = store.snapshot();
-        let total = |name: &str| snap.get(name).map_or(0, |e| e.total_count());
-        assert_eq!(total("chan0.ecc.detect"), 1);
-        assert_eq!(total("chan0.ecc.down_bin"), 1);
-        let reread = snap.get("chan0.ecc.reread_ps").unwrap();
-        assert_eq!(reread.total_count(), 1);
-        assert_eq!(reread.windows[0].1.sum, end - t, "latency sample in ps");
-        // Clean fast reads contribute nothing.
-        ch.read::<StdRng>(1, t + crate::governor::EPOCH_PS, None)
-            .unwrap();
-        assert_eq!(total("chan0.ecc.detect"), 1);
     }
 
     #[test]

@@ -234,7 +234,7 @@ pub fn adaptive(ctx: &mut Ctx) {
         if let Some(scope) = ctx.metrics_scope(&format!("adaptive.{}.online", slug(def.name))) {
             governor.attach_telemetry(&scope);
         }
-        if let Some(t) = &ctx.tracer {
+        if let Some(t) = ctx.obs.tracer() {
             governor.set_tracer(t.clone());
         }
         let records = run_closed_loop(

@@ -1,11 +1,12 @@
 //! Shared experiment context: seeding, simulation length, CSV output,
-//! the optional telemetry registry behind `--metrics`, and the
-//! per-task output buffer the parallel runner collects.
+//! the observation handle behind `--metrics`/`--trace`/`--series`, and
+//! the per-task output buffer the parallel runner collects.
 
 use std::fs;
 use std::io::Write;
+use telemetry::series::SeriesStore;
 use telemetry::trace::Tracer;
-use telemetry::{escape_csv, Registry, Scope};
+use telemetry::{escape_csv, Obs, Registry, Scope};
 
 /// Appends a formatted line to the context's output buffer (the
 /// parallel-safe replacement for `println!`): the runner prints every
@@ -57,22 +58,12 @@ pub struct Ctx {
     /// Where `--series` writes the health plane's windowed time-series
     /// (and the health target its incident ledger).
     pub series_dir: Option<String>,
-    /// The series store instrumented components stream windowed
-    /// rollups into; present exactly when `series_dir` is. Like
-    /// `registry`, task contexts each get their *own* store
-    /// ([`Ctx::for_task`]); the runner merges the snapshots in
-    /// canonical target order.
-    pub series: Option<telemetry::series::SeriesStore>,
-    /// The causal tracer every instrumented component records into;
-    /// present exactly when `trace_dir` is. Like `registry`, task
-    /// contexts each get their *own* tracer ([`Ctx::for_task`]); the
-    /// runner collects the buffers in canonical target order.
-    pub tracer: Option<Tracer>,
-    /// The registry every instrumented component records into; present
-    /// exactly when `metrics_dir` is. Task contexts built by
-    /// [`Ctx::for_task`] each get their *own* registry so concurrent
-    /// targets never interleave; the runner merges the snapshots.
-    pub registry: Option<Registry>,
+    /// What instrumented components record into: a metric scope, a
+    /// tracer and a series store, each present exactly when its
+    /// directory is. Task contexts get a [`fork`](Obs::fork)
+    /// ([`Ctx::for_task`]), so concurrent targets never interleave;
+    /// the runner collects the snapshots in canonical target order.
+    pub obs: Obs,
     /// Buffered human-readable output (see [`say!`]).
     pub out: String,
 }
@@ -91,9 +82,7 @@ impl Default for Ctx {
             metrics_dir: None,
             trace_dir: None,
             series_dir: None,
-            series: None,
-            tracer: None,
-            registry: None,
+            obs: Obs::default(),
             out: String::new(),
         }
     }
@@ -119,34 +108,28 @@ impl Ctx {
     /// Turns on metric collection, exported to `dir` at exit.
     pub fn enable_metrics(&mut self, dir: String) {
         self.metrics_dir = Some(dir);
-        self.registry = Some(Registry::new());
+        self.obs.set_metrics(Registry::new().scope(""));
     }
 
     /// Turns on causal tracing, exported to `dir` at exit.
     pub fn enable_trace(&mut self, dir: String) {
         self.trace_dir = Some(dir);
-        self.tracer = Some(Tracer::new());
+        self.obs.set_tracer(Tracer::new());
     }
 
     /// Turns on windowed time-series collection, exported to `dir` at
     /// exit.
     pub fn enable_series(&mut self, dir: String) {
         self.series_dir = Some(dir);
-        self.series = Some(telemetry::series::SeriesStore::new());
+        self.obs.set_series(SeriesStore::new(), "");
     }
 
     /// A context for one experiment task: same knobs, but a fresh
-    /// output buffer and (when metrics/tracing are on) a fresh private
-    /// registry and tracer, so tasks running on different worker
-    /// threads share no mutable state.
+    /// output buffer and a forked observation handle, so tasks running
+    /// on different worker threads share no mutable state.
     pub fn for_task(&self) -> Ctx {
         Ctx {
-            registry: self.registry.is_some().then(Registry::new),
-            tracer: self.tracer.is_some().then(Tracer::new),
-            series: self
-                .series
-                .is_some()
-                .then(telemetry::series::SeriesStore::new),
+            obs: self.obs.fork(),
             out: String::new(),
             csv_dir: self.csv_dir.clone(),
             metrics_dir: self.metrics_dir.clone(),
@@ -158,7 +141,7 @@ impl Ctx {
 
     /// A registry scope named `prefix`, when `--metrics` is on.
     pub fn metrics_scope(&self, prefix: &str) -> Option<Scope> {
-        self.registry.as_ref().map(|r| r.scope(prefix))
+        self.obs.scope().map(|s| s.scope(prefix))
     }
 
     /// Records a headline result as a `summary.<name>` gauge (stored
@@ -167,8 +150,8 @@ impl Ctx {
     /// checks). These gauges are what `experiments report` compares
     /// against the reference CSVs in `results/`.
     pub fn summary(&self, name: &str, value: f64) {
-        if let Some(r) = &self.registry {
-            r.gauge(&format!("summary.{name}")).set_scaled(value);
+        if let Some(s) = self.obs.scope() {
+            s.gauge(&format!("summary.{name}")).set_scaled(value);
         }
     }
 
@@ -176,21 +159,24 @@ impl Ctx {
     /// directory was requested. Every field is RFC 4180-quoted, so
     /// `experiments report`'s [`telemetry::parse_csv_line`] reads each
     /// row back field for field.
+    ///
+    /// # Panics
+    /// If the file cannot be written, so the target fails and the run
+    /// exits 1 (the binary creates the directory up front, so an
+    /// unusable `--csv DIR` is reported once, before any target runs).
     pub fn csv(&self, name: &str, rows: &[Vec<String>]) {
         let Some(dir) = &self.csv_dir else { return };
-        if fs::create_dir_all(dir).is_err() {
-            eprintln!("cannot create {dir}");
-            return;
-        }
         let path = format!("{dir}/{name}.csv");
-        match fs::File::create(&path) {
-            Ok(mut f) => {
-                for row in rows {
+        let written = fs::create_dir_all(dir)
+            .and_then(|()| fs::File::create(&path))
+            .and_then(|mut f| {
+                rows.iter().try_for_each(|row| {
                     let fields: Vec<String> = row.iter().map(|c| escape_csv(c)).collect();
-                    let _ = writeln!(f, "{}", fields.join(","));
-                }
-            }
-            Err(e) => eprintln!("cannot write {path}: {e}"),
+                    writeln!(f, "{}", fields.join(","))
+                })
+            });
+        if let Err(e) = written {
+            panic!("cannot write {path}: {e}");
         }
     }
 }
@@ -222,47 +208,47 @@ mod tests {
         ctx.enable_metrics("/tmp/unused".into());
         let scope = ctx.metrics_scope("node").expect("registry on");
         scope.counter("ops").inc();
-        let snap = ctx.registry.as_ref().unwrap().snapshot();
+        let snap = ctx.obs.take().metrics.unwrap();
         assert_eq!(snap.counter("node.ops"), 1);
     }
 
     #[test]
-    fn for_task_isolates_registry_and_output() {
+    fn for_task_isolates_every_sink_and_the_output() {
         let mut ctx = Ctx::default();
         ctx.quick();
         ctx.enable_metrics("/tmp/unused".into());
+        ctx.enable_trace("/tmp/unused".into());
+        ctx.enable_series("/tmp/unused".into());
         say!(&mut ctx, "parent line");
         let task = ctx.for_task();
         assert!(task.out.is_empty(), "task starts with an empty buffer");
         assert_eq!(task.trials, ctx.trials, "knobs carry over");
         task.metrics_scope("t").unwrap().counter("ops").inc();
-        let parent_snap = ctx.registry.as_ref().unwrap().snapshot();
+        let t = task.obs.tracer().unwrap();
+        t.instant(
+            "t.mark",
+            "test",
+            telemetry::trace::Clock::Ticks,
+            0,
+            Vec::new(),
+        );
+        task.obs.series_named("t.sig", 10).unwrap().record(3, 1);
+
+        let parent = ctx.obs.take();
         assert!(
-            parent_snap.is_empty(),
+            parent.metrics.unwrap().is_empty(),
             "task metrics never leak into the parent registry"
         );
-        // Without metrics, tasks carry no registry at all.
-        let plain = Ctx::default().for_task();
-        assert!(plain.registry.is_none());
-    }
+        assert!(parent.trace.unwrap().is_empty(), "nor task spans");
+        assert!(parent.series.unwrap().is_empty(), "nor task series");
+        let own = task.obs.take();
+        assert_eq!(own.metrics.unwrap().counter("t.ops"), 1);
+        assert_eq!(own.trace.unwrap().len(), 1);
+        assert_eq!(own.series.unwrap().len(), 1);
 
-    #[test]
-    fn series_store_is_task_private_like_the_registry() {
-        let mut ctx = Ctx::default();
-        assert!(ctx.series.is_none(), "off by default");
-        ctx.enable_series("/tmp/unused".into());
-        let task = ctx.for_task();
-        task.series
-            .as_ref()
-            .unwrap()
-            .series("t.sig", 10)
-            .record(3, 1);
-        assert!(
-            ctx.series.as_ref().unwrap().snapshot().is_empty(),
-            "task series never leak into the parent store"
-        );
-        assert_eq!(task.series.as_ref().unwrap().snapshot().len(), 1);
-        assert!(Ctx::default().for_task().series.is_none());
+        // Without the flags, tasks observe nothing at all.
+        let plain = Ctx::default().for_task().obs.take();
+        assert!(plain.metrics.is_none() && plain.trace.is_none() && plain.series.is_none());
     }
 
     #[test]

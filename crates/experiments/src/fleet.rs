@@ -122,17 +122,14 @@ pub fn fleet_target(ctx: &mut Ctx) {
         PlacementPolicy::CapacityWeighted,
         PlacementPolicy::MarginAware,
     ] {
-        let scope = ctx.metrics_scope(&format!("fleet.{}", placement.label()));
-        let series_prefix = format!("fleet.{}", placement.label());
+        let obs = ctx.obs.child(&format!("fleet.{}", placement.label()));
         let run = fed.run_observed(
             placement,
             ctx.seed,
             || scheduler::from_specs(stream.stream(ctx.seed)),
-            scope.as_ref(),
-            ctx.tracer.as_ref(),
-            ctx.series
-                .as_ref()
-                .map(|store| (store, series_prefix.as_str())),
+            obs.scope(),
+            obs.tracer(),
+            obs.series(),
         );
         say!(ctx, "\nplacement {}:", placement.label());
         say!(

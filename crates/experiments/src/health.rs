@@ -162,7 +162,11 @@ pub fn health(ctx: &mut Ctx) {
     // The series store the governor taps stream into: the `--series`
     // store when one is on, a private one otherwise — the detector
     // suite and ledger run (and assert) either way.
-    let store = ctx.series.clone().unwrap_or_default();
+    let store = ctx
+        .obs
+        .series()
+        .map(|(store, _)| store.clone())
+        .unwrap_or_default();
 
     // Same offline stress-test envelope as the adaptive ablation.
     let stress = StressConfig::default();
@@ -249,7 +253,7 @@ pub fn health(ctx: &mut Ctx) {
         span_names.push((format!("{prefix}."), names));
         ledger.absorb(sub);
 
-        if let Some(t) = &ctx.tracer {
+        if let Some(t) = ctx.obs.tracer() {
             t.absorb(events);
         }
 

@@ -31,7 +31,7 @@ use context::Ctx;
 use runner::{RunOutcome, RunStatus, Runner};
 use scenarios::TARGETS;
 use telemetry::trace::TraceGroup;
-use telemetry::Snapshot;
+use telemetry::ObsSnapshot;
 
 fn print_usage() {
     println!(
@@ -175,6 +175,13 @@ fn main() {
         std::process::exit(2);
     };
 
+    if let Some(dir) = &ctx.csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create CSV directory {dir}: {e}");
+            std::process::exit(1);
+        }
+    }
+
     let start = std::time::Instant::now();
     let outcomes = Runner::new(jobs).run(scenarios::build(&ctx, &names));
 
@@ -191,7 +198,17 @@ fn main() {
     }
 
     let wall_ms = start.elapsed().as_millis() as u64;
-    if let Err(e) = write_metrics(&ctx, &target, &outcomes, wall_ms) {
+    // Fold every target's metrics and series into the root handle in
+    // canonical target order; traces stay grouped per target.
+    for o in &outcomes {
+        ctx.obs.absorb(ObsSnapshot {
+            metrics: o.obs.metrics.clone(),
+            trace: None,
+            series: o.obs.series.clone(),
+        });
+    }
+    let merged = ctx.obs.take();
+    if let Err(e) = write_metrics(&ctx, &target, &merged, &outcomes, wall_ms) {
         eprintln!("cannot write metrics: {e}");
         std::process::exit(1);
     }
@@ -199,7 +216,7 @@ fn main() {
         eprintln!("cannot write trace: {e}");
         std::process::exit(1);
     }
-    if let Err(e) = write_series(&ctx, &target, &outcomes) {
+    if let Err(e) = write_series(&ctx, &target, &merged) {
         eprintln!("cannot write series: {e}");
         std::process::exit(1);
     }
@@ -240,23 +257,23 @@ fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Exports the run's metric snapshot and manifest when `--metrics` was
-/// requested. Per-task snapshots are merged in canonical target order
-/// (so the merge is independent of completion order), then stripped of
-/// wall-clock series; the JSONL file is therefore byte-identical across
-/// runs of the same seed at any `--jobs`. Everything non-deterministic
+/// requested. The per-task snapshots were merged in canonical target
+/// order (so the merge is independent of completion order); stripped
+/// of wall-clock series, the JSONL file is byte-identical across runs
+/// of the same seed at any `--jobs`. Everything non-deterministic
 /// lands in the manifest.
 fn write_metrics(
     ctx: &Ctx,
     target: &str,
+    merged: &ObsSnapshot,
     outcomes: &[RunOutcome],
     wall_ms: u64,
 ) -> std::io::Result<()> {
-    let Some(dir) = &ctx.metrics_dir else {
+    let (Some(dir), Some(metrics)) = (&ctx.metrics_dir, &merged.metrics) else {
         return Ok(());
     };
     std::fs::create_dir_all(dir)?;
-    let parts: Vec<Snapshot> = outcomes.iter().filter_map(|o| o.snapshot.clone()).collect();
-    let sim = Snapshot::merged(&parts).sim_only();
+    let sim = metrics.sim_only();
     std::fs::write(
         format!("{dir}/{target}.metrics.jsonl"),
         telemetry::format_jsonl(&sim),
@@ -310,7 +327,7 @@ fn write_trace(ctx: &Ctx, target: &str, outcomes: &[RunOutcome]) -> std::io::Res
     std::fs::create_dir_all(dir)?;
     let groups: Vec<TraceGroup> = outcomes
         .iter()
-        .filter_map(|o| o.trace.clone().map(|t| (o.name.clone(), t)))
+        .filter_map(|o| o.obs.trace.clone().map(|t| (o.name.clone(), t)))
         .collect();
     let spans: usize = groups.iter().map(|(_, t)| t.len()).sum();
     std::fs::write(
@@ -337,18 +354,14 @@ fn write_trace(ctx: &Ctx, target: &str, outcomes: &[RunOutcome]) -> std::io::Res
 }
 
 /// Exports the run's windowed time-series when `--series` was
-/// requested. Per-task series snapshots merge in canonical target
-/// order, and window aggregation is order-independent, so the JSONL
-/// file is byte-identical across runs of the same seed at any
+/// requested. Window aggregation is order-independent, so the merged
+/// JSONL file is byte-identical across runs of the same seed at any
 /// `--jobs`.
-fn write_series(ctx: &Ctx, target: &str, outcomes: &[RunOutcome]) -> std::io::Result<()> {
-    let Some(dir) = &ctx.series_dir else {
+fn write_series(ctx: &Ctx, target: &str, merged: &ObsSnapshot) -> std::io::Result<()> {
+    let (Some(dir), Some(merged)) = (&ctx.series_dir, &merged.series) else {
         return Ok(());
     };
     std::fs::create_dir_all(dir)?;
-    let parts: Vec<telemetry::series::SeriesSnapshot> =
-        outcomes.iter().filter_map(|o| o.series.clone()).collect();
-    let merged = telemetry::series::SeriesSnapshot::merged(&parts);
     std::fs::write(format!("{dir}/{target}.series.jsonl"), merged.to_jsonl())?;
     println!(
         "series: {} series / {} window(s) -> {dir}/{target}.series.jsonl",

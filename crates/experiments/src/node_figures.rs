@@ -24,7 +24,7 @@ pub(crate) fn model(ctx: &Ctx, h: HierarchyConfig) -> NodeModel {
     if let Some(scope) = ctx.metrics_scope(&format!("node.{}", telemetry::slug(h.name))) {
         m.set_metrics_scope(scope);
     }
-    if let Some(t) = &ctx.tracer {
+    if let Some(t) = ctx.obs.tracer() {
         m.set_trace(t);
     }
     m
@@ -111,7 +111,7 @@ fn protocol_exercise(ctx: &mut Ctx) {
     use rand::SeedableRng;
 
     let scope = ctx.metrics_scope("protocol");
-    if scope.is_none() && ctx.tracer.is_none() {
+    if scope.is_none() && ctx.obs.tracer().is_none() {
         return;
     }
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x0F16_0012);
@@ -119,7 +119,7 @@ fn protocol_exercise(ctx: &mut Ctx) {
     if let Some(scope) = &scope {
         ch.attach_telemetry(scope);
     }
-    if let Some(t) = &ctx.tracer {
+    if let Some(t) = ctx.obs.tracer() {
         ch.attach_trace(t);
     }
     for block in 0..64u64 {

@@ -1,7 +1,7 @@
 //! Maps target names onto [`runner::Scenario`]s.
 //!
 //! Every figure/table is one scenario: a closure over a private
-//! [`Ctx`] (own output buffer, own telemetry registry) built from the
+//! [`Ctx`] (own output buffer, own forked `Obs`) built from the
 //! command-line template, so the runner can execute any subset on any
 //! number of worker threads and still print/merge results in canonical
 //! order with byte-identical output.
@@ -85,17 +85,14 @@ pub fn build(template: &Ctx, names: &[&str]) -> Vec<Scenario> {
         .map(|name| {
             let f = target_fn(name).unwrap_or_else(|| panic!("unknown target '{name}'"));
             let mut ctx = template.for_task();
-            let mut b = Scenario::builder(*name).derived_seed(template.seed);
-            if let Some(t) = &ctx.tracer {
-                b = b.tracer(t.clone());
-            }
-            b.task(move |tc| {
-                f(&mut ctx);
-                tc.out = std::mem::take(&mut ctx.out);
-                tc.snapshot = ctx.registry.as_ref().map(|r| r.snapshot());
-                tc.series = ctx.series.as_ref().map(|s| s.snapshot());
-            })
-            .build()
+            Scenario::builder(*name)
+                .derived_seed(template.seed)
+                .observe(ctx.obs.clone())
+                .task(move |tc| {
+                    f(&mut ctx);
+                    tc.out = std::mem::take(&mut ctx.out);
+                })
+                .build()
         })
         .collect()
 }

@@ -126,15 +126,11 @@ pub fn fig17(ctx: &mut Ctx) {
             .speedups(*sp)
             .build()
             .expect("measured speedup table is consistent");
-        let scope = ctx.metrics_scope(&format!("cluster.{label}"));
-        let mut run = cluster.schedule(SliceSource::new(&trace)).config(config);
-        if let Some(scope) = &scope {
-            run = run.metrics(scope);
-        }
-        if let Some(t) = &ctx.tracer {
-            run = run.tracer(t);
-        }
-        run.run()
+        cluster
+            .schedule(SliceSource::new(&trace))
+            .config(config)
+            .observe(&ctx.obs.child(&format!("cluster.{label}")))
+            .run()
     };
     let conv_outcomes = run(
         &conventional,

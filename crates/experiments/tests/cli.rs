@@ -80,6 +80,27 @@ fn malformed_arguments_exit_2() {
     }
 }
 
+/// An output directory that cannot be created fails the run with exit
+/// 1 and a one-line diagnostic (a path below a regular file can never
+/// become a directory).
+#[test]
+fn unwritable_output_dirs_exit_1() {
+    let file = tmp_dir("not_a_dir");
+    std::fs::write(&file, b"").unwrap();
+    let bad = file.join("out");
+    let bad = bad.to_str().unwrap();
+    for (flag, diagnostic) in [
+        ("--metrics", "cannot write metrics".to_string()),
+        ("--csv", format!("cannot create CSV directory {bad}")),
+    ] {
+        let out = run(&["table1", flag, bad]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&diagnostic), "{flag}: {err}");
+    }
+    let _ = std::fs::remove_file(&file);
+}
+
 #[test]
 fn fig5_metrics_snapshot_is_deterministic() {
     let dirs = [tmp_dir("det_a"), tmp_dir("det_b")];

@@ -9,7 +9,7 @@
 //!   order-preserving [`parallel_map`] and chunking-independent
 //!   integer reductions ([`parallel_count`], [`parallel_tally`]).
 //! - [`Scenario`]/[`Runner`] — named, seeded experiment tasks with
-//!   buffered output, per-task telemetry snapshots, and panic
+//!   buffered output, one per-task `telemetry::ObsSnapshot`, and panic
 //!   isolation; outcomes come back in input order.
 //!
 //! ```

@@ -7,33 +7,27 @@
 //! batch on the worker pool and returns [`RunOutcome`]s in input
 //! order; a panicking task becomes [`RunStatus::Failed`] and the rest
 //! of the sweep completes. Because every task's output (text and
-//! telemetry snapshot) is buffered per task and reassembled in input
+//! [`ObsSnapshot`]) is buffered per task and reassembled in input
 //! order, a sweep's result is byte-identical for any `--jobs` value.
 
 use crate::pool;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-use telemetry::trace::{kv, Clock, TraceEvent, Tracer};
-use telemetry::Snapshot;
+use telemetry::trace::{kv, Clock};
+use telemetry::{Obs, ObsSnapshot};
 
-/// What a task sees while running: its derived seed plus buffers for
-/// everything it wants to surface. Tasks write human-readable output
-/// with [`say`](TaskCtx::say) or `write!` (the context implements
-/// [`fmt::Write`]) and hand back a telemetry snapshot if they kept
-/// one; the runner never lets tasks print directly, which is what
-/// keeps interleaving off the output path.
+/// What a task sees while running: its derived seed plus a buffer for
+/// its report. Tasks write human-readable output with
+/// [`say`](TaskCtx::say) or `write!` (the context implements
+/// [`fmt::Write`]); the runner never lets tasks print directly, which
+/// is what keeps interleaving off the output path.
 pub struct TaskCtx {
     /// The scenario's seed, derived from `(root, target)` by
     /// [`crate::seed::target_seed`] — never from thread identity.
     pub seed: u64,
     /// Accumulated report text, printed by the caller after the join.
     pub out: String,
-    /// The task's telemetry, captured from a task-private registry.
-    pub snapshot: Option<Snapshot>,
-    /// The task's windowed time-series, captured from a task-private
-    /// series store (the health plane's snapshot analogue).
-    pub series: Option<telemetry::series::SeriesSnapshot>,
 }
 
 impl TaskCtx {
@@ -58,7 +52,7 @@ pub struct Scenario {
     name: String,
     seed: u64,
     task: TaskFn,
-    tracer: Option<Tracer>,
+    obs: Obs,
 }
 
 impl Scenario {
@@ -68,7 +62,7 @@ impl Scenario {
             name: name.into(),
             seed: 0,
             task: None,
-            tracer: None,
+            obs: Obs::default(),
         }
     }
 
@@ -95,7 +89,7 @@ pub struct ScenarioBuilder {
     name: String,
     seed: u64,
     task: Option<TaskFn>,
-    tracer: Option<Tracer>,
+    obs: Obs,
 }
 
 impl ScenarioBuilder {
@@ -120,14 +114,14 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Record a causal trace of this scenario into `tracer` (the task
-    /// closure should share the same tracer for its own spans). The
-    /// runner wraps the task in a `task.<name>` span on the tracer's
-    /// tick clock and drains the buffer into
-    /// [`RunOutcome::trace`] after the task finishes, so traces are
-    /// per-task private and deterministic like snapshots.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
+    /// Observe this scenario through `obs`, a task-private handle
+    /// (typically a [`fork`](Obs::fork)) that the task closure records
+    /// into too. With a tracer attached the runner wraps the task in a
+    /// `task.<name>` span on the tracer's tick clock; after the task
+    /// finishes (or dies) it [`take`](Obs::take)s the handle into
+    /// [`RunOutcome::obs`].
+    pub fn observe(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -140,7 +134,7 @@ impl ScenarioBuilder {
                 .unwrap_or_else(|| panic!("scenario '{}' built without a task", self.name)),
             name: self.name,
             seed: self.seed,
-            tracer: self.tracer,
+            obs: self.obs,
         }
     }
 }
@@ -165,14 +159,10 @@ pub struct RunOutcome {
     pub status: RunStatus,
     /// The task's buffered report (possibly partial on failure).
     pub out: String,
-    /// The task's telemetry snapshot, if it captured one.
-    pub snapshot: Option<Snapshot>,
-    /// The task's windowed time-series, if it captured them.
-    pub series: Option<telemetry::series::SeriesSnapshot>,
-    /// The task's causal trace, when the scenario carried a tracer.
-    /// Deterministic: every timestamp comes from a simulation clock
-    /// or the tracer's tick counter, never from wall time.
-    pub trace: Option<Vec<TraceEvent>>,
+    /// What the scenario's [`Obs`] recorded (partial on failure).
+    /// Deterministic: trace timestamps come from simulation clocks or
+    /// the tracer's tick counter, never from wall time.
+    pub obs: ObsSnapshot,
     /// Wall-clock duration. Non-deterministic by nature — report it on
     /// diagnostic channels only, never in byte-compared output.
     pub wall_ms: u128,
@@ -205,17 +195,15 @@ impl Runner {
                 name,
                 seed,
                 task,
-                tracer,
+                obs,
             } = scenario;
-            let task_span = tracer
-                .as_ref()
+            let task_span = obs
+                .tracer()
                 .map(|t| t.begin(format!("task.{name}"), "runner", Clock::Ticks, t.tick()));
             let started = Instant::now();
             let mut ctx = TaskCtx {
                 seed,
                 out: String::new(),
-                snapshot: None,
-                series: None,
             };
             let status = match catch_unwind(AssertUnwindSafe(|| task(&mut ctx))) {
                 Ok(()) => RunStatus::Completed,
@@ -223,23 +211,20 @@ impl Runner {
                     panic: panic_message(payload.as_ref()),
                 },
             };
-            let trace = tracer.map(|t| {
+            if let (Some(t), Some(span)) = (obs.tracer(), task_span) {
                 let label = match &status {
                     RunStatus::Completed => "completed",
                     RunStatus::Failed { .. } => "failed",
                 };
                 // Also unwinds any spans the task left open on panic.
-                t.end_with(task_span.unwrap(), t.tick(), vec![kv("status", label)]);
-                t.take()
-            });
+                t.end_with(span, t.tick(), vec![kv("status", label)]);
+            }
             RunOutcome {
                 name,
                 seed,
                 status,
                 out: ctx.out,
-                snapshot: ctx.snapshot,
-                series: ctx.series,
-                trace,
+                obs: obs.take(),
                 wall_ms: started.elapsed().as_millis(),
             }
         })
@@ -260,6 +245,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::fmt::Write as _;
+    use telemetry::trace::Tracer;
+
+    fn traced(tracer: &Tracer) -> Obs {
+        let mut obs = Obs::default();
+        obs.set_tracer(tracer.clone());
+        obs
+    }
 
     fn sweep(n: usize) -> Vec<Scenario> {
         (0..n)
@@ -335,13 +327,13 @@ mod tests {
         let inner = tracer.clone();
         let scenario = Scenario::builder("probe")
             .derived_seed(1)
-            .tracer(tracer)
+            .observe(traced(&tracer))
             .task(move |_| {
                 inner.instant("probe.mark", "test", Clock::SimPs, 42, Vec::new());
             })
             .build();
         let outcomes = Runner::new(1).run(vec![scenario]);
-        let trace = outcomes[0].trace.as_ref().expect("trace captured");
+        let trace = outcomes[0].obs.trace.as_ref().expect("trace captured");
         telemetry::trace::check_nesting(trace).unwrap();
         assert_eq!(trace[0].name, "task.probe");
         assert!(trace[0]
@@ -352,7 +344,7 @@ mod tests {
         assert_eq!(trace[1].parent, Some(trace[0].id), "task span is the root");
         // Untraced scenarios carry no trace.
         let plain = Runner::new(1).run(sweep(1));
-        assert!(plain[0].trace.is_none());
+        assert!(plain[0].obs.trace.is_none());
     }
 
     #[test]
@@ -360,7 +352,7 @@ mod tests {
         let tracer = Tracer::new();
         let inner = tracer.clone();
         let scenario = Scenario::builder("boom")
-            .tracer(tracer)
+            .observe(traced(&tracer))
             .task(move |_| {
                 let _open = inner.begin("never_closed", "test", Clock::SimPs, 7);
                 panic!("die mid-span");
@@ -368,7 +360,7 @@ mod tests {
             .build();
         let outcomes = Runner::new(1).run(vec![scenario]);
         assert!(outcomes[0].is_failed());
-        let trace = outcomes[0].trace.as_ref().unwrap();
+        let trace = outcomes[0].obs.trace.as_ref().unwrap();
         telemetry::trace::check_nesting(trace).unwrap();
         assert!(trace[0]
             .args

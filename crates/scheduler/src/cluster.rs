@@ -2,14 +2,15 @@
 //! nodes, driven by a streaming job source and an ordered event queue.
 
 use crate::config::SchedulerConfig;
+use crate::federation::QUEUE_SERIES_WIDTH_MS;
 use crate::job::{Job, JobOutcome};
 use crate::queue::EventQueue;
-use crate::source::{JobSource, SliceSource};
+use crate::source::JobSource;
 use crate::stats::StreamSummary;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use telemetry::trace::{kv, Clock, SpanId, Tracer};
-use telemetry::{Counter, Gauge, Histogram, Scope};
+use telemetry::{Counter, Gauge, Histogram, Obs, Scope};
 use workloads::utilization::UtilizationModel;
 
 /// Node margin groups, fastest first (0.8 GT/s, 0.6 GT/s, none).
@@ -74,7 +75,7 @@ impl SpeedupModel {
 /// Registry-bound observability for one scheduling run: the live
 /// queue depth, start/backfill tallies, and per-margin-group latency
 /// distributions (queue delay and execution time, in milliseconds).
-/// Built per run by [`ScheduleBuilder::metrics`], so concurrently
+/// Built per run from [`ScheduleBuilder::observe`]'s scope, so concurrently
 /// metered runs never alias each other's handles.
 #[derive(Debug)]
 struct ClusterMetrics {
@@ -175,48 +176,6 @@ impl ClusterTrace<'_> {
     }
 }
 
-/// One labelled configuration of a side-by-side scheduling sweep
-/// (Figure 17 compares four of these over the same job trace).
-#[derive(Debug, Clone)]
-pub struct Variant {
-    /// Display label (also useful as a telemetry scope prefix).
-    pub label: String,
-    pub cluster: Cluster,
-    pub config: SchedulerConfig,
-    /// When set, the run is metered under this scope; otherwise it
-    /// runs unobserved.
-    pub scope: Option<Scope>,
-    /// When set, the run records job spans into this tracer. Each
-    /// variant needs its own tracer — sweeps run variants
-    /// concurrently.
-    pub tracer: Option<Tracer>,
-}
-
-/// Replays `jobs` under every variant, in parallel on the worker
-/// pool, returning outcomes in variant order. Each replay is
-/// single-threaded and depends only on its variant and the shared
-/// trace, so the sweep's results are identical at any worker budget.
-pub fn run_variants(jobs: &[Job], variants: Vec<Variant>) -> Vec<(String, Vec<JobOutcome>)> {
-    runner::parallel_map(variants, |_, v| {
-        let Variant {
-            label,
-            cluster,
-            config,
-            scope,
-            tracer,
-        } = v;
-        let mut run = cluster.schedule(SliceSource::new(jobs)).config(config);
-        if let Some(scope) = &scope {
-            run = run.metrics(scope);
-        }
-        let outcomes = match &tracer {
-            Some(t) => run.tracer(t).run(),
-            None => run.run(),
-        };
-        (label, outcomes)
-    })
-}
-
 /// A margin-grouped cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -263,8 +222,7 @@ impl Cluster {
 
     /// Starts a scheduling run over `source`: configure with
     /// [`config`](ScheduleBuilder::config), attach observability with
-    /// [`metrics`](ScheduleBuilder::metrics) /
-    /// [`tracer`](ScheduleBuilder::tracer), then finish with
+    /// [`observe`](ScheduleBuilder::observe), then finish with
     /// [`run`](ScheduleBuilder::run) (collected outcomes) or
     /// [`run_streaming`](ScheduleBuilder::run_streaming) (O(1)-memory
     /// summary).
@@ -273,9 +231,7 @@ impl Cluster {
             cluster: self,
             source,
             config: SchedulerConfig::default(),
-            scope: None,
-            tracer: None,
-            series: None,
+            obs: Obs::default(),
         }
     }
 
@@ -365,12 +321,11 @@ impl Cluster {
         &self,
         mut source: S,
         config: &SchedulerConfig,
-        scope: Option<&Scope>,
-        tracer: Option<&Tracer>,
+        obs: &Obs,
         sink: &mut dyn FnMut(&JobOutcome, u32, bool),
     ) {
-        let metrics = scope.map(ClusterMetrics::new);
-        match tracer {
+        let metrics = obs.scope().map(ClusterMetrics::new);
+        match obs.tracer() {
             Some(tracer) => {
                 let trace = ClusterTrace {
                     tracer,
@@ -407,9 +362,7 @@ pub struct ScheduleBuilder<'c, S> {
     cluster: &'c Cluster,
     source: S,
     config: SchedulerConfig,
-    scope: Option<Scope>,
-    tracer: Option<&'c Tracer>,
-    series: Option<telemetry::series::Series>,
+    obs: Obs,
 }
 
 impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
@@ -420,24 +373,16 @@ impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
         self
     }
 
-    /// Meters the run under `scope`: queue depth, start/backfill
-    /// tallies, per-group latency histograms.
-    pub fn metrics(mut self, scope: &Scope) -> Self {
-        self.scope = Some(scope.clone());
-        self
-    }
-
-    /// Records job spans into `tracer` under a `schedule` root span.
-    pub fn tracer(mut self, tracer: &'c Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Streams every job's queue delay into `series`, windowed by
-    /// submit time (see [`StreamSummary::tap_series`]). Only
-    /// [`run_streaming`](Self::run_streaming) consumes the tap.
-    pub fn series(mut self, series: telemetry::series::Series) -> Self {
-        self.series = Some(series);
+    /// Observes the run through `obs`: its scope meters queue depth,
+    /// start/backfill tallies and per-group latency histograms; its
+    /// tracer records job spans under a `schedule` root span; and
+    /// [`run_streaming`](Self::run_streaming) streams every job's
+    /// queue delay into its series `<prefix>.queue_delay_ms`
+    /// ([`QUEUE_SERIES_WIDTH_MS`]-wide windows by submit time, see
+    /// [`StreamSummary::tap_series`]). [`run`](Self::run) records no
+    /// series.
+    pub fn observe(mut self, obs: &Obs) -> Self {
+        self.obs = obs.clone();
         self
     }
 
@@ -449,14 +394,10 @@ impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
             cluster,
             source,
             config,
-            scope,
-            tracer,
-            series: _,
+            obs,
         } = self;
         let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(source.len_hint().unwrap_or(0));
-        cluster.execute(source, &config, scope.as_ref(), tracer, &mut |o, _, _| {
-            outcomes.push(*o)
-        });
+        cluster.execute(source, &config, &obs, &mut |o, _, _| outcomes.push(*o));
         outcomes.sort_by_key(|o| o.job.id);
         outcomes
     }
@@ -469,21 +410,15 @@ impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
             cluster,
             source,
             config,
-            scope,
-            tracer,
-            series,
+            obs,
         } = self;
         let mut summary = StreamSummary::new();
-        if let Some(series) = series {
+        if let Some(series) = obs.series_named("queue_delay_ms", QUEUE_SERIES_WIDTH_MS) {
             summary.tap_series(series);
         }
-        cluster.execute(
-            source,
-            &config,
-            scope.as_ref(),
-            tracer,
-            &mut |o, min_group, backfilled| summary.note(o, min_group, backfilled),
-        );
+        cluster.execute(source, &config, &obs, &mut |o, min_group, backfilled| {
+            summary.note(o, min_group, backfilled)
+        });
         summary
     }
 }
@@ -672,6 +607,7 @@ fn allocate_default(nodes: u32, free: &[u32; 3]) -> [u32; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::SliceSource;
 
     fn job(id: u32, submit: f64, nodes: u32, dur: f64, util: f64) -> Job {
         Job {
@@ -814,36 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn variant_sweep_matches_individual_runs() {
-        let trace = crate::trace::GrizzlyTrace::scaled(300, 64).generate(3);
-        let hdmr = Cluster::new(64, [0.62, 0.36, 0.02]);
-        let conv = Cluster::conventional(64);
-        let sweep = run_variants(
-            &trace,
-            vec![
-                Variant {
-                    label: "conventional".into(),
-                    cluster: conv.clone(),
-                    config: conventional(),
-                    scope: None,
-                    tracer: None,
-                },
-                Variant {
-                    label: "margin_aware".into(),
-                    cluster: hdmr.clone(),
-                    config: aware(),
-                    scope: None,
-                    tracer: None,
-                },
-            ],
-        );
-        assert_eq!(sweep[0].0, "conventional");
-        assert_eq!(sweep[1].0, "margin_aware");
-        assert_eq!(sweep[0].1, run(&conv, &trace, conventional()));
-        assert_eq!(sweep[1].1, run(&hdmr, &trace, aware()));
-    }
-
-    #[test]
     fn traced_run_wraps_job_spans_in_schedule_root() {
         use telemetry::trace::{check_nesting, Ph};
         let c = Cluster::new(8, [0.5, 0.25, 0.25]);
@@ -853,10 +759,12 @@ mod tests {
             job(2, 2.0, 8, 25.0, 0.8),
         ];
         let tracer = Tracer::new();
+        let mut obs = Obs::default();
+        obs.set_tracer(tracer.clone());
         let out = c
             .schedule(SliceSource::new(&jobs))
             .config(aware())
-            .tracer(&tracer)
+            .observe(&obs)
             .run();
         assert_eq!(
             out,
@@ -901,11 +809,13 @@ mod tests {
             .unwrap();
         let registry = telemetry::Registry::new();
         let tracer = Tracer::new();
+        let mut obs = Obs::default();
+        obs.set_metrics(registry.scope("m"));
+        obs.set_tracer(tracer.clone());
         let out = c
             .schedule(SliceSource::new(&jobs))
             .config(capped)
-            .metrics(&registry.scope("m"))
-            .tracer(&tracer)
+            .observe(&obs)
             .run();
         assert_eq!(out, run(&c, &jobs, aware()), "the cap only affects spans");
         let events = tracer.take();
@@ -957,10 +867,12 @@ mod tests {
         let registry = telemetry::Registry::new();
         let c = Cluster::new(32, [0.5, 0.25, 0.25]);
         let trace = crate::trace::GrizzlyTrace::scaled(200, 32).generate(2);
+        let mut obs = Obs::default();
+        obs.set_metrics(registry.scope("m"));
         let out = c
             .schedule(SliceSource::new(&trace))
             .config(aware())
-            .metrics(&registry.scope("m"))
+            .observe(&obs)
             .run();
         assert_eq!(out.len(), trace.len());
         let snap = registry.snapshot();

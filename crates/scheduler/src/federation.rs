@@ -34,7 +34,7 @@ use crate::stats::StreamSummary;
 use runner::seed::iteration_seed;
 use telemetry::series::SeriesStore;
 use telemetry::trace::Tracer;
-use telemetry::{Registry, Scope};
+use telemetry::{Obs, Scope};
 use workloads::utilization::UtilizationModel;
 
 /// Window width of the per-member queue-delay series taps: one hour
@@ -217,15 +217,14 @@ impl Federation {
     /// and the price of zero cross-shard communication). Shards run
     /// in parallel on the worker pool; results merge in member order.
     ///
-    /// Observation is optional and never changes the schedule: each
-    /// shard meters into a private registry scoped by member name,
-    /// traces into a private tracer, and (when `series` is given)
-    /// streams its queue delays into a private series store as
+    /// Observation is optional and never changes the schedule: the
+    /// three sinks form one [`Obs`], each shard records into a
+    /// [`fork`](Obs::fork) narrowed to its member name (metrics under
+    /// `<scope>.<member>`, queue delays as the series
     /// `<prefix>.<member>.queue_delay_ms` with
-    /// [`QUEUE_SERIES_WIDTH_MS`]-wide windows; snapshots, trace
-    /// buffers, and series windows are absorbed into `scope` /
-    /// `tracer` / the series store in member order after the parallel
-    /// section, so the exported telemetry is worker-count-invariant.
+    /// [`QUEUE_SERIES_WIDTH_MS`]-wide windows), and the forks are
+    /// absorbed in member order after the parallel section, so the
+    /// exported telemetry is worker-count-invariant.
     pub fn run_observed<S, F>(
         &self,
         placement: PlacementPolicy,
@@ -239,21 +238,19 @@ impl Federation {
         S: JobSource,
         F: Fn() -> S + Sync,
     {
-        let metered = scope.is_some();
-        let traced = tracer.is_some();
-        let series_prefix = series.map(|(_, prefix)| prefix);
+        let mut obs = Obs::default();
+        if let Some(scope) = scope {
+            obs.set_metrics(scope.clone());
+        }
+        if let Some(tracer) = tracer {
+            obs.set_tracer(tracer.clone());
+        }
+        if let Some((store, prefix)) = series {
+            obs.set_series(store.clone(), prefix);
+        }
         let shards = runner::parallel_map((0..self.members.len()).collect(), |_, i: usize| {
             let member = &self.members[i];
-            let registry = metered.then(Registry::new);
-            let member_tracer = traced.then(Tracer::new);
-            let member_series = series_prefix.map(|prefix| {
-                let store = SeriesStore::new();
-                let tap = store.series(
-                    &format!("{prefix}.{}.queue_delay_ms", member.name),
-                    QUEUE_SERIES_WIDTH_MS,
-                );
-                (store, tap)
-            });
+            let shard = obs.fork();
             let source = RoutedSource {
                 inner: make_source(),
                 federation: self,
@@ -261,38 +258,19 @@ impl Federation {
                 salt,
                 member: i,
             };
-            let mut run = member.cluster.schedule(source).config(member.config);
-            let member_scope = registry.as_ref().map(|r| r.scope(&member.name));
-            if let Some(s) = &member_scope {
-                run = run.metrics(s);
-            }
-            if let Some(t) = &member_tracer {
-                run = run.tracer(t);
-            }
-            if let Some((_, tap)) = &member_series {
-                run = run.series(tap.clone());
-            }
-            let summary = run.run_streaming();
-            (
-                summary,
-                registry.map(|r| r.snapshot()),
-                member_tracer.map(|t| t.take()),
-                member_series.map(|(store, _)| store.snapshot()),
-            )
+            let summary = member
+                .cluster
+                .schedule(source)
+                .config(member.config)
+                .observe(&shard.child(&member.name))
+                .run_streaming();
+            (summary, shard.take())
         });
 
         let mut fleet = StreamSummary::new();
         let mut members = Vec::with_capacity(self.members.len());
-        for (member, (summary, snapshot, events, windows)) in self.members.iter().zip(shards) {
-            if let (Some(scope), Some(snapshot)) = (scope, snapshot) {
-                scope.absorb(&snapshot);
-            }
-            if let (Some(tracer), Some(events)) = (tracer, events) {
-                tracer.absorb(events);
-            }
-            if let (Some((store, _)), Some(windows)) = (series, windows) {
-                store.absorb(&windows);
-            }
+        for (member, (summary, snapshot)) in self.members.iter().zip(shards) {
+            obs.absorb(snapshot);
             fleet.merge_from(&summary);
             members.push(MemberRun {
                 name: member.name.clone(),
@@ -330,6 +308,7 @@ mod tests {
     use super::*;
     use crate::cluster::SpeedupModel;
     use crate::source::from_specs;
+    use telemetry::Registry;
     use workloads::jobs::SyntheticJobs;
     use workloads::utilization::Cluster as LanlCluster;
 

@@ -24,7 +24,7 @@ pub mod source;
 pub mod stats;
 pub mod trace;
 
-pub use cluster::{run_variants, Cluster, Policy, ScheduleBuilder, SpeedupModel, Variant};
+pub use cluster::{Cluster, Policy, ScheduleBuilder, SpeedupModel};
 pub use config::{ConfigError, SchedulerConfig, SchedulerConfigBuilder};
 pub use federation::{ClusterSpec, Federation, FederationRun, MemberRun, PlacementPolicy};
 pub use job::{Job, JobOutcome};

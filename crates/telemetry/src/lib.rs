@@ -25,6 +25,10 @@
 //!   same worker-order discipline as snapshots; [`monitor`] evaluates
 //!   anomaly detectors over those windows and keeps the incident
 //!   ledger that links breaches back to trace spans.
+//! - [`Obs`] bundles an optional scope, tracer and series store into
+//!   one handle: `child` narrows the namespace, `fork` gives a worker
+//!   private storage, and `absorb` merges a worker's [`ObsSnapshot`]
+//!   back in the caller's (input) order.
 //!
 //! # Determinism
 //!
@@ -42,6 +46,7 @@ pub mod json;
 mod manifest;
 mod metric;
 pub mod monitor;
+mod obs;
 mod registry;
 pub mod series;
 pub mod trace;
@@ -51,4 +56,5 @@ pub use manifest::RunManifest;
 pub use metric::{
     bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS, GAUGE_SCALE,
 };
+pub use obs::{Obs, ObsSnapshot};
 pub use registry::{MetricValue, Registry, Scope, Snapshot, SnapshotEntry, WALL_SUFFIX};

@@ -366,46 +366,6 @@ impl HistogramSnapshot {
         }
         Some(u64::MAX)
     }
-
-    /// Fold `other` into this snapshot, exactly: bucket lists (sorted
-    /// by lower bound, as [`Histogram::snapshot`] emits them) are
-    /// merge-joined, counts and sums add, and the min/max envelope
-    /// widens. Merging snapshots of disjoint histograms equals the
-    /// snapshot of one histogram fed both sample streams.
-    pub fn merge_from(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        while let (Some(&&(alo, ahi, an)), Some(&&(blo, bhi, bn))) = (a.peek(), b.peek()) {
-            if alo == blo {
-                merged.push((alo, ahi, an + bn));
-                a.next();
-                b.next();
-            } else if alo < blo {
-                merged.push((alo, ahi, an));
-                a.next();
-            } else {
-                merged.push((blo, bhi, bn));
-                b.next();
-            }
-        }
-        merged.extend(a.copied());
-        merged.extend(b.copied());
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]

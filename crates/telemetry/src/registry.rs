@@ -73,7 +73,7 @@ impl Registry {
     }
 
     /// A namespaced view: every metric created through the scope gets
-    /// `prefix.` prepended to its name.
+    /// `prefix.` prepended to its name (`scope("")` is the root view).
     pub fn scope(&self, prefix: &str) -> Scope {
         Scope {
             registry: self.clone(),
@@ -137,6 +137,10 @@ impl Scope {
         &self.prefix
     }
 
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
     /// Replay a snapshot into this scope: each entry is re-recorded
     /// under `<prefix>.<entry name>`. Counters add, gauges set, and
     /// histograms fold via [`Histogram::merge_snapshot`] — so
@@ -155,7 +159,11 @@ impl Scope {
     }
 
     fn qualified(&self, name: &str) -> String {
-        format!("{}.{name}", self.prefix)
+        if self.prefix.is_empty() {
+            name.to_string()
+        } else {
+            format!("{}.{name}", self.prefix)
+        }
     }
 }
 
@@ -221,58 +229,6 @@ impl Snapshot {
     pub fn len(&self) -> usize {
         self.entries.len()
     }
-
-    /// Merge snapshots taken from independent registries into one,
-    /// deterministically: the result depends only on `parts` and their
-    /// order, never on when or where each part was captured. Counters
-    /// add, histograms fold exactly
-    /// ([`HistogramSnapshot::merge_from`]), and for a gauge the last
-    /// part (in input order) that carries the name wins — gauges are
-    /// instantaneous levels, so later parts are treated as fresher.
-    ///
-    /// # Panics
-    /// If the same name appears with different metric kinds.
-    pub fn merged(parts: &[Snapshot]) -> Snapshot {
-        let mut acc: BTreeMap<String, MetricValue> = BTreeMap::new();
-        for part in parts {
-            for entry in &part.entries {
-                match acc.entry(entry.name.clone()) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(entry.value.clone());
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut slot) => {
-                        match (slot.get_mut(), &entry.value) {
-                            (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = *b,
-                            (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
-                                a.merge_from(b);
-                            }
-                            (have, got) => panic!(
-                                "snapshot merge: '{}' is {} in one part and {} in another",
-                                entry.name,
-                                value_kind(have),
-                                value_kind(got)
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-        Snapshot {
-            entries: acc
-                .into_iter()
-                .map(|(name, value)| SnapshotEntry { name, value })
-                .collect(),
-        }
-    }
-}
-
-fn value_kind(value: &MetricValue) -> &'static str {
-    match value {
-        MetricValue::Counter(_) => "a counter",
-        MetricValue::Gauge(_) => "a gauge",
-        MetricValue::Histogram(_) => "a histogram",
-    }
 }
 
 #[cfg(test)]
@@ -325,47 +281,6 @@ mod tests {
         let sim = snap.sim_only();
         assert_eq!(sim.len(), 2);
         assert!(sim.get("run.wall_ns").is_none());
-    }
-
-    #[test]
-    fn merged_equals_single_registry_result() {
-        // Two tasks recording into private registries, merged at join,
-        // must equal one registry fed both streams.
-        let (a, b, whole) = (Registry::new(), Registry::new(), Registry::new());
-        for (part, base) in [(&a, 0u64), (&b, 1000)] {
-            part.counter("ops").add(base + 5);
-            whole.counter("ops").add(base + 5);
-            part.gauge("depth").set(base as i64);
-            whole.gauge("depth").set(base as i64);
-            for v in [base + 1, base + 90] {
-                part.histogram("lat").record(v);
-                whole.histogram("lat").record(v);
-            }
-        }
-        a.counter("only_a").inc();
-        whole.counter("only_a").inc();
-        let merged = Snapshot::merged(&[a.snapshot(), b.snapshot()]);
-        assert_eq!(merged, whole.snapshot());
-    }
-
-    #[test]
-    fn merged_with_empty_parts_is_identity() {
-        let r = Registry::new();
-        r.histogram("h").record(7);
-        let snap = r.snapshot();
-        let merged = Snapshot::merged(&[Snapshot::default(), snap.clone(), Snapshot::default()]);
-        assert_eq!(merged, snap);
-        assert!(Snapshot::merged(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot merge")]
-    fn merged_rejects_kind_mismatch() {
-        let a = Registry::new();
-        a.counter("x");
-        let b = Registry::new();
-        b.gauge("x");
-        let _ = Snapshot::merged(&[a.snapshot(), b.snapshot()]);
     }
 
     #[test]

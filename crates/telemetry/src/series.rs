@@ -16,12 +16,11 @@
 //! Window aggregation is commutative and associative (counts and sums
 //! add, extremes widen, sketch buckets fold), so a series' snapshot
 //! depends only on the *set* of `(time, value)` samples, never on the
-//! order threads recorded them. Sharded runs follow the same
-//! worker-order discipline as metric snapshots: each worker records
-//! into its own [`SeriesStore`] (see [`SeriesStore::fork`]), the
-//! coordinator snapshots each shard and folds them with
-//! [`SeriesSnapshot::merged`] in canonical input order, and the result
-//! is byte-identical to a single-stream run over the union of samples.
+//! order threads recorded them. Sharded runs follow the
+//! [`crate::Obs`] discipline: each worker records into its own fork of
+//! the store ([`SeriesStore::fork`]), the coordinator folds the shard
+//! snapshots back in canonical input order, and the result is
+//! byte-identical to a single-stream run over the union of samples.
 //!
 //! # Export
 //!
@@ -69,7 +68,7 @@ impl WindowAgg {
 
     /// Folds another window's rollup in, exactly: the sorted bucket
     /// lists merge-join, counts and sums add, the min/max envelope
-    /// widens (mirroring `HistogramSnapshot::merge_from`).
+    /// widens.
     pub fn merge_from(&mut self, other: &WindowAgg) {
         if other.count == 0 {
             return;
