@@ -65,19 +65,20 @@ diff -u "$DET_DIR/ser.out" "$DET_DIR/par.out"
 diff -u "$DET_DIR/ser/all.metrics.jsonl" "$DET_DIR/par/all.metrics.jsonl"
 echo "wall-clock: --jobs $(nproc) ran in ${t_par}s, --jobs 1 in ${t_ser}s"
 
-echo "== five-artifact jobs-invariance (every sink, model cache off) =="
-# With the cross-target model cache off, which target pays each node
-# simulation no longer depends on completion order, so every artifact
-# of the full sweep must be byte-identical between a parallel and a
-# serial run: stdout, metrics, Chrome trace, span tree, series and the
-# health incident ledger. All three sinks fork and merge through one
+echo "== five-artifact jobs-invariance (every sink, default model cache) =="
+# Targets race for the shared node-model cache, but a shared hit records
+# exactly what the simulation it stands in for recorded, so it does not
+# matter which target pays each simulation: every artifact of the full
+# sweep must be byte-identical between a parallel and a serial run:
+# stdout, metrics, Chrome trace, span tree, series and the health
+# incident ledger. All three sinks fork and merge through one
 # telemetry::Obs path, so this step covers that path end to end.
 for run in par ser; do
     jobs=1
     [ "$run" = par ] && jobs=$(nproc)
     out="$DET_DIR/obs_$run"
     t0=$SECONDS
-    "$EXP" all --quick --ops 1200 --no-model-cache --jobs "$jobs" \
+    "$EXP" all --quick --ops 1200 --jobs "$jobs" \
         --metrics "$out" --trace "$out" --series "$out" > "$out.out"
     echo "wall-clock: --jobs $jobs ran in $((SECONDS - t0))s"
     sed -i "s|$out|DIR|" "$out.out"
@@ -89,11 +90,10 @@ for f in all.metrics.jsonl all.trace.json all.spans.txt all.series.jsonl \
 done
 
 echo "== trace + drift report smoke =="
-# A traced single-target run must be byte-identical across --jobs
-# (the 'all' sweep is excluded: its shared model cache makes which
-# target pays each simulation schedule-dependent), the Chrome trace
-# must parse and nest, and the drift report must come back clean
-# against the reference figures in results/.
+# A traced fig5 run at the default --ops must be byte-identical across
+# --jobs (the step above covers 'all' at a reduced --ops), the Chrome
+# trace must parse, and the drift report must come back clean against
+# the reference figures in results/.
 "$EXP" fig5 --quick --metrics "$DET_DIR/rep" --trace "$DET_DIR/rep" \
     > /dev/null
 "$EXP" fig5 --quick --jobs 1 --trace "$DET_DIR/rep1" > /dev/null

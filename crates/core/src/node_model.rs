@@ -12,9 +12,11 @@
 //! wide ([`shared_cache`]), keyed by a content fingerprint of the
 //! hierarchy and eval config plus the exact design and suite, so
 //! trials, variants, and figures that evaluate the same configuration
-//! share one simulation. Cached entries carry the run's telemetry
-//! snapshot, replayed into the recalling engine's scope on a hit —
-//! metrics output is byte-identical with the cache on or off.
+//! share one simulation. A shared entry carries everything the miss
+//! observed (metrics and trace, one [`ObsSnapshot`]), and a hit absorbs
+//! it exactly as the miss did: a shared hit records exactly what a miss
+//! records, so every artifact is byte-identical with the cache on or
+//! off. An engine-local repeat records nothing.
 
 use crate::designs::MemoryDesign;
 use crate::monte_carlo::MarginGroups;
@@ -27,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use telemetry::trace::{kv, Clock, Tracer};
-use telemetry::{slug, Obs, Scope, Snapshot};
+use telemetry::{slug, Obs, ObsSnapshot, Scope};
 use workloads::{Suite, TraceGen};
 
 /// The paper's Figure 12 memory-usage buckets.
@@ -182,9 +184,9 @@ fn run_windowed(mut node: NodeSim, streams: Vec<TraceGen>, windows: u32) -> SimR
 /// the design and suite, kept exact.
 type SharedKey = (u64, MemoryDesign, Suite);
 
-/// A cached run: the simulation result plus, when the miss ran with
-/// metrics attached, the telemetry snapshot a hit replays.
-type SharedEntry = (SimResult, Option<Snapshot>);
+/// A cached run: the simulation result plus everything the miss
+/// observed, which a hit absorbs in its place.
+type SharedEntry = (SimResult, ObsSnapshot);
 
 /// The process-wide result cache: identical `(hierarchy, eval config,
 /// design, suite)` runs across engines — different trials, variants,
@@ -224,6 +226,14 @@ fn cache_fingerprint(hierarchy: &HierarchyConfig, config: &EvalConfig) -> u64 {
     h
 }
 
+/// Whether `snap` carries every sink `obs` observes (an engine observes
+/// at most metrics and trace), so absorbing it records everything a
+/// fresh run would.
+fn covers(snap: &ObsSnapshot, obs: &Obs) -> bool {
+    (obs.scope().is_none() || snap.metrics.is_some())
+        && (obs.tracer().is_none() || snap.trace.is_some())
+}
+
 /// The evaluation engine for one hierarchy, with run memoization.
 #[derive(Debug)]
 pub struct NodeModel {
@@ -251,26 +261,26 @@ impl NodeModel {
 
     /// Opts this engine in or out of the process-wide result cache
     /// (on by default; benchmarks opt out to measure real simulation
-    /// cost, and `--no-model-cache` opts whole runs out).
+    /// cost, and tests opt out for a cache-off reference). Output is
+    /// the same either way.
     pub fn set_shared_cache(&mut self, shared: bool) {
         self.shared = shared;
     }
 
-    /// Routes simulator telemetry into `scope`: every fresh (design,
-    /// suite) run attaches its [`NodeSim`] under
-    /// `<scope>.<design>.<suite>`. Memoized replays record nothing, so
-    /// each configuration contributes exactly one run's worth of
-    /// counts no matter how many figures consult it.
+    /// Routes simulator telemetry into `scope`: every (design, suite)
+    /// run this engine resolves, simulated or a shared-cache hit,
+    /// records under `<scope>.<design>.<suite>`. Engine-local repeats
+    /// record nothing, so each configuration contributes exactly one
+    /// run's worth of counts no matter how many figures consult it.
     pub fn set_metrics_scope(&mut self, scope: Scope) {
         self.obs.set_metrics(scope);
     }
 
-    /// Routes causal trace spans into `tracer`: fresh runs record a
+    /// Routes causal trace spans into `tracer`: every run this engine
+    /// resolves, simulated or a shared-cache hit, records a
     /// `sim.<design>.<suite>` span on the simulation clock with the
-    /// simulator's own spans nested inside, and shared-cache lookups
-    /// record `cache.hit` / `cache.miss` instants on the engine's tick
-    /// clock. Engine-local memo hits record nothing, mirroring the
-    /// metrics contract.
+    /// simulator's own spans nested inside. Engine-local repeats record
+    /// nothing, mirroring the metrics contract.
     pub fn set_trace(&mut self, tracer: &Tracer) {
         self.obs.set_tracer(tracer.clone());
     }
@@ -293,38 +303,33 @@ impl NodeModel {
         self.cache.borrow()[&(design, suite)].clone()
     }
 
-    /// A shared-cache hit usable by this engine. With metrics attached
-    /// the entry must carry a snapshot to replay — snapshot-less
-    /// entries (recorded by metrics-free runs) miss instead, and the
-    /// re-run upgrades them.
-    fn shared_lookup(&self, design: MemoryDesign, suite: Suite) -> Option<SimResult> {
+    /// A shared-cache entry usable by this engine: one that carries
+    /// every sink the engine observes. The entry is cloned out of the
+    /// process-wide lock, so the caller absorbs it without holding it.
+    fn shared_lookup(&self, design: MemoryDesign, suite: Suite) -> Option<SharedEntry> {
+        if !self.shared {
+            return None;
+        }
         let cache = shared_cache().lock().unwrap();
-        let (result, snap) = cache.get(&(self.fingerprint, design, suite))?;
-        let result = match (self.obs.scope(), snap) {
-            (None, _) => result.clone(),
-            (Some(scope), Some(snap)) => {
-                scope.absorb(snap);
-                result.clone()
-            }
-            (Some(_), None) => return None,
-        };
+        let entry = cache.get(&(self.fingerprint, design, suite))?;
+        if !covers(&entry.1, &self.obs) {
+            return None;
+        }
         SHARED_HITS.fetch_add(1, Ordering::Relaxed);
-        self.trace_cache_event("cache.hit", design, suite);
-        Some(result)
+        Some(entry.clone())
     }
 
-    /// A `cache.hit` / `cache.miss` instant on the engine's tick
-    /// clock, naming the run it resolved.
-    fn trace_cache_event(&self, name: &str, design: MemoryDesign, suite: Suite) {
-        if let Some(t) = self.obs.tracer() {
-            let tick = t.tick();
-            t.instant(
-                name,
-                "model",
-                Clock::Ticks,
-                tick,
-                vec![kv("run", run_label(design, suite))],
-            );
+    /// Publishes a miss to the shared cache unless an entry this engine
+    /// could have used is already there: a miss replaces an entry that
+    /// lacks a sink it carries.
+    fn shared_publish(&self, design: MemoryDesign, suite: Suite, entry: &SharedEntry) {
+        if !self.shared {
+            return;
+        }
+        let mut cache = shared_cache().lock().unwrap();
+        let key = (self.fingerprint, design, suite);
+        if !cache.get(&key).is_some_and(|old| covers(&old.1, &self.obs)) {
+            cache.insert(key, entry.clone());
         }
     }
 
@@ -332,9 +337,11 @@ impl NodeModel {
     /// worker pool and fills the cache, so subsequent [`run`] calls
     /// are recalls. Each simulation is single-threaded, seeded purely
     /// from the engine config, and observed through its own
-    /// [`Obs::fork`] labelled by the pair; the engine absorbs the forks
-    /// in `pairs` order, so priming in parallel yields bit-identical
-    /// results, metrics and traces to running the pairs one by one.
+    /// [`Obs::fork`] labelled by the pair. Shared-cache hits stand in
+    /// for their simulations, and the engine absorbs every pair's
+    /// snapshot in `pairs` order, so priming in parallel, with or
+    /// without the shared cache, yields bit-identical results, metrics
+    /// and traces to running the pairs one by one.
     ///
     /// [`run`]: NodeModel::run
     pub fn prime(&self, pairs: &[(MemoryDesign, Suite)]) {
@@ -347,45 +354,33 @@ impl NodeModel {
                 }
             }
         }
-        if self.shared {
-            // Shared-cache hits resolve inline (replaying their stored
-            // snapshots); only true misses go to the worker pool.
-            missing.retain(|&(design, suite)| match self.shared_lookup(design, suite) {
-                Some(result) => {
-                    self.cache.borrow_mut().insert((design, suite), result);
-                    false
-                }
-                None => true,
-            });
-        }
-        if missing.is_empty() {
-            return;
-        }
+        let hits: Vec<Option<SharedEntry>> = missing
+            .iter()
+            .map(|&(design, suite)| self.shared_lookup(design, suite))
+            .collect();
+        let to_run: Vec<(MemoryDesign, Suite)> = missing
+            .iter()
+            .zip(&hits)
+            .filter_map(|(&pair, hit)| hit.is_none().then_some(pair))
+            .collect();
         let (hierarchy, config, obs) = (&self.hierarchy, &self.config, &self.obs);
-        let results = runner::parallel_map(missing.clone(), move |_, (design, suite)| {
+        let mut runs = runner::parallel_map(to_run, move |_, (design, suite)| {
             let worker = obs.fork();
             let run = worker.child(&run_label(design, suite));
             let result = simulate(hierarchy, config, &run, design, suite);
             (result, worker.take())
-        });
+        })
+        .into_iter();
         if self.shared {
-            SHARED_MISSES.fetch_add(results.len() as u64, Ordering::Relaxed);
+            SHARED_MISSES.fetch_add(runs.len() as u64, Ordering::Relaxed);
         }
         let mut cache = self.cache.borrow_mut();
-        for ((design, suite), (result, snap)) in missing.into_iter().zip(results) {
-            if self.shared {
-                self.trace_cache_event("cache.miss", design, suite);
-                // A run with metrics replaces any entry; a metrics-free
-                // run never evicts one that carries a snapshot.
-                let key = (self.fingerprint, design, suite);
-                let entry = (result.clone(), snap.metrics.clone());
-                let mut shared = shared_cache().lock().unwrap();
-                if entry.1.is_some() {
-                    shared.insert(key, entry);
-                } else {
-                    shared.entry(key).or_insert(entry);
-                }
-            }
+        for ((design, suite), hit) in missing.into_iter().zip(hits) {
+            let (result, snap) = hit.unwrap_or_else(|| {
+                let entry = runs.next().expect("one run per shared-cache miss");
+                self.shared_publish(design, suite, &entry);
+                entry
+            });
             self.obs.absorb(snap);
             cache.insert((design, suite), result);
         }
@@ -605,7 +600,8 @@ mod tests {
     /// `run` misses through `prime`, so priming a batch and then
     /// recalling it must leave exactly what running the pairs one by
     /// one leaves: the same `SimResult`s, metrics and trace events,
-    /// with the shared cache on and off.
+    /// with the shared cache on and off, and all equal to the unshared
+    /// engine's.
     #[test]
     fn prime_matches_serial_runs() {
         let pairs = [
@@ -639,7 +635,7 @@ mod tests {
             let results: Vec<SimResult> = pairs.iter().map(|&(d, s)| m.run(d, s)).collect();
             (results, registry.snapshot(), tracer.take())
         };
-        let (plain, plain_metrics, _) = observe(false, false);
+        let (plain, plain_metrics, plain_events) = observe(false, false);
         for shared in [false, true] {
             let (results, metrics, events) = observe(shared, false);
             let primed = observe(shared, true);
@@ -653,34 +649,11 @@ mod tests {
                 metrics, plain_metrics,
                 "shared={shared}: metrics vs unshared"
             );
+            assert_eq!(
+                events, plain_events,
+                "shared={shared}: trace events vs unshared"
+            );
         }
-    }
-
-    #[test]
-    fn shared_cache_replays_metrics_identically() {
-        let pair = (MemoryDesign::ExploitLatency, Suite::Lulesh);
-        // Reference: record directly, shared cache off.
-        let mut direct = model(HierarchyConfig::hierarchy1());
-        direct.set_shared_cache(false);
-        let rd = telemetry::Registry::new();
-        direct.set_metrics_scope(rd.scope("node"));
-        let _ = direct.run(pair.0, pair.1);
-        // Ensure a snapshot-bearing shared entry exists (miss or hit,
-        // either leaves one behind)...
-        let mut warm = model(HierarchyConfig::hierarchy1());
-        let rw = telemetry::Registry::new();
-        warm.set_metrics_scope(rw.scope("node"));
-        let _ = warm.run(pair.0, pair.1);
-        // ...so this run is a guaranteed snapshot replay.
-        let (hits_before, _) = shared_cache_stats();
-        let mut replay = model(HierarchyConfig::hierarchy1());
-        let rr = telemetry::Registry::new();
-        replay.set_metrics_scope(rr.scope("node"));
-        let result = replay.run(pair.0, pair.1);
-        let (hits_after, _) = shared_cache_stats();
-        assert!(hits_after > hits_before, "expected a shared-cache hit");
-        assert_eq!(result.exec_time_ps, direct.run(pair.0, pair.1).exec_time_ps);
-        assert_eq!(rr.snapshot(), rd.snapshot(), "replayed metrics differ");
     }
 
     #[test]
@@ -720,51 +693,78 @@ mod tests {
         assert!(overhead.abs() < 0.10, "accesses/instr overhead {overhead}");
     }
 
+    /// The one cache contract: a second engine that hits the shared
+    /// cache records exactly the trace events and metrics the first
+    /// engine recorded when it missed, and a batch mixing hits and
+    /// misses records what the cache-off engine records.
     #[test]
-    fn trace_records_sim_spans_and_cache_instants() {
-        use telemetry::trace::{check_nesting, Clock, Ph, Tracer};
-        // Private seed so this test owns its shared-cache entries.
-        let mk = || {
-            NodeModel::new(
+    fn shared_hit_records_exactly_what_the_miss_recorded() {
+        use telemetry::trace::{check_nesting, Clock, Ph};
+        let engine = |shared: bool| {
+            // Private seed so this test owns its shared-cache entries.
+            let mut m = NodeModel::new(
                 HierarchyConfig::hierarchy1(),
                 EvalConfig {
                     ops_per_core: 2_000,
                     seed: 0xACE5,
                     windows: 1,
                 },
-            )
+            );
+            m.set_shared_cache(shared);
+            let registry = telemetry::Registry::new();
+            m.set_metrics_scope(registry.scope("node"));
+            let tracer = Tracer::new();
+            m.set_trace(&tracer);
+            (m, registry, tracer)
         };
-        let tracer = Tracer::new();
-        let mut m = mk();
-        m.set_trace(&tracer);
         let pairs = [
             (MemoryDesign::CommercialBaseline, Suite::Hpcg),
             (MemoryDesign::ExploitFreqLat, Suite::Hpcg),
         ];
-        m.prime(&pairs);
-        let _ = m.run(pairs[0].0, pairs[0].1);
-        let events = tracer.take();
-        check_nesting(&events).unwrap();
-        let sims: Vec<_> = events
+        let (first, missed_metrics, missed_tracer) = engine(true);
+        shared_cache()
+            .lock()
+            .unwrap()
+            .retain(|key, _| key.0 != first.fingerprint);
+        first.prime(&pairs);
+        let _ = first.run(pairs[0].0, pairs[0].1);
+        let missed = missed_tracer.take();
+        check_nesting(&missed).unwrap();
+        let sims: Vec<_> = missed
             .iter()
             .filter(|e| e.name.starts_with("sim.") && e.ph == Ph::Span)
             .collect();
         assert_eq!(sims.len(), 2, "one sim span per primed pair");
         assert!(sims.iter().all(|e| e.clock == Clock::SimPs && e.end > 0));
+
+        let (hits_before, _) = shared_cache_stats();
+        let (second, hit_metrics, hit_tracer) = engine(true);
+        second.prime(&pairs);
+        let (hits_after, _) = shared_cache_stats();
+        assert!(hits_after >= hits_before + 2, "expected two shared hits");
+        assert_eq!(hit_tracer.take(), missed, "hit trace vs miss trace");
         assert_eq!(
-            events.iter().filter(|e| e.name == "cache.miss").count(),
-            2,
-            "both primed pairs were shared-cache misses"
+            hit_metrics.snapshot(),
+            missed_metrics.snapshot(),
+            "hit metrics vs miss metrics"
         );
-        // A second engine recalling the same config hits the shared
-        // cache and records only the hit instant, no sim span.
-        let hit_tracer = Tracer::new();
-        let mut m2 = mk();
-        m2.set_trace(&hit_tracer);
-        let _ = m2.run(pairs[0].0, pairs[0].1);
-        let hits = hit_tracer.take();
-        assert!(hits.iter().any(|e| e.name == "cache.hit"));
-        assert!(!hits.iter().any(|e| e.name.starts_with("sim.")));
+
+        // A fresh pair ahead of a cached one: the hit still lands in
+        // `pairs` order, after the miss.
+        let mixed = [
+            (MemoryDesign::HeteroDmr { margin_mts: 800 }, Suite::Hpcg),
+            pairs[1],
+        ];
+        let (third, mixed_metrics, mixed_tracer) = engine(true);
+        third.prime(&mixed);
+        let (off, off_metrics, off_tracer) = engine(false);
+        off.prime(&mixed);
+        assert_eq!(mixed_tracer.take(), off_tracer.take(), "mixed batch trace");
+        assert_eq!(
+            mixed_metrics.snapshot(),
+            off_metrics.snapshot(),
+            "mixed batch metrics"
+        );
     }
 
     /// Satellite of the batched/windowed hot loop: window boundaries

@@ -45,10 +45,6 @@ pub struct Ctx {
     pub fleet_jobs: Option<u64>,
     /// Whether `--quick` shrank the run (recorded in the manifest).
     pub quick_run: bool,
-    /// Whether node models may share the process-wide result cache
-    /// (`--no-model-cache` turns it off; output is identical either
-    /// way, only wall time changes).
-    pub model_cache: bool,
     /// Where to write CSV copies of every series (optional).
     pub csv_dir: Option<String>,
     /// Where `--metrics` writes the JSONL snapshot + manifest.
@@ -77,7 +73,6 @@ impl Default for Ctx {
             trace_jobs: 58_000,
             fleet_jobs: None,
             quick_run: false,
-            model_cache: true,
             csv_dir: None,
             metrics_dir: None,
             trace_dir: None,

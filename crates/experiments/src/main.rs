@@ -54,8 +54,8 @@ options:
                  seed) and DIR/manifest.json
   --trace DIR    record causal sim-time traces; writes
                  DIR/<target>.trace.json (Chrome trace-event JSON,
-                 deterministic for a fixed seed at any --jobs when
-                 <target> is a single target), DIR/<target>.spans.txt
+                 deterministic for a fixed seed at any --jobs, 'all'
+                 included), DIR/<target>.spans.txt
                  (span tree) and DIR/timing.jsonl (wall clock,
                  quarantined from the deterministic files)
   --series DIR   record windowed sim-time health series; writes
@@ -63,9 +63,6 @@ options:
                  deterministic for a fixed seed at any --jobs); the
                  'health' target also writes its incident ledger to
                  DIR/health.incidents.jsonl
-  --no-model-cache
-                 disable the cross-target node-model result cache
-                 (output is identical either way; runs are slower)
   --list         print the available targets and exit
   -h, --help     print this help and exit
 
@@ -91,6 +88,9 @@ fn main() {
     let mut target = String::from("all");
     let mut jobs = 0usize; // 0 = one worker per CPU
     let mut ctx = Ctx::default();
+    // Applied after every flag is read, so an explicit `--ops` wins
+    // over `--quick` in either order.
+    let mut ops = None;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -111,11 +111,12 @@ fn main() {
                     .unwrap_or_else(|| usage_error("--seed needs an integer"));
             }
             "--ops" => {
-                ctx.ops_per_core = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage_error("--ops needs an integer >= 1"));
+                ops = Some(
+                    iter.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage_error("--ops needs an integer >= 1")),
+                );
             }
             "--jobs" => {
                 jobs = iter
@@ -132,7 +133,6 @@ fn main() {
                         .unwrap_or_else(|| usage_error("--fleet-jobs needs an integer >= 1")),
                 );
             }
-            "--no-model-cache" => ctx.model_cache = false,
             "--csv" => {
                 let dir = iter
                     .next()
@@ -163,6 +163,10 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+
+    if let Some(n) = ops {
+        ctx.ops_per_core = n;
     }
 
     let names: Vec<&str> = if target == "all" {
@@ -298,7 +302,6 @@ fn write_metrics(
         .knob("trace_dropped_jobs", trace_dropped_jobs)
         .knob("quick", ctx.quick_run)
         .knob("jobs", runner::jobs())
-        .knob("model_cache", ctx.model_cache)
         .knob("model_cache_hits", cache_hits)
         .knob("model_cache_misses", cache_misses)
         .with_git_describe()
@@ -316,10 +319,10 @@ fn write_metrics(
 /// Exports the run's causal trace when `--trace` was requested: one
 /// Chrome trace-event JSON and one span-tree text file, with per-task
 /// traces grouped in canonical target order so both files are
-/// byte-identical across `--jobs` for single-target runs (the `all`
-/// sweep shares a process-wide model cache, so which target pays each
-/// simulation — and therefore its trace — depends on completion
-/// order). Wall-clock timings are quarantined in `timing.jsonl`.
+/// byte-identical across `--jobs` (a node-model shared-cache hit
+/// records the same spans as the simulation it stands in for, so it
+/// does not matter which target pays for it). Wall-clock timings are
+/// quarantined in `timing.jsonl`.
 fn write_trace(ctx: &Ctx, target: &str, outcomes: &[RunOutcome]) -> std::io::Result<()> {
     let Some(dir) = &ctx.trace_dir else {
         return Ok(());

@@ -20,7 +20,6 @@ pub(crate) fn model(ctx: &Ctx, h: HierarchyConfig) -> NodeModel {
             windows: 1,
         },
     );
-    m.set_shared_cache(ctx.model_cache);
     if let Some(scope) = ctx.metrics_scope(&format!("node.{}", telemetry::slug(h.name))) {
         m.set_metrics_scope(scope);
     }

@@ -64,6 +64,7 @@ fn malformed_arguments_exit_2() {
             &["fig5", "--quick", "--log-level", "summary"],
             "--log-level",
         ),
+        (&["fig5", "--quick", "--no-model-cache"], "--no-model-cache"),
         (&["fig5", "--quick", "--ops"], "--ops"),
         (&["fig5", "--quick", "--jobs", "x"], "--jobs"),
         (&["fig5", "--quick", "--ops", "0"], "--ops"),
@@ -77,6 +78,32 @@ fn malformed_arguments_exit_2() {
             "{args:?}: {err}"
         );
         assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+}
+
+/// An explicit `--ops` wins over `--quick`'s default whichever comes
+/// first on the command line.
+#[test]
+fn explicit_ops_wins_over_quick_in_either_order() {
+    for (name, args) in [
+        ("quick_first", ["--quick", "--ops", "1200"]),
+        ("ops_first", ["--ops", "1200", "--quick"]),
+    ] {
+        let dir = tmp_dir(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = run(&[
+            &["table1"][..],
+            &args,
+            &["--metrics", dir.to_str().unwrap()],
+        ]
+        .concat());
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(
+            manifest.contains("\"ops_per_core\": \"1200\""),
+            "{args:?}: {manifest}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

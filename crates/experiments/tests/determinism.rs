@@ -1,80 +1,84 @@
 //! The parallel runner's core contract: for a fixed seed, stdout and
-//! the `--metrics` JSONL export are byte-identical for any `--jobs`
-//! value, because every RNG stream is derived from `(seed, target,
-//! iteration)` counters and never from thread identity or completion
-//! order.
+//! every export (metrics JSONL, Chrome trace, series, incident ledger)
+//! are byte-identical for any `--jobs` value, because every RNG stream
+//! is derived from `(seed, target, iteration)` counters and never from
+//! thread identity or completion order.
 //!
 //! Targets are chosen to cover the three parallelism layers:
 //! `fig2`/`fig3` (population study + parallel grouping panels),
 //! `fig11` (Monte Carlo with parallel per-trial streams), and `fig5`
-//! (node simulations primed concurrently across designs × suites).
+//! (node simulations primed concurrently across designs × suites);
+//! `all` adds the node-model result cache shared across targets.
 
 use std::path::PathBuf;
 use std::process::Command;
+use telemetry::trace::{check_well_nested, parse_chrome_trace, ChromeEvent};
 
 fn tmp_dir(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hdmr_det_{name}_{}", std::process::id()))
 }
 
-/// Runs `target` under the given worker count, writing metrics into
-/// `dir` (the same dir for every worker count so the stdout summary
-/// line is comparable), and returns `(stdout, metrics JSONL bytes)`.
-/// `extra` carries additional flags (e.g. `--no-model-cache`).
-fn run_with_jobs_and(
-    target: &str,
-    jobs: &str,
-    dir: &std::path::Path,
-    extra: &[&str],
-) -> (Vec<u8>, Vec<u8>) {
+/// Runs `target` with every sink on (`--metrics`, `--trace`,
+/// `--series`, all into `dir`) and returns stdout followed by the bytes
+/// of each named artifact, in order. Sizes are shrunk (`--ops`, and
+/// `--fleet-jobs` for the fleet) to keep the debug-profile binary fast.
+fn run_observed(target: &str, jobs: &str, dir: &std::path::Path, files: &[&str]) -> Vec<Vec<u8>> {
     let _ = std::fs::remove_dir_all(dir);
+    let d = dir.to_str().unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args([
-            target,
-            "--seed",
-            "7",
-            "--quick",
-            "--ops",
-            "1200",
-            "--jobs",
-            jobs,
-            "--metrics",
-            dir.to_str().unwrap(),
-        ])
-        .args(extra)
+        .args([target, "--seed", "7", "--quick", "--ops", "600"])
+        .args(["--fleet-jobs", "20000", "--jobs", jobs])
+        .args(["--metrics", d, "--trace", d, "--series", d])
         .output()
         .expect("spawn experiments binary");
     assert!(
         out.status.success(),
         "{target} --jobs {jobs} failed: {out:?}"
     );
-    let jsonl =
-        std::fs::read(dir.join(format!("{target}.metrics.jsonl"))).expect("metrics written");
+    let mut artifacts = vec![out.stdout];
+    for f in files {
+        artifacts.push(std::fs::read(dir.join(f)).unwrap_or_else(|e| panic!("{f}: {e}")));
+    }
     let _ = std::fs::remove_dir_all(dir);
-    (out.stdout, jsonl)
+    artifacts
 }
 
-fn run_with_jobs(target: &str, jobs: &str, dir: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
-    run_with_jobs_and(target, jobs, dir, &[])
-}
-
-fn assert_jobs_invariant(target: &str, expect_series: bool) {
+/// Runs `target` at `--jobs 1` and at `--jobs` `jobs`, asserts that
+/// stdout and every named artifact are byte-identical, and returns the
+/// serial run. Both runs use one dir, so the stdout summary lines
+/// (which echo the path) compare directly.
+fn assert_files_invariant(target: &str, jobs: &str, files: &[&str]) -> Vec<Vec<u8>> {
     let dir = tmp_dir(target);
-    let (serial_out, serial_jsonl) = run_with_jobs(target, "1", &dir);
-    let (parallel_out, parallel_jsonl) = run_with_jobs(target, "8", &dir);
+    let serial = run_observed(target, "1", &dir, files);
+    let parallel = run_observed(target, jobs, &dir, files);
+    for (i, name) in ["stdout"].iter().chain(files).enumerate() {
+        assert!(
+            serial[i] == parallel[i],
+            "{target}: {name} differs between --jobs 1 and --jobs {jobs}"
+        );
+    }
+    serial
+}
+
+/// Stdout, metrics JSONL and Chrome trace are byte-identical between
+/// `--jobs 1` and `--jobs 8`; the trace parses and respects the
+/// span-nesting invariants. Returns the parsed trace.
+fn assert_jobs_invariant(target: &str, expect_series: bool) -> Vec<ChromeEvent> {
+    let metrics = format!("{target}.metrics.jsonl");
+    let trace = format!("{target}.trace.json");
+    let serial = assert_files_invariant(target, "8", &[&metrics, &trace]);
     if expect_series {
         assert!(
-            !serial_jsonl.is_empty(),
+            !serial[1].is_empty(),
             "{target} must export at least one metric series"
         );
     }
-    assert_eq!(
-        serial_out, parallel_out,
-        "{target}: stdout differs between --jobs 1 and --jobs 8"
-    );
-    assert_eq!(
-        serial_jsonl, parallel_jsonl,
-        "{target}: metrics JSONL differs between --jobs 1 and --jobs 8"
-    );
+    let text = String::from_utf8(serial[2].clone()).expect("trace is utf8");
+    let events =
+        parse_chrome_trace(&text).unwrap_or_else(|e| panic!("{target}: trace does not parse: {e}"));
+    assert!(!events.is_empty(), "{target}: trace is empty");
+    check_well_nested(&events).unwrap_or_else(|e| panic!("{target}: {e}"));
+    events
 }
 
 #[test]
@@ -91,6 +95,7 @@ fn fig3_is_jobs_invariant() {
 
 #[test]
 fn fig5_is_jobs_invariant() {
+    // SimPs node sims with write-drain spans nested inside.
     assert_jobs_invariant("fig5", true);
 }
 
@@ -100,8 +105,15 @@ fn fig11_is_jobs_invariant() {
 }
 
 #[test]
+fn fig12_is_jobs_invariant() {
+    // ECC detect→re-read chains and mode transitions in the trace.
+    assert_jobs_invariant("fig12", true);
+}
+
+#[test]
 fn fig17_is_jobs_invariant() {
-    // Cluster variants run concurrently under distinct metric scopes.
+    // Cluster variants run concurrently under distinct metric scopes;
+    // the trace carries SchedUs scheduler job spans.
     assert_jobs_invariant("fig17", true);
 }
 
@@ -121,7 +133,8 @@ fn configurator_is_jobs_invariant() {
 fn adaptive_is_jobs_invariant() {
     // The closed-loop governor ablation: per-epoch Poisson error
     // draws on counter-derived streams plus node-model speedups, all
-    // inside one scenario task.
+    // inside one scenario task; the trace carries epoch-aligned
+    // governor.step/governor.retreat spans.
     assert_jobs_invariant("adaptive", true);
 }
 
@@ -129,43 +142,12 @@ fn adaptive_is_jobs_invariant() {
 fn fleet_is_jobs_invariant() {
     // Federation shards run one-per-member on the worker pool and
     // merge streaming summaries, telemetry snapshots, and traces in
-    // member order; stdout and the JSONL export must not care how
-    // many workers carried the shards. A reduced stream keeps the
-    // debug-profile binary fast; the ci.sh smoke covers quick scale.
-    let fleet = &["--fleet-jobs", "20000"];
-    let dir = tmp_dir("fleet");
-    let (serial_out, serial_jsonl) = run_with_jobs_and("fleet", "1", &dir, fleet);
-    let (parallel_out, parallel_jsonl) = run_with_jobs_and("fleet", "8", &dir, fleet);
-    assert!(
-        !serial_jsonl.is_empty(),
-        "fleet must export at least one metric series"
-    );
-    assert_eq!(
-        serial_out, parallel_out,
-        "fleet: stdout differs between --jobs 1 and --jobs 8"
-    );
-    assert_eq!(
-        serial_jsonl, parallel_jsonl,
-        "fleet: metrics JSONL differs between --jobs 1 and --jobs 8"
-    );
-}
-
-#[test]
-fn fleet_trace_is_jobs_invariant() {
-    let fleet = &["--fleet-jobs", "20000"];
-    let dir = tmp_dir("trace_fleet");
-    let serial = run_with_trace_and("fleet", "1", &dir, fleet);
-    let parallel = run_with_trace_and("fleet", "8", &dir, fleet);
-    assert_eq!(
-        serial, parallel,
-        "fleet: trace differs between --jobs 1 and --jobs 8"
-    );
-    let text = String::from_utf8(serial).expect("trace is utf8");
-    let events = telemetry::trace::parse_chrome_trace(&text).expect("fleet trace parses");
+    // member order; no export may care how many workers carried the
+    // shards. The ci.sh smoke covers quick scale.
+    let events = assert_jobs_invariant("fleet", true);
     // One schedule root per member per placement policy.
     let roots = events.iter().filter(|e| e.name == "schedule").count();
     assert_eq!(roots, 10, "5 members x 2 placements");
-    telemetry::trace::check_well_nested(&events).expect("fleet trace is well-nested");
 }
 
 /// Streaming ingestion holds RSS flat: a 10x bigger fleet stream may
@@ -211,105 +193,37 @@ fn fleet_memory_stays_flat_as_jobs_scale() {
     );
 }
 
-/// The node-model result cache must be output-invisible twice over:
-/// with the cache enabled, `--jobs 1` and `--jobs 8` agree (hit/miss
-/// order differs across schedules, but replayed snapshots record the
-/// same values); and a cache-off run produces the same bytes as a
-/// cache-on run.
+/// The node-model result cache is invisible in every artifact: a
+/// shared hit records exactly what the miss it stands in for recorded.
+/// So the whole sweep, whose targets race for shared simulations, is
+/// byte-identical between `--jobs 1` and `--jobs 8` in stdout and all
+/// five artifacts; and fig14, whose every lookup hits inside `all` at
+/// `--jobs 1`, records the same span tree there as when it runs alone
+/// and misses every lookup.
 #[test]
-fn model_cache_is_output_invisible() {
-    // fig5 and fig14 share node simulations, so a multi-target run
-    // exercises real cross-target hits.
-    let target = "fig5";
-    let dir = tmp_dir("cache_on");
-    let (on_serial_out, on_serial_jsonl) = run_with_jobs(target, "1", &dir);
-    let (on_par_out, on_par_jsonl) = run_with_jobs(target, "8", &dir);
-    assert_eq!(on_serial_out, on_par_out, "cache-on stdout jobs 1 vs 8");
-    assert_eq!(on_serial_jsonl, on_par_jsonl, "cache-on JSONL jobs 1 vs 8");
-
-    let dir_off = tmp_dir("cache_off");
-    let (off_serial_out, off_serial_jsonl) =
-        run_with_jobs_and(target, "1", &dir_off, &["--no-model-cache"]);
-    let (off_par_out, off_par_jsonl) =
-        run_with_jobs_and(target, "8", &dir_off, &["--no-model-cache"]);
-    assert_eq!(off_serial_out, off_par_out, "cache-off stdout jobs 1 vs 8");
+fn all_sweep_artifacts_are_jobs_invariant_and_cache_invisible() {
+    let serial = assert_files_invariant(
+        "all",
+        "8",
+        &[
+            "all.metrics.jsonl",
+            "all.trace.json",
+            "all.spans.txt",
+            "all.series.jsonl",
+            "health.incidents.jsonl",
+        ],
+    );
+    let spans = String::from_utf8(serial[3].clone()).expect("span tree is utf8");
+    let start = spans.find("== fig14 ==\n").expect("fig14 section");
+    let end = spans[start + 1..]
+        .find("\n== ")
+        .map_or(spans.len(), |i| start + 1 + i + 1);
+    let solo = run_observed("fig14", "1", &tmp_dir("fig14"), &["fig14.spans.txt"]);
     assert_eq!(
-        off_serial_jsonl, off_par_jsonl,
-        "cache-off JSONL jobs 1 vs 8"
+        &spans[start..end],
+        String::from_utf8(solo[1].clone()).expect("span tree is utf8"),
+        "fig14 records different spans inside 'all' than alone"
     );
-
-    // The two stdouts differ only in the metrics-dir path they echo;
-    // normalize before comparing across cache settings.
-    let norm = |bytes: &[u8], dir: &std::path::Path| {
-        String::from_utf8(bytes.to_vec())
-            .expect("utf8 stdout")
-            .replace(dir.to_str().unwrap(), "METRICS")
-    };
-    assert_eq!(
-        norm(&on_serial_out, &dir),
-        norm(&off_serial_out, &dir_off),
-        "stdout differs between cache on and off"
-    );
-    assert_eq!(
-        on_serial_jsonl, off_serial_jsonl,
-        "metrics JSONL differs between cache on and off"
-    );
-}
-
-/// Runs `target` with `--trace` and returns the Chrome trace bytes.
-fn run_with_trace(target: &str, jobs: &str, dir: &std::path::Path) -> Vec<u8> {
-    run_with_trace_and(target, jobs, dir, &[])
-}
-
-fn run_with_trace_and(target: &str, jobs: &str, dir: &std::path::Path, extra: &[&str]) -> Vec<u8> {
-    let _ = std::fs::remove_dir_all(dir);
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args([
-            target,
-            "--seed",
-            "7",
-            "--quick",
-            "--ops",
-            "1200",
-            "--jobs",
-            jobs,
-            "--trace",
-            dir.to_str().unwrap(),
-        ])
-        .args(extra)
-        .output()
-        .expect("spawn experiments binary");
-    assert!(
-        out.status.success(),
-        "{target} --jobs {jobs} --trace failed: {out:?}"
-    );
-    let trace = std::fs::read(dir.join(format!("{target}.trace.json"))).expect("trace written");
-    let _ = std::fs::remove_dir_all(dir);
-    trace
-}
-
-/// Single-target traces are byte-identical across `--jobs`, parse as
-/// Chrome trace-event JSON, and respect the span-nesting invariants.
-/// Covers the three clock domains: fig5 (SimPs node sims + write
-/// drains), fig12 (ECC detect→re-read chains + mode transitions) and
-/// fig17 (SchedUs scheduler job spans), plus adaptive (epoch-aligned
-/// governor.step/governor.retreat spans).
-#[test]
-fn single_target_traces_are_jobs_invariant_and_well_formed() {
-    for target in ["fig5", "fig12", "fig17", "adaptive"] {
-        let dir = tmp_dir(&format!("trace_{target}"));
-        let serial = run_with_trace(target, "1", &dir);
-        let parallel = run_with_trace(target, "8", &dir);
-        assert_eq!(
-            serial, parallel,
-            "{target}: trace differs between --jobs 1 and --jobs 8"
-        );
-        let text = String::from_utf8(serial).expect("trace is utf8");
-        let events = telemetry::trace::parse_chrome_trace(&text)
-            .unwrap_or_else(|e| panic!("{target}: trace does not parse: {e}"));
-        assert!(!events.is_empty(), "{target}: trace is empty");
-        telemetry::trace::check_well_nested(&events).unwrap_or_else(|e| panic!("{target}: {e}"));
-    }
 }
 
 /// The health plane's determinism contract is three-way: stdout, the
@@ -320,49 +234,23 @@ fn single_target_traces_are_jobs_invariant_and_well_formed() {
 /// stdout.
 #[test]
 fn health_series_and_incidents_are_jobs_invariant() {
-    let dir = tmp_dir("health");
-    let run = |jobs: &str| -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args([
-                "health",
-                "--seed",
-                "7",
-                "--quick",
-                "--jobs",
-                jobs,
-                "--series",
-                dir.to_str().unwrap(),
-            ])
-            .output()
-            .expect("spawn experiments binary");
-        assert!(out.status.success(), "health --jobs {jobs} failed: {out:?}");
-        let series = std::fs::read(dir.join("health.series.jsonl")).expect("series written");
-        let incidents =
-            std::fs::read(dir.join("health.incidents.jsonl")).expect("incidents written");
-        let _ = std::fs::remove_dir_all(&dir);
-        (out.stdout, series, incidents)
-    };
-    // The same dir for every run keeps the stdout `series:` summary
-    // line (which echoes the path) directly comparable.
-    let serial = run("1");
-    let parallel = run("8");
-    assert_eq!(serial.0, parallel.0, "health stdout jobs 1 vs 8");
-    assert_eq!(serial.1, parallel.1, "health series JSONL jobs 1 vs 8");
-    assert_eq!(serial.2, parallel.2, "health incident ledger jobs 1 vs 8");
-
-    let stdout = String::from_utf8(serial.0).expect("stdout is utf8");
+    let serial = assert_files_invariant(
+        "health",
+        "8",
+        &["health.series.jsonl", "health.incidents.jsonl"],
+    );
+    let stdout = String::from_utf8(serial[0].clone()).expect("stdout is utf8");
     assert!(
         stdout.contains("before the governor's UE retreat"),
         "lead-time headline missing:\n{stdout}"
     );
-    let text = String::from_utf8(serial.1).expect("series is utf8");
+    let text = String::from_utf8(serial[1].clone()).expect("series is utf8");
     let snap = telemetry::series::parse_series_jsonl(&text).expect("series export parses");
     assert!(
         snap.get("health.slow-degradation.ce").is_some(),
         "slow-degradation CE series missing from the export"
     );
-    let text = String::from_utf8(serial.2).expect("ledger is utf8");
+    let text = String::from_utf8(serial[2].clone()).expect("ledger is utf8");
     let ledger = telemetry::monitor::parse_incidents_jsonl(&text).expect("ledger parses");
     assert!(!ledger.is_empty(), "health must open at least one incident");
 }
@@ -373,10 +261,6 @@ fn health_series_and_incidents_are_jobs_invariant() {
 #[test]
 fn multi_target_merge_is_jobs_invariant() {
     for target in ["table1", "fig1"] {
-        let dir = tmp_dir(target);
-        let (a_out, a_jsonl) = run_with_jobs(target, "1", &dir);
-        let (b_out, b_jsonl) = run_with_jobs(target, "3", &dir);
-        assert_eq!(a_out, b_out, "{target} stdout");
-        assert_eq!(a_jsonl, b_jsonl, "{target} metrics");
+        assert_files_invariant(target, "3", &[&format!("{target}.metrics.jsonl")]);
     }
 }
