@@ -116,16 +116,32 @@ grep -q "meet all requirements" "$DET_DIR/configurator.out"
 
 echo "== fleet federation smoke =="
 # The federated sweep must report both placement policies on a reduced
-# stream, render its report section, and stay drift-clean. Full scale
+# stream, render its report section, and stay drift-clean. The two
+# placements run concurrently on the worker pool only when fleet has
+# the pool to itself (inside 'all' the other targets hold the permits),
+# so this standalone run is what diffs stdout, metrics, trace, span
+# tree and series between concurrent and serial placements. Full scale
 # (10M jobs) is covered by the bench record, not the CI gate.
-"$EXP" fleet --quick --fleet-jobs 200000 --metrics "$DET_DIR/fleet" \
-    > "$DET_DIR/fleet.out"
-grep -q "placement capacity_weighted:" "$DET_DIR/fleet.out"
-grep -q "placement margin_aware:" "$DET_DIR/fleet.out"
-grep -q "margin-aware over capacity-weighted placement" "$DET_DIR/fleet.out"
-"$EXP" report "$DET_DIR/fleet" --out "$DET_DIR/fleet/report.md"
-grep -q "## Fleet federation" "$DET_DIR/fleet/report.md"
-grep -q "0 breach(es)" "$DET_DIR/fleet/report.md"
+for run in par ser; do
+    jobs=1
+    [ "$run" = par ] && jobs=$(nproc)
+    out="$DET_DIR/fleet_$run"
+    t0=$SECONDS
+    "$EXP" fleet --quick --fleet-jobs 200000 --jobs "$jobs" --metrics "$out" \
+        --trace "$out" --series "$out" > "$out.out"
+    echo "wall-clock: --jobs $jobs ran in $((SECONDS - t0))s"
+    sed -i "s|$out|DIR|" "$out.out"
+done
+diff -u "$DET_DIR/fleet_ser.out" "$DET_DIR/fleet_par.out"
+for f in fleet.metrics.jsonl fleet.trace.json fleet.spans.txt fleet.series.jsonl; do
+    diff -u "$DET_DIR/fleet_ser/$f" "$DET_DIR/fleet_par/$f"
+done
+grep -q "placement capacity_weighted:" "$DET_DIR/fleet_par.out"
+grep -q "placement margin_aware:" "$DET_DIR/fleet_par.out"
+grep -q "margin-aware over capacity-weighted placement" "$DET_DIR/fleet_par.out"
+"$EXP" report "$DET_DIR/fleet_par" --out "$DET_DIR/fleet_par/report.md"
+grep -q "## Fleet federation" "$DET_DIR/fleet_par/report.md"
+grep -q "0 breach(es)" "$DET_DIR/fleet_par/report.md"
 
 echo "== adaptive governor smoke =="
 # The closed-loop ablation must run (its internal asserts cover the

@@ -3,12 +3,14 @@
 //! margin-aware placement policy against a capacity-weighted
 //! (margin-oblivious) one.
 //!
-//! Unlike the figure targets, nothing here materializes a trace: jobs
-//! are drawn from a counter-seeded [`SyntheticJobs`] stream, each
-//! federation shard regenerates and filters the stream independently,
-//! and per-cluster results fold into O(1)-memory [`StreamSummary`]s —
-//! so the 10 M-job default runs in flat RSS and is byte-identical at
-//! any `--jobs` value.
+//! Unlike the figure targets, nothing here materializes a trace: each
+//! placement draws its jobs once from a counter-seeded
+//! [`SyntheticJobs`] stream, routes each job to one member and steps it
+//! through that member's event loop as it arrives, and per-cluster
+//! results fold into O(1)-memory [`StreamSummary`]s — so the 10 M-job
+//! default runs in flat RSS. The two placements run concurrently on the
+//! worker pool and merge in placement order, so the output is
+//! byte-identical at any `--jobs` value.
 
 use crate::context::{say, Ctx};
 use scheduler::{
@@ -117,20 +119,30 @@ pub fn fleet_target(ctx: &mut Ctx) {
         "p99_queue_s".into(),
         "mean_turnaround_s".into(),
     ]];
-    let mut runs: Vec<(PlacementPolicy, FederationRun)> = Vec::new();
-    for placement in [
+    // The two placements are independent runs over the same stream:
+    // each records into its own fork on the worker pool, and the forks
+    // are absorbed in placement order.
+    let placements = [
         PlacementPolicy::CapacityWeighted,
         PlacementPolicy::MarginAware,
-    ] {
-        let obs = ctx.obs.child(&format!("fleet.{}", placement.label()));
+    ];
+    let (obs, seed) = (&ctx.obs, ctx.seed);
+    let observed = runner::parallel_map(placements.to_vec(), |_, placement| {
+        let fork = obs.fork();
+        let view = fork.child(&format!("fleet.{}", placement.label()));
         let run = fed.run_observed(
             placement,
-            ctx.seed,
-            || scheduler::from_specs(stream.stream(ctx.seed)),
-            obs.scope(),
-            obs.tracer(),
-            obs.series(),
+            seed,
+            || scheduler::from_specs(stream.stream(seed)),
+            view.scope(),
+            view.tracer(),
+            view.series(),
         );
+        (run, fork.take())
+    });
+    let mut runs: Vec<(PlacementPolicy, FederationRun)> = Vec::new();
+    for (placement, (run, snapshot)) in placements.into_iter().zip(observed) {
+        ctx.obs.absorb(snapshot);
         say!(ctx, "\nplacement {}:", placement.label());
         say!(
             ctx,

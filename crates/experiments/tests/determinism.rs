@@ -140,10 +140,11 @@ fn adaptive_is_jobs_invariant() {
 
 #[test]
 fn fleet_is_jobs_invariant() {
-    // Federation shards run one-per-member on the worker pool and
-    // merge streaming summaries, telemetry snapshots, and traces in
-    // member order; no export may care how many workers carried the
-    // shards. The ci.sh smoke covers quick scale.
+    // One thread routes and steps every member of a placement, and
+    // member forks merge in member order; the two placements run
+    // concurrently on the worker pool and merge in placement order, so
+    // no export may care how many workers carried them. The ci.sh
+    // smoke covers quick scale.
     let events = assert_jobs_invariant("fleet", true);
     // One schedule root per member per placement policy.
     let roots = events.iter().filter(|e| e.name == "schedule").count();

@@ -7,7 +7,6 @@ use crate::job::{Job, JobOutcome};
 use crate::queue::EventQueue;
 use crate::source::JobSource;
 use crate::stats::StreamSummary;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use telemetry::trace::{kv, Clock, SpanId, Tracer};
 use telemetry::{Counter, Gauge, Histogram, Obs, Scope};
@@ -75,7 +74,7 @@ impl SpeedupModel {
 /// Registry-bound observability for one scheduling run: the live
 /// queue depth, start/backfill tallies, and per-margin-group latency
 /// distributions (queue delay and execution time, in milliseconds).
-/// Built per run from [`ScheduleBuilder::observe`]'s scope, so concurrently
+/// Built per run from the scope of the [`Stepper`]'s `Obs`, so concurrently
 /// metered runs never alias each other's handles.
 #[derive(Debug)]
 struct ClusterMetrics {
@@ -140,12 +139,12 @@ pub const TRACED_JOB_CAP: usize = 256;
 
 /// Causal tracing for one scheduling run: job spans on the schedule
 /// clock (microseconds) under a single `schedule` root span.
-struct ClusterTrace<'a> {
-    tracer: &'a Tracer,
+struct ClusterTrace {
+    tracer: Tracer,
     root: SpanId,
     cap: usize,
-    traced: Cell<usize>,
-    dropped: Cell<usize>,
+    traced: usize,
+    dropped: usize,
 }
 
 /// Schedule seconds → the trace's microsecond clock.
@@ -153,13 +152,13 @@ fn sched_us(seconds: f64) -> u64 {
     (seconds.max(0.0) * 1e6).round() as u64
 }
 
-impl ClusterTrace<'_> {
-    fn note_start(&self, outcome: &JobOutcome, min_group: u32, backfilled: bool) {
-        if self.traced.get() >= self.cap {
-            self.dropped.set(self.dropped.get() + 1);
+impl ClusterTrace {
+    fn note_start(&mut self, outcome: &JobOutcome, min_group: u32, backfilled: bool) {
+        if self.traced >= self.cap {
+            self.dropped += 1;
             return;
         }
-        self.traced.set(self.traced.get() + 1);
+        self.traced += 1;
         self.tracer.complete(
             format!("job.{}", outcome.job.id),
             "sched",
@@ -234,126 +233,6 @@ impl Cluster {
             obs: Obs::default(),
         }
     }
-
-    /// The event-driven core: pulls jobs from `source`, keeps
-    /// completions in the ordered [`EventQueue`], and reports every
-    /// started job to `sink` (outcome, min group, backfilled). Returns
-    /// `(jobs started, makespan seconds)`.
-    fn run_core(
-        &self,
-        source: &mut dyn JobSource,
-        config: &SchedulerConfig,
-        metrics: Option<&ClusterMetrics>,
-        trace: Option<&ClusterTrace>,
-        sink: &mut dyn FnMut(&JobOutcome, u32, bool),
-    ) -> (u64, f64) {
-        let mut state = RunState {
-            free: self.total,
-            events: EventQueue::new(),
-            waiting: VecDeque::new(),
-            started: 0,
-            makespan_s: 0.0,
-            metrics,
-            trace,
-        };
-        let mut pending = source.next_job();
-        let mut last_submit = f64::NEG_INFINITY;
-
-        loop {
-            // Advance to the next event: arrival or completion
-            // (arrivals win ties so a job submitted exactly at a
-            // completion instant sees the freed nodes in its first
-            // scheduling pass).
-            let arrival_t = pending.as_ref().map(|j| j.submit_s);
-            let completion_t = state.events.peek_end();
-            let now;
-            match (arrival_t, completion_t) {
-                (None, None) if state.waiting.is_empty() => break,
-                (Some(a), Some(c)) if a <= c => {
-                    now = a;
-                    let job = pending.take().expect("arrival peeked");
-                    debug_assert!(
-                        job.submit_s >= last_submit,
-                        "JobSource must yield nondecreasing submit times \
-                         ({} after {last_submit})",
-                        job.submit_s
-                    );
-                    last_submit = job.submit_s;
-                    state.waiting.push_back(job);
-                    pending = source.next_job();
-                }
-                (Some(a), None) => {
-                    now = a;
-                    let job = pending.take().expect("arrival peeked");
-                    debug_assert!(
-                        job.submit_s >= last_submit,
-                        "JobSource must yield nondecreasing submit times \
-                         ({} after {last_submit})",
-                        job.submit_s
-                    );
-                    last_submit = job.submit_s;
-                    state.waiting.push_back(job);
-                    pending = source.next_job();
-                }
-                (_, Some(_)) => {
-                    let event = state.events.pop().expect("completion peeked");
-                    now = event.end_s;
-                    for (f, freed) in state.free.iter_mut().zip(event.freed) {
-                        *f += freed;
-                    }
-                }
-                (None, None) => {
-                    panic!("waiting jobs can never start: a queued job is wider than the cluster")
-                }
-            }
-
-            state.schedule(now, config, sink);
-            if let Some(m) = state.metrics {
-                m.queue_depth.set(state.waiting.len() as i64);
-            }
-        }
-        (state.started, state.makespan_s)
-    }
-
-    /// Shared front half of `run`/`run_streaming`: builds per-run
-    /// observers, wraps the run in a `schedule` root span when traced.
-    fn execute<S: JobSource>(
-        &self,
-        mut source: S,
-        config: &SchedulerConfig,
-        obs: &Obs,
-        sink: &mut dyn FnMut(&JobOutcome, u32, bool),
-    ) {
-        let metrics = obs.scope().map(ClusterMetrics::new);
-        match obs.tracer() {
-            Some(tracer) => {
-                let trace = ClusterTrace {
-                    tracer,
-                    root: tracer.begin("schedule", "sched", Clock::SchedUs, 0),
-                    cap: config.traced_job_cap(),
-                    traced: Cell::new(0),
-                    dropped: Cell::new(0),
-                };
-                let (jobs, makespan_s) =
-                    self.run_core(&mut source, config, metrics.as_ref(), Some(&trace), sink);
-                if let Some(m) = metrics.as_ref() {
-                    m.trace_dropped_jobs.add(trace.dropped.get() as u64);
-                }
-                tracer.end_with(
-                    trace.root,
-                    sched_us(makespan_s),
-                    vec![
-                        kv("jobs", jobs),
-                        kv("jobs_traced", trace.traced.get()),
-                        kv("jobs_trace_dropped", trace.dropped.get()),
-                    ],
-                );
-            }
-            None => {
-                self.run_core(&mut source, config, metrics.as_ref(), None, sink);
-            }
-        }
-    }
 }
 
 /// A configured-but-not-yet-run schedule; see [`Cluster::schedule`].
@@ -390,14 +269,8 @@ impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
     /// job id). Materializes the outcome list — for fleet-scale runs
     /// use [`run_streaming`](Self::run_streaming) instead.
     pub fn run(self) -> Vec<JobOutcome> {
-        let ScheduleBuilder {
-            cluster,
-            source,
-            config,
-            obs,
-        } = self;
-        let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(source.len_hint().unwrap_or(0));
-        cluster.execute(source, &config, &obs, &mut |o, _, _| outcomes.push(*o));
+        let hint = self.source.len_hint().unwrap_or(0);
+        let mut outcomes = self.drive(Vec::with_capacity(hint));
         outcomes.sort_by_key(|o| o.job.id);
         outcomes
     }
@@ -406,47 +279,158 @@ impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
     /// [`StreamSummary`] as it happens. Memory stays O(1) in the job
     /// count — this is the fleet-scale entry point.
     pub fn run_streaming(self) -> StreamSummary {
-        let ScheduleBuilder {
-            cluster,
-            source,
-            config,
-            obs,
-        } = self;
-        let mut summary = StreamSummary::new();
-        if let Some(series) = obs.series_named("queue_delay_ms", QUEUE_SERIES_WIDTH_MS) {
-            summary.tap_series(series);
+        let summary = tapped_summary(&self.obs);
+        self.drive(summary)
+    }
+
+    /// Offers every job of the source to one [`Stepper`], then
+    /// finishes it.
+    fn drive<K: Sink>(mut self, sink: K) -> K {
+        let mut stepper = Stepper::new(self.cluster, self.config, &self.obs, sink);
+        while let Some(job) = self.source.next_job() {
+            stepper.offer(job);
         }
-        cluster.execute(source, &config, &obs, &mut |o, min_group, backfilled| {
-            summary.note(o, min_group, backfilled)
-        });
-        summary
+        stepper.finish()
     }
 }
 
-/// Mutable state of one run of the event loop.
-struct RunState<'a> {
+/// Where a run reports each started job: its outcome, the slowest
+/// allocated margin group, and whether it backfilled.
+pub(crate) trait Sink {
+    fn note(&mut self, outcome: &JobOutcome, min_group: u32, backfilled: bool);
+}
+
+impl Sink for Vec<JobOutcome> {
+    fn note(&mut self, outcome: &JobOutcome, _: u32, _: bool) {
+        self.push(*outcome);
+    }
+}
+
+impl Sink for StreamSummary {
+    fn note(&mut self, outcome: &JobOutcome, min_group: u32, backfilled: bool) {
+        StreamSummary::note(self, outcome, min_group, backfilled);
+    }
+}
+
+/// The event-driven core in push form. The caller
+/// [`offer`](Stepper::offer)s jobs in nondecreasing submit order, then
+/// [`finish`](Stepper::finish)es; completions wait in the ordered
+/// [`EventQueue`] and every started job goes to the sink. One job
+/// source can thus feed one stepper ([`ScheduleBuilder`]) or, routed,
+/// several ([`Federation`](crate::Federation)) — the same event loop
+/// either way. A traced stepper spans its run with a `schedule` root.
+pub(crate) struct Stepper<K> {
+    config: SchedulerConfig,
     free: [u32; 3],
     events: EventQueue,
     waiting: VecDeque<Job>,
     started: u64,
     makespan_s: f64,
-    metrics: Option<&'a ClusterMetrics>,
-    trace: Option<&'a ClusterTrace<'a>>,
+    last_submit: f64,
+    metrics: Option<ClusterMetrics>,
+    trace: Option<ClusterTrace>,
+    sink: K,
 }
 
-impl RunState<'_> {
+impl<K: Sink> Stepper<K> {
+    /// An idle `cluster` observed through `obs` (metrics, and a
+    /// `schedule` root span opened at time 0 when traced).
+    pub(crate) fn new(cluster: &Cluster, config: SchedulerConfig, obs: &Obs, sink: K) -> Self {
+        Stepper {
+            config,
+            free: cluster.total,
+            events: EventQueue::new(),
+            waiting: VecDeque::new(),
+            started: 0,
+            makespan_s: 0.0,
+            last_submit: f64::NEG_INFINITY,
+            metrics: obs.scope().map(ClusterMetrics::new),
+            trace: obs.tracer().map(|tracer| ClusterTrace {
+                tracer: tracer.clone(),
+                root: tracer.begin("schedule", "sched", Clock::SchedUs, 0),
+                cap: config.traced_job_cap(),
+                traced: 0,
+                dropped: 0,
+            }),
+            sink,
+        }
+    }
+
+    /// Advances to `job`'s arrival and queues it: completions strictly
+    /// before its submit time happen first, each with its scheduling
+    /// pass; a completion at the same instant waits, so arrivals win
+    /// ties and the job's first pass sees only nodes already free.
+    pub(crate) fn offer(&mut self, job: Job) {
+        debug_assert!(
+            job.submit_s >= self.last_submit,
+            "JobSource must yield nondecreasing submit times ({} after {})",
+            job.submit_s,
+            self.last_submit
+        );
+        self.last_submit = job.submit_s;
+        while self.events.peek_end().is_some_and(|end| end < job.submit_s) {
+            self.complete_next();
+        }
+        self.waiting.push_back(job);
+        self.pass(job.submit_s);
+    }
+
+    /// Runs the remaining completions, closes the `schedule` root span,
+    /// and hands back the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a queued job can never start (wider than the cluster).
+    pub(crate) fn finish(mut self) -> K {
+        while !self.events.is_empty() {
+            self.complete_next();
+        }
+        assert!(
+            self.waiting.is_empty(),
+            "waiting jobs can never start: a queued job is wider than the cluster"
+        );
+        if let Some(trace) = &self.trace {
+            if let Some(m) = &self.metrics {
+                m.trace_dropped_jobs.add(trace.dropped as u64);
+            }
+            trace.tracer.end_with(
+                trace.root,
+                sched_us(self.makespan_s),
+                vec![
+                    kv("jobs", self.started),
+                    kv("jobs_traced", trace.traced),
+                    kv("jobs_trace_dropped", trace.dropped),
+                ],
+            );
+        }
+        self.sink
+    }
+
+    /// Returns the earliest completion's nodes and runs a pass at its
+    /// end time.
+    fn complete_next(&mut self) {
+        let event = self.events.pop().expect("caller checked the queue");
+        for (f, freed) in self.free.iter_mut().zip(event.freed) {
+            *f += freed;
+        }
+        self.pass(event.end_s);
+    }
+
+    /// One scheduling pass at `now`, then the queue-depth gauge.
+    fn pass(&mut self, now: f64) {
+        self.schedule(now);
+        if let Some(m) = &self.metrics {
+            m.queue_depth.set(self.waiting.len() as i64);
+        }
+    }
+
     /// FCFS + EASY backfill scheduling pass at time `now`.
-    fn schedule(
-        &mut self,
-        now: f64,
-        config: &SchedulerConfig,
-        sink: &mut dyn FnMut(&JobOutcome, u32, bool),
-    ) {
+    fn schedule(&mut self, now: f64) {
         // Start FCFS-eligible jobs from the head.
         while let Some(&head) = self.waiting.front() {
             if head.nodes <= self.free.iter().sum::<u32>() {
                 self.waiting.pop_front();
-                self.start(head, now, config, false, sink);
+                self.start(head, now, false);
             } else {
                 break;
             }
@@ -468,19 +452,12 @@ impl RunState<'_> {
             let candidate = self.waiting[i];
             let fits = candidate.nodes <= self.free.iter().sum::<u32>();
             let ends_in_time = fits && {
-                let alloc = match config.policy() {
-                    Policy::MarginAware => allocate_margin_aware(candidate.nodes, &self.free),
-                    Policy::Default => allocate_default(candidate.nodes, &self.free),
-                };
-                let exec = candidate.duration_s
-                    / config
-                        .speedups()
-                        .job_speedup(min_group(&alloc), candidate.mem_utilization);
-                now + exec <= shadow
+                let alloc = self.allocate(candidate.nodes);
+                now + self.exec_s(&candidate, &alloc) <= shadow
             };
-            if fits && ends_in_time {
+            if ends_in_time {
                 let job = self.waiting.remove(i).expect("index in bounds");
-                self.start(job, now, config, true, sink);
+                self.start(job, now, true);
             } else {
                 i += 1;
             }
@@ -505,44 +482,58 @@ impl RunState<'_> {
         f64::INFINITY
     }
 
+    /// The nodes per group `nodes` would receive from the free pool.
+    fn allocate(&self, nodes: u32) -> [u32; 3] {
+        match self.config.policy() {
+            Policy::MarginAware => allocate_margin_aware(nodes, &self.free),
+            Policy::Default => allocate_default(nodes, &self.free),
+        }
+    }
+
+    /// `job`'s execution time on `alloc`: the slowest allocated node's
+    /// group caps the MPI job.
+    fn exec_s(&self, job: &Job, alloc: &[u32; 3]) -> f64 {
+        job.duration_s
+            / self
+                .config
+                .speedups()
+                .job_speedup(min_group(alloc), job.mem_utilization)
+    }
+
     /// Allocates and starts one job.
-    fn start(
-        &mut self,
-        job: Job,
-        now: f64,
-        config: &SchedulerConfig,
-        backfilled: bool,
-        sink: &mut dyn FnMut(&JobOutcome, u32, bool),
-    ) {
-        let alloc = match config.policy() {
-            Policy::MarginAware => allocate_margin_aware(job.nodes, &self.free),
-            Policy::Default => allocate_default(job.nodes, &self.free),
-        };
+    fn start(&mut self, job: Job, now: f64, backfilled: bool) {
+        let alloc = self.allocate(job.nodes);
         for (f, a) in self.free.iter_mut().zip(alloc) {
             *f -= a;
         }
-        // The slowest allocated node's group caps the MPI job.
-        let min_group = min_group(&alloc);
-        let exec = job.duration_s
-            / config
-                .speedups()
-                .job_speedup(min_group, job.mem_utilization);
+        let exec = self.exec_s(&job, &alloc);
         self.events.push(now + exec, alloc);
         let outcome = JobOutcome {
             job,
             start_s: now,
             exec_s: exec,
         };
+        let min_group = min_group(&alloc);
         self.started += 1;
         self.makespan_s = self.makespan_s.max(now + exec);
-        if let Some(m) = self.metrics {
+        if let Some(m) = &self.metrics {
             m.note_start(&outcome, min_group, backfilled);
         }
-        if let Some(t) = self.trace {
+        if let Some(t) = &mut self.trace {
             t.note_start(&outcome, min_group, backfilled);
         }
-        sink(&outcome, min_group, backfilled);
+        self.sink.note(&outcome, min_group, backfilled);
     }
+}
+
+/// An empty summary that taps `obs`'s series `queue_delay_ms` when a
+/// series store is attached.
+pub(crate) fn tapped_summary(obs: &Obs) -> StreamSummary {
+    let mut summary = StreamSummary::new();
+    if let Some(series) = obs.series_named("queue_delay_ms", QUEUE_SERIES_WIDTH_MS) {
+        summary.tap_series(series);
+    }
+    summary
 }
 
 /// The slowest group present in an allocation (caps an MPI job).

@@ -3,20 +3,21 @@
 //! A [`Federation`] is a set of named member clusters, each with its
 //! own margin-group mix and validated [`SchedulerConfig`]. Jobs from
 //! one fleet-wide stream are routed to members by a *placement
-//! policy*, and each member's cluster simulation runs as an
-//! independent shard on the `runner` worker pool:
+//! policy*; the stream is generated once, and each job is routed once
+//! and offered to its member's event loop as it arrives:
 //!
 //! * **Deterministic routing.** Placement is a pure function of
 //!   `(job, members, policy, salt)` — the tie-break hash comes from
 //!   the same counter-seeding discipline as every other RNG stream
 //!   (`runner::seed::iteration_seed(salt, job.id)`), never from
-//!   thread identity. Any shard can therefore regenerate the full
-//!   fleet stream and filter out exactly its own jobs.
-//! * **Deterministic merge.** Shard summaries, telemetry snapshots,
-//!   and trace buffers are merged in member order after the parallel
-//!   section, reusing the telemetry snapshot-merge and tracer-absorb
-//!   paths, so fleet results are byte-identical at any `--jobs`.
-//! * **Flat memory.** Shards consume streaming sources and fold into
+//!   thread identity or routing history. A member therefore sees
+//!   exactly the jobs, in exactly the order, that filtering the
+//!   stream by [`Federation::route`] would give it.
+//! * **Deterministic merge.** Each member records into its own
+//!   telemetry fork; summaries and forks merge in member order,
+//!   reusing the telemetry snapshot-merge and tracer-absorb paths, so
+//!   fleet results are byte-identical at any `--jobs`.
+//! * **Flat memory.** Members step one job at a time and fold into
 //!   [`StreamSummary`]; nothing materializes the trace.
 //!
 //! The margin-aware placement implements the federation-level analog
@@ -26,7 +27,7 @@
 //! conventional capacity, so margin nodes stay available for jobs
 //! that can exploit them.
 
-use crate::cluster::Cluster;
+use crate::cluster::{tapped_summary, Cluster, Stepper};
 use crate::config::{ConfigError, SchedulerConfig};
 use crate::job::Job;
 use crate::source::JobSource;
@@ -145,8 +146,8 @@ impl Federation {
 
     /// Routes one job: a pure, deterministic function of the job, the
     /// member list, the placement policy, and `salt`. Weighted random
-    /// choice via a counter-derived hash — no shared RNG state, so
-    /// every shard computes identical routes independently.
+    /// choice via a counter-derived hash — no shared RNG state, so a
+    /// job's route never depends on the jobs routed before it.
     pub fn route(&self, job: &Job, placement: PlacementPolicy, salt: u64) -> usize {
         let n = self.members.len();
         let placement_weight = |i: usize| -> u64 {
@@ -211,20 +212,20 @@ impl Federation {
         unreachable!("weights sum to total")
     }
 
-    /// Runs the fleet: `make_source()` must return a fresh source
-    /// over the *entire* fleet stream (each shard regenerates it and
-    /// keeps only its own jobs — cheap for counter-seeded generators,
-    /// and the price of zero cross-shard communication). Shards run
-    /// in parallel on the worker pool; results merge in member order.
+    /// Runs the fleet: `make_source()` opens the fleet-wide stream
+    /// once; each job is routed once, as it arrives, and offered to its
+    /// member's event loop. When the stream ends, members finish in
+    /// member order. One thread drives every member, so memory stays
+    /// flat and the schedule does not depend on the worker count.
     ///
     /// Observation is optional and never changes the schedule: the
-    /// three sinks form one [`Obs`], each shard records into a
+    /// three sinks form one [`Obs`], each member records into its own
     /// [`fork`](Obs::fork) narrowed to its member name (metrics under
     /// `<scope>.<member>`, queue delays as the series
     /// `<prefix>.<member>.queue_delay_ms` with
     /// [`QUEUE_SERIES_WIDTH_MS`]-wide windows), and the forks are
-    /// absorbed in member order after the parallel section, so the
-    /// exported telemetry is worker-count-invariant.
+    /// absorbed in member order, so the exported telemetry equals the
+    /// members' solo runs recorded one after another.
     pub fn run_observed<S, F>(
         &self,
         placement: PlacementPolicy,
@@ -236,7 +237,7 @@ impl Federation {
     ) -> FederationRun
     where
         S: JobSource,
-        F: Fn() -> S + Sync,
+        F: FnOnce() -> S,
     {
         let mut obs = Obs::default();
         if let Some(scope) = scope {
@@ -248,29 +249,26 @@ impl Federation {
         if let Some((store, prefix)) = series {
             obs.set_series(store.clone(), prefix);
         }
-        let shards = runner::parallel_map((0..self.members.len()).collect(), |_, i: usize| {
-            let member = &self.members[i];
-            let shard = obs.fork();
-            let source = RoutedSource {
-                inner: make_source(),
-                federation: self,
-                placement,
-                salt,
-                member: i,
-            };
-            let summary = member
-                .cluster
-                .schedule(source)
-                .config(member.config)
-                .observe(&shard.child(&member.name))
-                .run_streaming();
-            (summary, shard.take())
-        });
+        let mut source = make_source();
+        let forks: Vec<Obs> = self.members.iter().map(|_| obs.fork()).collect();
+        let mut steppers: Vec<_> = self
+            .members
+            .iter()
+            .zip(&forks)
+            .map(|(member, fork)| {
+                let view = fork.child(&member.name);
+                Stepper::new(&member.cluster, member.config, &view, tapped_summary(&view))
+            })
+            .collect();
+        while let Some(job) = source.next_job() {
+            steppers[self.route(&job, placement, salt)].offer(job);
+        }
 
         let mut fleet = StreamSummary::new();
         let mut members = Vec::with_capacity(self.members.len());
-        for (member, (summary, snapshot)) in self.members.iter().zip(shards) {
-            obs.absorb(snapshot);
+        for ((member, fork), stepper) in self.members.iter().zip(forks).zip(steppers) {
+            let summary = stepper.finish();
+            obs.absorb(fork.take());
             fleet.merge_from(&summary);
             members.push(MemberRun {
                 name: member.name.clone(),
@@ -283,31 +281,12 @@ impl Federation {
     }
 }
 
-/// Filters a fleet-wide source down to one member's jobs.
-struct RoutedSource<'f, S> {
-    inner: S,
-    federation: &'f Federation,
-    placement: PlacementPolicy,
-    salt: u64,
-    member: usize,
-}
-
-impl<S: JobSource> JobSource for RoutedSource<'_, S> {
-    fn next_job(&mut self) -> Option<Job> {
-        loop {
-            let job = self.inner.next_job()?;
-            if self.federation.route(&job, self.placement, self.salt) == self.member {
-                return Some(job);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::SpeedupModel;
-    use crate::source::from_specs;
+    use crate::source::{from_specs, SliceSource};
+    use std::cell::Cell;
     use telemetry::Registry;
     use workloads::jobs::SyntheticJobs;
     use workloads::utilization::Cluster as LanlCluster;
@@ -513,6 +492,140 @@ mod tests {
             run.fleet.mean_turnaround_s()
         );
         assert_eq!(plain.fleet.makespan_s(), run.fleet.makespan_s());
+    }
+
+    /// Every statistic a summary reports, as exact bits.
+    fn stats(s: &StreamSummary, nodes: u32) -> Vec<u64> {
+        let mut v = vec![s.jobs(), s.backfilled()];
+        v.extend(s.started_per_group());
+        v.extend(
+            [
+                s.mean_exec_s(),
+                s.mean_queue_s(),
+                s.mean_turnaround_s(),
+                s.makespan_s(),
+                s.queue_quantile_s(0.5),
+                s.queue_quantile_s(0.99),
+                s.utilization(nodes as f64),
+            ]
+            .map(f64::to_bits),
+        );
+        v
+    }
+
+    /// Every sink on: metrics under `fleet`, a tracer, series `fleet.*`.
+    fn full_obs() -> Obs {
+        let mut obs = Obs::default();
+        obs.set_metrics(Registry::new().scope("fleet"));
+        obs.set_tracer(Tracer::new());
+        obs.set_series(SeriesStore::new(), "fleet");
+        obs
+    }
+
+    /// What `obs` recorded, as exported text.
+    fn exports(obs: &Obs) -> (String, String, String) {
+        let snap = obs.take();
+        (
+            telemetry::format_jsonl(&snap.metrics.unwrap()),
+            telemetry::trace::chrome_trace(&[("t".to_string(), snap.trace.unwrap())]),
+            snap.series.unwrap().to_jsonl(),
+        )
+    }
+
+    /// The federation is its members run alone: filtering the stream by
+    /// [`Federation::route`] into one job list per member and scheduling
+    /// each list on its own gives every member's routed count and
+    /// summary, observed or not — and, observed, the same telemetry as
+    /// the solo runs recorded in member order.
+    #[test]
+    fn federation_equals_its_members_run_alone() {
+        let fed = small_federation();
+        let gen = fleet_stream(&fed, 2_000);
+        for placement in [
+            PlacementPolicy::CapacityWeighted,
+            PlacementPolicy::MarginAware,
+        ] {
+            for salt in [1, 5, 9] {
+                let mut alone = vec![Vec::new(); fed.members().len()];
+                let mut stream = from_specs(gen.stream(salt));
+                while let Some(job) = stream.next_job() {
+                    alone[fed.route(&job, placement, salt)].push(job);
+                }
+                let solo_obs = full_obs();
+                let solo: Vec<StreamSummary> = fed
+                    .members()
+                    .iter()
+                    .zip(&alone)
+                    .map(|(m, jobs)| {
+                        m.cluster
+                            .schedule(SliceSource::new(jobs))
+                            .config(m.config)
+                            .observe(&solo_obs.child(&m.name))
+                            .run_streaming()
+                    })
+                    .collect();
+
+                let fed_obs = full_obs();
+                let observed = fed.run_observed(
+                    placement,
+                    salt,
+                    || from_specs(gen.stream(salt)),
+                    fed_obs.scope(),
+                    fed_obs.tracer(),
+                    fed_obs.series(),
+                );
+                let plain = unobserved(&fed, &gen, placement, salt);
+                for run in [&plain, &observed] {
+                    for ((spec, m), (jobs, solo)) in fed
+                        .members()
+                        .iter()
+                        .zip(&run.members)
+                        .zip(alone.iter().zip(&solo))
+                    {
+                        let nodes = spec.cluster.nodes();
+                        assert_eq!(m.routed, jobs.len() as u64, "{} routed", m.name);
+                        assert_eq!(
+                            stats(&m.summary, nodes),
+                            stats(solo, nodes),
+                            "{} under {placement:?}, salt {salt}",
+                            m.name
+                        );
+                    }
+                }
+                assert_eq!(exports(&fed_obs), exports(&solo_obs));
+            }
+        }
+    }
+
+    /// The fleet stream is opened once and each job generated once,
+    /// whatever the member count.
+    #[test]
+    fn the_stream_is_generated_once() {
+        struct Counting<'c, S>(S, &'c Cell<u64>);
+        impl<S: JobSource> JobSource for Counting<'_, S> {
+            fn next_job(&mut self) -> Option<Job> {
+                let job = self.0.next_job()?;
+                self.1.set(self.1.get() + 1);
+                Some(job)
+            }
+        }
+        let fed = small_federation();
+        let gen = fleet_stream(&fed, 1_500);
+        let (opened, pulled) = (Cell::new(0), Cell::new(0));
+        let run = fed.run_observed(
+            PlacementPolicy::CapacityWeighted,
+            4,
+            || {
+                opened.set(opened.get() + 1);
+                Counting(from_specs(gen.stream(4)), &pulled)
+            },
+            None,
+            None,
+            None,
+        );
+        assert_eq!(opened.get(), 1, "one stream for the whole fleet");
+        assert_eq!(pulled.get(), 1_500, "each job generated once");
+        assert_eq!(run.fleet.jobs(), 1_500);
     }
 
     #[test]

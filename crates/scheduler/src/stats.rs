@@ -113,7 +113,7 @@ impl QueueTail {
 /// needs, folded in one outcome at a time with O(1) memory. Queue
 /// delays keep a log₂-bucketed [`Histogram`] (65 fixed buckets) for
 /// approximate tail quantiles, so a 10 M-job run costs the same RSS
-/// as a 100-job run. Summaries merge across federation shards in
+/// as a 100-job run. Summaries merge across federation members in
 /// member order, keeping fleet-level results deterministic.
 #[derive(Debug, Default)]
 pub struct StreamSummary {

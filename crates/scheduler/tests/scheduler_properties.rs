@@ -1,5 +1,8 @@
 //! Property tests for the cluster scheduler: capacity is never
-//! oversubscribed, causality holds, and the policies only ever help.
+//! oversubscribed, causality holds, the policies only ever help, and
+//! the event loop matches a naive EASY-backfill reference bit for bit.
+
+mod reference;
 
 use proptest::prelude::*;
 use scheduler::{
@@ -44,8 +47,97 @@ fn arbitrary_jobs(max_nodes: u32) -> impl Strategy<Value = Vec<Job>> {
     })
 }
 
+/// Like [`arbitrary_jobs`], but on a coarse grid: submit times on
+/// 100 s steps and durations of 100–500 s, so arrivals coincide with
+/// completions and completions with each other (the tie rules).
+fn tied_jobs(max_nodes: u32) -> impl Strategy<Value = Vec<Job>> {
+    proptest::collection::vec((0u32..40, 1u32..=64, 1u32..=5, 0.0f64..1.0), 1..120).prop_map(
+        move |mut raw| {
+            raw.sort_by_key(|r| r.0);
+            raw.into_iter()
+                .enumerate()
+                .map(|(id, (step, nodes, dur, util))| Job {
+                    id: id as u32,
+                    submit_s: step as f64 * 100.0,
+                    nodes: nodes.min(max_nodes),
+                    duration_s: dur as f64 * 100.0,
+                    mem_utilization: util,
+                })
+                .collect()
+        },
+    )
+}
+
+/// Margin-group mixes of the 64-node differential cluster.
+const MIXES: [[f64; 3]; 4] = [
+    [0.62, 0.36, 0.02],
+    [0.5, 0.25, 0.25],
+    [1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0],
+];
+
+/// Runs `jobs` through the event loop (collected and streamed) and the
+/// naive reference; outcomes and backfill counts must agree exactly.
+fn check_against_reference(
+    jobs: &[Job],
+    policy: Policy,
+    mix: [f64; 3],
+    hetero: bool,
+) -> Result<(), TestCaseError> {
+    let cluster = Cluster::new(64, mix);
+    let speedups = if hetero {
+        SpeedupModel::hetero_dmr_default()
+    } else {
+        SpeedupModel::conventional()
+    };
+    let config = SchedulerConfig::builder()
+        .policy(policy)
+        .speedups(speedups)
+        .build()
+        .expect("test tables are valid");
+    let (expected, expected_backfilled) = reference::schedule(&cluster, jobs, &config);
+    let outcomes = cluster
+        .schedule(SliceSource::new(jobs))
+        .config(config)
+        .run();
+    prop_assert_eq!(outcomes, expected);
+    let summary = cluster
+        .schedule(SliceSource::new(jobs))
+        .config(config)
+        .run_streaming();
+    prop_assert_eq!(summary.backfilled(), expected_backfilled);
+    Ok(())
+}
+
+fn any_policy() -> impl Strategy<Value = Policy> {
+    prop_oneof![Just(Policy::Default), Just(Policy::MarginAware)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The event-queue scheduler equals the naive O(n²) EASY reference
+    /// on arbitrary traces, under both policies.
+    #[test]
+    fn matches_the_naive_easy_reference(
+        jobs in arbitrary_jobs(64),
+        policy in any_policy(),
+        mix in 0..MIXES.len(),
+        hetero in any::<bool>(),
+    ) {
+        check_against_reference(&jobs, policy, MIXES[mix], hetero)?;
+    }
+
+    /// The same, on traces dense in simultaneous events.
+    #[test]
+    fn matches_the_naive_easy_reference_under_ties(
+        jobs in tied_jobs(64),
+        policy in any_policy(),
+        mix in 0..MIXES.len(),
+        hetero in any::<bool>(),
+    ) {
+        check_against_reference(&jobs, policy, MIXES[mix], hetero)?;
+    }
 
     /// Causality and per-job sanity under arbitrary traces/policies.
     #[test]
