@@ -33,6 +33,12 @@ echo "== windowed differential (cursor API partition invariance) =="
 # rather than hiding inside the full test sweep above.
 cargo test --offline -q -p memsim --test differential windowed -- --nocapture
 
+echo "== LRU reference (flattened caches vs naive true LRU) =="
+# The struct-of-arrays caches, with their u32 recency and its
+# renormalization, must match a naive per-set LRU list op for op. Runs
+# the suite by name so a recency regression names itself here.
+cargo test --offline -q -p memsim --test lru_reference
+
 echo "== batched stepping gate (controller vs frozen reference) =="
 # The indexed controller must sustain at least the naive reference's
 # ops/s on an identical op sequence (asserts >= 1x internally).

@@ -22,12 +22,13 @@ use crate::designs::MemoryDesign;
 use crate::monte_carlo::MarginGroups;
 use dram::power::ActivityCounters;
 use energy::{EnergyBreakdown, EnergyModel};
+use memsim::cache::Cache;
 use memsim::config::HierarchyConfig;
 use memsim::{NodeSim, SimResult};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use telemetry::trace::{kv, Clock, Tracer};
 use telemetry::{slug, Obs, ObsSnapshot, Scope};
 use workloads::{Suite, TraceGen};
@@ -97,17 +98,54 @@ fn run_label(design: MemoryDesign, suite: Suite) -> String {
     format!("{}.{}", slug(&design.name()), slug(suite.name()))
 }
 
-/// One full simulation of `design` on `suite`: pure with respect to
-/// its arguments (no memoization, no engine state), which is what
-/// makes [`NodeModel::prime`] safe to fan out across workers. `obs`
-/// is the fully-labelled handle the run's telemetry lands under
-/// (callers nest [`run_label`] themselves).
+/// The per-core access streams of one `suite` run: core `i` draws
+/// from `seed + i`.
+fn core_streams(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) -> Vec<TraceGen> {
+    (0..hierarchy.cores)
+        .map(|i| {
+            TraceGen::new(
+                suite.params(),
+                config.seed.wrapping_add(i as u64),
+                config.ops_per_core,
+            )
+        })
+        .collect()
+}
+
+/// Every core's warmed L3 partition for a `suite` run: the one place
+/// the node model builds warm state. Each partition is filled with its
+/// core's stream's recent past (the paper warms its gem5 caches before
+/// the measured interval), dirty at the store fraction. The warm state
+/// depends on hierarchy, eval config and suite alone, so every design
+/// starts from the identical state (write volumes stay comparable;
+/// Hetero-DMR's cleaning drains the same dirty blocks in batches that
+/// eviction would have trickled), and [`NodeModel::prime`] builds it
+/// once per suite and hands each design a clone.
+fn warm_l3s(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) -> Vec<Cache> {
+    let blocks = hierarchy.l3_partition_bytes() / 64;
+    let dirty_fraction = suite.params().write_fraction;
+    let mut l3s = NodeSim::empty_l3s(hierarchy);
+    for (l3, stream) in l3s.iter_mut().zip(core_streams(hierarchy, config, suite)) {
+        for (block, dirty) in stream.warmup_blocks(blocks, dirty_fraction) {
+            l3.prewarm(block << 6, dirty);
+        }
+    }
+    l3s
+}
+
+/// One full simulation of `design` on `suite`, starting from `l3s`
+/// (the suite's [`warm_l3s`]): pure with respect to its arguments (no
+/// memoization, no engine state), which is what makes
+/// [`NodeModel::prime`] safe to fan out across workers. `obs` is the
+/// fully-labelled handle the run's telemetry lands under (callers nest
+/// [`run_label`] themselves).
 fn simulate(
     hierarchy: &HierarchyConfig,
     config: &EvalConfig,
     obs: &Obs,
     design: MemoryDesign,
     suite: Suite,
+    l3s: Vec<Cache>,
 ) -> SimResult {
     let trace = obs.tracer();
     // The sim span opens at t=0 on the simulation clock and closes at
@@ -122,33 +160,14 @@ fn simulate(
         )
     });
     let (modes, mirror) = design.per_channel_modes(hierarchy.memory.channels);
-    let mut node = NodeSim::with_modes(*hierarchy, modes, mirror);
+    let mut node = NodeSim::with_l3s(*hierarchy, modes, mirror, l3s);
     if let Some(scope) = obs.scope() {
         node.attach_telemetry(scope);
     }
     if let Some(t) = trace {
         node.attach_trace(t);
     }
-    let streams: Vec<TraceGen> = (0..hierarchy.cores)
-        .map(|i| {
-            TraceGen::new(
-                suite.params(),
-                config.seed.wrapping_add(i as u64),
-                config.ops_per_core,
-            )
-        })
-        .collect();
-    // Start in steady state: fill each core's LLC partition with
-    // its stream's recent past (the paper warms its gem5 caches
-    // before the measured interval), dirty at the store fraction.
-    // Every design gets the identical warm state so write volumes
-    // are comparable; Hetero-DMR's cleaning then drains the same
-    // dirty blocks in batches that eviction would have trickled.
-    let warm = node.l3_blocks_per_core();
-    for (i, stream) in streams.iter().enumerate() {
-        node.prewarm_core(i, stream.warmup_blocks(warm, suite.params().write_fraction));
-    }
-    let result = run_windowed(node, streams, config.windows);
+    let result = run_windowed(node, core_streams(hierarchy, config, suite), config.windows);
     if let (Some(t), Some(span)) = (trace, span) {
         t.end_with(
             span,
@@ -363,21 +382,42 @@ impl NodeModel {
             .zip(&hits)
             .filter_map(|(&pair, hit)| hit.is_none().then_some(pair))
             .collect();
-        let (hierarchy, config, obs) = (&self.hierarchy, &self.config, &self.obs);
-        let mut runs = runner::parallel_map(to_run, move |_, (design, suite)| {
-            let worker = obs.fork();
-            let run = worker.child(&run_label(design, suite));
-            let result = simulate(hierarchy, config, &run, design, suite);
-            (result, worker.take())
-        })
-        .into_iter();
+        // Misses grouped by suite, in order of first appearance: each
+        // suite's warm L3s are built once per batch, and the group's
+        // designs simulate in parallel from clones of them (the last to
+        // start takes the originals by move, so a one-design group
+        // copies nothing).
+        let mut groups: Vec<(Suite, Vec<MemoryDesign>)> = Vec::new();
+        for &(design, suite) in &to_run {
+            match groups.iter_mut().find(|(s, _)| *s == suite) {
+                Some((_, designs)) => designs.push(design),
+                None => groups.push((suite, vec![design])),
+            }
+        }
         if self.shared {
-            SHARED_MISSES.fetch_add(runs.len() as u64, Ordering::Relaxed);
+            SHARED_MISSES.fetch_add(to_run.len() as u64, Ordering::Relaxed);
+        }
+        let (hierarchy, config, obs) = (&self.hierarchy, &self.config, &self.obs);
+        let mut runs: HashMap<(MemoryDesign, Suite), SharedEntry> = HashMap::new();
+        for (suite, designs) in groups {
+            let warm = Arc::new(warm_l3s(hierarchy, config, suite));
+            let items: Vec<_> = designs.iter().map(|&d| (d, Arc::clone(&warm))).collect();
+            drop(warm);
+            let entries = runner::parallel_map(items, |_, (design, l3s)| {
+                let worker = obs.fork();
+                let run = worker.child(&run_label(design, suite));
+                let l3s = Arc::unwrap_or_clone(l3s);
+                let result = simulate(hierarchy, config, &run, design, suite, l3s);
+                (result, worker.take())
+            });
+            runs.extend(designs.into_iter().map(|d| (d, suite)).zip(entries));
         }
         let mut cache = self.cache.borrow_mut();
         for ((design, suite), hit) in missing.into_iter().zip(hits) {
             let (result, snap) = hit.unwrap_or_else(|| {
-                let entry = runs.next().expect("one run per shared-cache miss");
+                let entry = runs
+                    .remove(&(design, suite))
+                    .expect("one run per shared-cache miss");
                 self.shared_publish(design, suite, &entry);
                 entry
             });
@@ -402,16 +442,32 @@ impl NodeModel {
         }
     }
 
+    /// The runs [`normalized`](Self::normalized) consults, in its
+    /// order: the baseline, then the effective design. `None` when the
+    /// design fell back to the baseline, which needs no run. Figures
+    /// [`prime`](Self::prime) these before tabulating.
+    pub fn normalized_pairs(
+        design: MemoryDesign,
+        suite: Suite,
+        bucket: UsageBucket,
+    ) -> Option<[(MemoryDesign, Suite); 2]> {
+        let effective = Self::effective_design(design, bucket);
+        let fell_back = effective == MemoryDesign::CommercialBaseline
+            && design != MemoryDesign::CommercialBaseline;
+        (!fell_back).then_some([
+            (MemoryDesign::CommercialBaseline, suite),
+            (effective, suite),
+        ])
+    }
+
     /// Performance of `design` on `suite` in `bucket`, normalized to
     /// the Commercial Baseline (>1 is faster).
     pub fn normalized(&self, design: MemoryDesign, suite: Suite, bucket: UsageBucket) -> f64 {
-        let effective = Self::effective_design(design, bucket);
-        if effective == MemoryDesign::CommercialBaseline
-            && design != MemoryDesign::CommercialBaseline
-        {
+        let Some([(baseline, _), (effective, _)]) = Self::normalized_pairs(design, suite, bucket)
+        else {
             return 1.0;
-        }
-        let base = self.run(MemoryDesign::CommercialBaseline, suite);
+        };
+        let base = self.run(baseline, suite);
         let run = self.run(effective, suite);
         run.speedup_over(&base)
     }
@@ -656,6 +712,96 @@ mod tests {
         }
     }
 
+    /// The warm-state oracle. One `prime` batch builds each suite's warm
+    /// L3s once and runs every design from a clone of them; that must
+    /// equal running each pair alone on a fresh cache-off engine, whose
+    /// one design takes its suite's warm L3s by move: the same
+    /// `SimResult`s, metrics and trace events. Every design variant
+    /// runs on both hierarchies over two interleaved suites, with
+    /// repeats in the batch. Each result also equals a node built the
+    /// plain way, warmed core by core through `NodeSim::prewarm_core`.
+    #[test]
+    fn primed_batch_matches_each_pair_run_alone() {
+        use MemoryDesign as D;
+        let designs = [
+            D::CommercialBaseline,
+            D::ExploitLatency,
+            D::ExploitFrequency,
+            D::ExploitFreqLat,
+            D::Fmr,
+            D::HeteroDmr { margin_mts: 800 },
+            D::HeteroDmrFmr { margin_mts: 600 },
+            D::NaiveDmr { margin_mts: 800 },
+            D::AdaptiveDmr {
+                max_margin_mts: 800,
+            },
+        ];
+        // A new variant must join the list above.
+        for d in designs {
+            match d {
+                D::CommercialBaseline
+                | D::ExploitLatency
+                | D::ExploitFrequency
+                | D::ExploitFreqLat
+                | D::Fmr
+                | D::HeteroDmr { .. }
+                | D::HeteroDmrFmr { .. }
+                | D::NaiveDmr { .. }
+                | D::AdaptiveDmr { .. } => {}
+            }
+        }
+        let mut pairs: Vec<(MemoryDesign, Suite)> = designs
+            .iter()
+            .flat_map(|&d| [Suite::Hpcg, Suite::Lulesh].map(|s| (d, s)))
+            .collect();
+        pairs.extend_from_within(3..8);
+        let config = EvalConfig {
+            ops_per_core: 800,
+            seed: 0x3A12,
+            windows: 1,
+        };
+        for h in HierarchyConfig::both() {
+            let engine = |registry: &telemetry::Registry, tracer: &Tracer| {
+                let mut m = NodeModel::new(h, config);
+                m.set_shared_cache(false);
+                m.set_metrics_scope(registry.scope("node"));
+                m.set_trace(tracer);
+                m
+            };
+            let (registry, tracer) = (telemetry::Registry::new(), Tracer::new());
+            let batch = engine(&registry, &tracer);
+            batch.prime(&pairs);
+            let batched: Vec<SimResult> = pairs.iter().map(|&(d, s)| batch.run(d, s)).collect();
+            let (batch_metrics, batch_events) = (registry.snapshot(), tracer.take());
+            assert!(!batch_events.is_empty(), "the batch traced its runs");
+
+            // Fresh engines one after another, each observed into one
+            // registry and tracer, record in the batch's `pairs` order.
+            let (registry, tracer) = (telemetry::Registry::new(), Tracer::new());
+            let mut alone = HashMap::new();
+            for &(d, s) in &pairs {
+                alone
+                    .entry((d, s))
+                    .or_insert_with(|| engine(&registry, &tracer).run(d, s));
+            }
+            assert_eq!(registry.snapshot(), batch_metrics, "{}: metrics", h.name);
+            assert_eq!(tracer.take(), batch_events, "{}: trace events", h.name);
+            for (&(d, s), result) in pairs.iter().zip(&batched) {
+                let label = format!("{}: {} on {}", h.name, d.name(), s.name());
+                assert_eq!(result, &alone[&(d, s)], "{label}: SimResult");
+
+                let (modes, mirror) = d.per_channel_modes(h.memory.channels);
+                let mut node = NodeSim::with_modes(h, modes, mirror);
+                let streams = core_streams(&h, &config, s);
+                let warm = node.l3_blocks_per_core();
+                for (i, stream) in streams.iter().enumerate() {
+                    node.prewarm_core(i, stream.warmup_blocks(warm, s.params().write_fraction));
+                }
+                assert_eq!(result, &node.run(streams), "{label}: plain node");
+            }
+        }
+    }
+
     #[test]
     fn shared_cache_keys_on_eval_config() {
         let cfg = |seed| EvalConfig {
@@ -808,16 +954,16 @@ mod tests {
             let mut mode = MemoryDesign::HeteroDmr { margin_mts: 800 }.channel_mode();
             mode.write_high_watermark = watermark;
             mode.turnaround_penalty_ps = dram::PS_PER_US;
-            let mut node = NodeSim::new(h, mode);
-            let params = Suite::Hpcg.params();
-            let streams: Vec<_> = (0..h.cores)
-                .map(|i| TraceGen::new(params, 100 + i as u64, 4_000))
-                .collect();
-            let warm = node.l3_blocks_per_core();
-            for (i, s) in streams.iter().enumerate() {
-                node.prewarm_core(i, s.warmup_blocks(warm, params.write_fraction));
-            }
-            node.run(streams).exec_time_ps
+            let config = EvalConfig {
+                ops_per_core: 4_000,
+                seed: 100,
+                windows: 1,
+            };
+            let l3s = warm_l3s(&h, &config, Suite::Hpcg);
+            let modes = vec![mode; h.memory.channels];
+            let mut node = NodeSim::with_l3s(h, modes, false, l3s);
+            node.run(core_streams(&h, &config, Suite::Hpcg))
+                .exec_time_ps
         };
         let small = exec_with_batch(128);
         let large = exec_with_batch(12_800);

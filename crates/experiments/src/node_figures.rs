@@ -29,6 +29,19 @@ pub(crate) fn model(ctx: &Ctx, h: HierarchyConfig) -> NodeModel {
     m
 }
 
+/// The runs [`NodeModel::normalized`] resolves for each lookup, in
+/// the order a figure consults them, for [`NodeModel::prime`] (which
+/// drops repeats).
+fn normalized_runs(
+    lookups: impl IntoIterator<Item = (MemoryDesign, Suite, UsageBucket)>,
+) -> Vec<(MemoryDesign, Suite)> {
+    lookups
+        .into_iter()
+        .filter_map(|(design, suite, bucket)| NodeModel::normalized_pairs(design, suite, bucket))
+        .flatten()
+        .collect()
+}
+
 /// Figure 5: real-system speedup from exploiting margins, per suite
 /// and hierarchy.
 pub fn fig5(ctx: &mut Ctx) {
@@ -39,8 +52,18 @@ pub fn fig5(ctx: &mut Ctx) {
         "frequency_margin".into(),
         "freq_lat_margins".into(),
     ]];
+    let designs = [
+        MemoryDesign::ExploitLatency,
+        MemoryDesign::ExploitFrequency,
+        MemoryDesign::ExploitFreqLat,
+    ];
+    let lookups = Suite::ALL
+        .into_iter()
+        .flat_map(|suite| designs.map(|d| (d, suite, UsageBucket::Low)));
+    let runs = normalized_runs(lookups);
     for h in HierarchyConfig::both() {
         let m = model(ctx, h);
+        m.prime(&runs);
         say!(ctx, "{} (speedup over manufacturer specification):", h.name);
         say!(
             ctx,
@@ -170,8 +193,17 @@ pub fn fig12(ctx: &mut Ctx) {
         "normalized_perf".into(),
     ]];
     let mut overall = Vec::new();
+    let lookups = [800u32, 600].into_iter().flat_map(|margin| {
+        fig12_designs(margin).into_iter().flat_map(|design| {
+            UsageBucket::ALL
+                .into_iter()
+                .flat_map(move |b| Suite::ALL.map(|suite| (design, suite, b)))
+        })
+    });
+    let runs = normalized_runs(lookups);
     for h in HierarchyConfig::both() {
         let m = model(ctx, h);
+        m.prime(&runs);
         for margin in [800u32, 600] {
             say!(
                 ctx,

@@ -217,8 +217,7 @@ fn usage(msg: &str) -> i32 {
 /// Builds the report text; the second return is the breach count.
 fn generate(dir: &str, refs: &str) -> Result<(String, usize), String> {
     let manifest_path = format!("{dir}/manifest.json");
-    let manifest_text = std::fs::read_to_string(&manifest_path)
-        .map_err(|e| format!("cannot read {manifest_path}: {e}"))?;
+    let manifest_text = decode(&manifest_path, std::fs::read(&manifest_path))?;
     let manifest = json::parse(&manifest_text).map_err(|e| format!("{manifest_path}: {e}"))?;
     let target = manifest
         .get("target")
@@ -227,19 +226,19 @@ fn generate(dir: &str, refs: &str) -> Result<(String, usize), String> {
         .to_string();
 
     let metrics_path = format!("{dir}/{target}.metrics.jsonl");
-    let snapshot = match std::fs::read_to_string(&metrics_path) {
-        Ok(text) => parse_jsonl(&text).map_err(|e| format!("{metrics_path}: {e}"))?,
-        Err(_) => Snapshot::default(),
+    let snapshot = match read_optional(&metrics_path)? {
+        Some(text) => parse_jsonl(&text).map_err(|e| format!("{metrics_path}: {e}"))?,
+        None => Snapshot::default(),
     };
 
     let trace_path = format!("{dir}/{target}.trace.json");
-    let trace = match std::fs::read_to_string(&trace_path) {
-        Ok(text) => {
+    let trace = match read_optional(&trace_path)? {
+        Some(text) => {
             let events = parse_chrome_trace(&text).map_err(|e| format!("{trace_path}: {e}"))?;
             check_well_nested(&events).map_err(|e| format!("{trace_path}: {e}"))?;
             Some(events)
         }
-        Err(_) => None,
+        None => None,
     };
 
     let mut md = String::new();
@@ -257,6 +256,26 @@ fn generate(dir: &str, refs: &str) -> Result<(String, usize), String> {
     render_health(&mut md, dir, &target)?;
     let breaches = render_drift(&mut md, &snapshot, refs);
     Ok((md, breaches))
+}
+
+/// Reads an input a run need not have produced: `None` when the file
+/// does not exist. A file that exists but cannot be read or decoded is
+/// an error, never taken for a missing one.
+fn read_optional(path: &str) -> Result<Option<String>, String> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        read => decode(path, read).map(Some),
+    }
+}
+
+/// The text of a file read from `path`. An error names the file, and
+/// for bad UTF-8 the byte where it starts.
+fn decode(path: &str, read: std::io::Result<Vec<u8>>) -> Result<String, String> {
+    let bytes = read.map_err(|e| format!("cannot read {path}: {e}"))?;
+    String::from_utf8(bytes).map_err(|e| {
+        let at = e.utf8_error().valid_up_to();
+        format!("{path}: invalid UTF-8 at byte {at}")
+    })
 }
 
 fn render_provenance(md: &mut String, manifest: &Json, snapshot: &Snapshot) {
@@ -576,7 +595,7 @@ fn render_fleet(md: &mut String, snapshot: &Snapshot) {
 
 /// Queue-delay latency distributions: every `*.queue_delay_ms`
 /// histogram in the snapshot (the scheduler meters one per margin
-/// group and the fleet shards one per member), with log₂-resolution
+/// group and the fleet one per member), with log₂-resolution
 /// quantiles from the snapshot's sparse buckets.
 fn render_queue_delays(md: &mut String, snapshot: &Snapshot) {
     let mut rows: Vec<(&str, &telemetry::HistogramSnapshot)> = Vec::new();
@@ -628,20 +647,20 @@ fn sparkline(windows: &[(u64, telemetry::series::WindowAgg)], cap: usize) -> Str
 /// produced them.
 fn render_health(md: &mut String, dir: &str, target: &str) -> Result<(), String> {
     let series_path = format!("{dir}/{target}.series.jsonl");
-    let series = match std::fs::read_to_string(&series_path) {
-        Ok(text) => {
+    let series = match read_optional(&series_path)? {
+        Some(text) => {
             parse_series_jsonl(&text)
                 .map_err(|e| format!("{series_path}: {e}"))?
                 .entries
         }
-        Err(_) => Vec::new(),
+        None => Vec::new(),
     };
     let incidents_path = format!("{dir}/health.incidents.jsonl");
-    let ledger = match std::fs::read_to_string(&incidents_path) {
-        Ok(text) => {
+    let ledger = match read_optional(&incidents_path)? {
+        Some(text) => {
             Some(parse_incidents_jsonl(&text).map_err(|e| format!("{incidents_path}: {e}"))?)
         }
-        Err(_) => None,
+        None => None,
     };
     if series.is_empty() && ledger.is_none() {
         return Ok(());

@@ -27,11 +27,17 @@ const TAG_EMPTY: u64 = u64::MAX;
 /// tick is pre-incremented so resident lines are always nonzero) and
 /// dirty bits are only touched for the one line an access actually
 /// changes.
+///
+/// Recency stamps are `u32`, which keeps the recency array half the
+/// size of a `u64` one. Before the tick would wrap, one pass
+/// rank-compresses every resident line's stamp to `1..=resident`,
+/// keeping their order across the whole cache, so victims and the
+/// cleaning order are exactly what unbounded stamps would give.
 #[derive(Debug, Clone)]
 pub struct Cache {
     tags: Vec<u64>,
     /// Higher = more recently used; 0 = slot empty.
-    lru: Vec<u64>,
+    lru: Vec<u32>,
     /// Packed dirty bits, one per line slot.
     dirty: Vec<u64>,
     ways: usize,
@@ -40,7 +46,7 @@ pub struct Cache {
     set_shift: u32,
     /// `set_count.trailing_zeros()`, cached for address reassembly.
     index_bits: u32,
-    tick: u64,
+    tick: u32,
     hits: u64,
     misses: u64,
 }
@@ -52,7 +58,8 @@ impl Cache {
     /// # Panics
     ///
     /// Panics unless `size_bytes / (64 * ways)` is a nonzero power of
-    /// two (required for mask-based set indexing).
+    /// two (required for mask-based set indexing), or when the cache
+    /// has `u32::MAX` lines or more (recency stamps are `u32`).
     pub fn new(size_bytes: usize, ways: usize) -> Cache {
         let set_count = size_bytes / (64 * ways);
         assert!(
@@ -60,6 +67,10 @@ impl Cache {
             "cache must have a power-of-two number of sets (got {set_count})"
         );
         let lines = set_count * ways;
+        assert!(
+            lines < u32::MAX as usize,
+            "cache has too many lines for u32 recency ({lines})"
+        );
         Cache {
             tags: vec![TAG_EMPTY; lines],
             lru: vec![0; lines],
@@ -117,6 +128,32 @@ impl Cache {
         ((tag << shift_back) | set_bits) >> self.set_shift
     }
 
+    /// The next recency stamp, renormalizing first if the tick would
+    /// wrap.
+    #[inline]
+    fn next_tick(&mut self) -> u32 {
+        if self.tick == u32::MAX {
+            self.renormalize_lru();
+        }
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Rank-compresses every resident line's stamp to `1..=resident`
+    /// in their global order (stamps are distinct: each tick stamps one
+    /// line) and restarts the tick after the highest rank. Empty slots
+    /// keep 0.
+    #[cold]
+    fn renormalize_lru(&mut self) {
+        let mut stamps: Vec<u32> = self.lru.iter().copied().filter(|&l| l != 0).collect();
+        stamps.sort_unstable();
+        for l in self.lru.iter_mut().filter(|l| **l != 0) {
+            // Ranks are at most `lines`, which `new` keeps below u32::MAX.
+            *l = stamps.partition_point(|&s| s < *l) as u32 + 1;
+        }
+        self.tick = stamps.len() as u32;
+    }
+
     #[inline]
     fn is_dirty(&self, line: usize) -> bool {
         self.dirty[line >> 6] & (1u64 << (line & 63)) != 0
@@ -159,7 +196,7 @@ impl Cache {
         }
         let lru = &self.lru[base..base + self.ways];
         let mut slot = 0;
-        let mut slot_lru = u64::MAX;
+        let mut slot_lru = u32::MAX;
         for (i, &l) in lru.iter().enumerate() {
             if l < slot_lru {
                 slot_lru = l;
@@ -172,8 +209,7 @@ impl Cache {
     /// Accesses `addr`; on a miss the block is allocated (write-
     /// allocate) and the LRU victim evicted.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
-        self.tick += 1;
-        let tick = self.tick;
+        let tick = self.next_tick();
         let (set_idx, tag) = self.index(addr);
         let base = set_idx * self.ways;
         match self.probe(base, tag) {
@@ -208,8 +244,7 @@ impl Cache {
     /// Fills `addr` without counting a demand access (prefetch path).
     /// Returns a dirty victim's block address if one was evicted.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        self.tick += 1;
-        let tick = self.tick;
+        let tick = self.next_tick();
         let (set_idx, tag) = self.index(addr);
         let base = set_idx * self.ways;
         match self.probe(base, tag) {
@@ -236,8 +271,7 @@ impl Cache {
     /// before measuring). The LRU victim of a full set is dropped
     /// (warmup victims carry no obligations).
     pub fn prewarm(&mut self, addr: u64, dirty: bool) {
-        self.tick += 1;
-        let tick = self.tick;
+        let tick = self.next_tick();
         let (set_idx, tag) = self.index(addr);
         let base = set_idx * self.ways;
         match self.probe(base, tag) {
@@ -271,7 +305,7 @@ impl Cache {
     /// enters write mode (Section III-E: "first cleans least-recently
     /// used blocks as they are unlikely to be re-written").
     pub fn clean_lru_dirty(&mut self, limit: usize) -> Vec<u64> {
-        let mut dirty: Vec<(u64, usize)> = Vec::new();
+        let mut dirty: Vec<(u32, usize)> = Vec::new();
         for (word_idx, &word) in self.dirty.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -417,6 +451,75 @@ mod tests {
         }
         // Now the set is full: the next miss evicts LRU (block 0).
         assert_eq!(c.access(4 * 64, false).writeback, Some(0));
+    }
+
+    /// A cache whose tick starts just below `u32::MAX` renormalizes
+    /// its recency partway through and must still match, op for op, a
+    /// twin whose tick started at 0: hits, writebacks, cleaning order,
+    /// residency and dirty counts.
+    #[test]
+    fn tick_wrap_renormalization_is_invisible() {
+        let mut fresh = Cache::new(1024, 4); // 4 sets x 4 ways
+        let mut wrapping = fresh.clone();
+        wrapping.tick = u32::MAX - 3;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..4_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // 32 blocks over 4 sets: a mix of hits and evictions.
+            let addr = (x >> 8) % 32 * 64;
+            let dirty = x & 1 == 1;
+            match (x >> 1) % 8 {
+                0..=3 => assert_eq!(
+                    fresh.access(addr, dirty),
+                    wrapping.access(addr, dirty),
+                    "step {step}: access"
+                ),
+                4 => assert_eq!(fresh.fill(addr), wrapping.fill(addr), "step {step}: fill"),
+                5 => {
+                    fresh.prewarm(addr, dirty);
+                    wrapping.prewarm(addr, dirty);
+                }
+                6 => assert_eq!(
+                    fresh.clean_lru_dirty(3),
+                    wrapping.clean_lru_dirty(3),
+                    "step {step}: cleaning order"
+                ),
+                _ => assert_eq!(
+                    fresh.contains(addr),
+                    wrapping.contains(addr),
+                    "step {step}: contains"
+                ),
+            }
+            assert_eq!(fresh.dirty_count(), wrapping.dirty_count(), "step {step}");
+        }
+        assert!(wrapping.tick < 5_000, "the tick wrapped and restarted low");
+        assert_eq!(fresh.lru.iter().filter(|&&l| l == 0).count(), 0);
+        assert_eq!(fresh.hits(), wrapping.hits());
+        assert_eq!(fresh.misses(), wrapping.misses());
+    }
+
+    #[test]
+    fn renormalization_keeps_empty_slots_and_global_order() {
+        let mut c = Cache::new(512, 4); // 2 sets x 4 ways
+        c.tick = u32::MAX - 4;
+        c.access(0, true); // set 0
+        c.access(64, true); // set 1
+        c.access(128, true); // set 0
+        c.access(192, true); // set 1; tick is now u32::MAX
+        c.access(0, false); // renormalizes, then refreshes block 0
+        assert_eq!(c.tick, 5);
+        let mut stamps: Vec<u32> = c.lru.iter().copied().filter(|&l| l != 0).collect();
+        stamps.sort_unstable();
+        assert_eq!(stamps, vec![2, 3, 4, 5]);
+        assert_eq!(
+            c.lru.iter().filter(|&&l| l == 0).count(),
+            4,
+            "empty slots stay 0"
+        );
+        // Oldest dirty first, across sets: 64, 128, 192, then 0.
+        assert_eq!(c.clean_lru_dirty(4), vec![1, 2, 3, 0]);
     }
 
     #[test]

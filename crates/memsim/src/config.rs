@@ -450,6 +450,9 @@ impl MemoryConfigBuilder {
     }
 }
 
+/// Associativity of each core's L3 partition.
+pub const L3_WAYS: usize = 16;
+
 /// One of the two evaluated memory hierarchies (Table III).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
@@ -503,9 +506,8 @@ impl HierarchyConfig {
     pub fn l3_partition_bytes(&self) -> usize {
         let l3 = self.cache_per_core_bytes.saturating_sub(self.core.l2_bytes);
         // Keep sets a power of two: round down to 2^k × 64 B × ways.
-        let ways = 16;
-        let sets = (l3 / (64 * ways)).next_power_of_two() / 2;
-        (sets.max(1)) * 64 * ways
+        let sets = (l3 / (64 * L3_WAYS)).next_power_of_two() / 2;
+        (sets.max(1)) * 64 * L3_WAYS
     }
 
     /// A stable 64-bit content fingerprint (FNV-1a over every field,

@@ -10,7 +10,7 @@
 //! regime the paper's experiments vary.
 
 use crate::cache::Cache;
-use crate::config::CoreConfig;
+use crate::config::{CoreConfig, L3_WAYS};
 use crate::prefetch::Prefetcher;
 use crate::trace::MemOp;
 use dram::{ns_to_ps, Picos};
@@ -75,12 +75,19 @@ pub struct CoreSim {
 }
 
 impl CoreSim {
-    /// Creates a core with the given L3 partition size.
+    /// Creates a core with an empty L3 partition of the given size.
     pub fn new(config: CoreConfig, l3_partition_bytes: usize) -> CoreSim {
+        CoreSim::with_l3(config, Cache::new(l3_partition_bytes, L3_WAYS))
+    }
+
+    /// Creates a core around a prepared L3 partition, such as a clone
+    /// of one warmed with [`Cache::prewarm`]. L1, L2 and the prefetcher
+    /// start empty.
+    pub fn with_l3(config: CoreConfig, l3: Cache) -> CoreSim {
         CoreSim {
             l1: Cache::new(config.l1_bytes, config.l1_ways),
             l2: Cache::new(config.l2_bytes, config.l2_ways),
-            l3: Cache::new(l3_partition_bytes, 16),
+            l3,
             prefetcher: Prefetcher::new(config.prefetch_degree),
             now: 0,
             instructions: 0,

@@ -1,7 +1,8 @@
 //! The full simulated node: cores, caches, and channels.
 
 use crate::address::AddressMapping;
-use crate::config::{ChannelMode, HierarchyConfig};
+use crate::cache::Cache;
+use crate::config::{ChannelMode, HierarchyConfig, L3_WAYS};
 use crate::controller::ChannelController;
 use crate::core::{CoreSim, LoadHandle};
 use crate::result::SimResult;
@@ -156,10 +157,45 @@ impl NodeSim {
         modes: Vec<ChannelMode>,
         mirror_writes: bool,
     ) -> NodeSim {
+        let l3s = NodeSim::empty_l3s(&hierarchy);
+        NodeSim::with_l3s(hierarchy, modes, mirror_writes, l3s)
+    }
+
+    /// One empty L3 partition per core of `hierarchy`: the starting
+    /// point for warming caches outside a node (see
+    /// [`with_l3s`](Self::with_l3s)).
+    pub fn empty_l3s(hierarchy: &HierarchyConfig) -> Vec<Cache> {
+        (0..hierarchy.cores)
+            .map(|_| Cache::new(hierarchy.l3_partition_bytes(), L3_WAYS))
+            .collect()
+    }
+
+    /// Builds a node whose cores start from prepared L3 partitions, one
+    /// per core in core order, such as clones of partitions warmed once
+    /// for several designs. Everything else starts as in
+    /// [`with_modes`](Self::with_modes), which calls this with
+    /// [`empty_l3s`](Self::empty_l3s).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one mode per channel and one L3 of the
+    /// hierarchy's partition size per core are supplied.
+    pub fn with_l3s(
+        hierarchy: HierarchyConfig,
+        modes: Vec<ChannelMode>,
+        mirror_writes: bool,
+        l3s: Vec<Cache>,
+    ) -> NodeSim {
         assert_eq!(
             modes.len(),
             hierarchy.memory.channels,
             "need exactly one mode per channel"
+        );
+        assert_eq!(l3s.len(), hierarchy.cores, "need exactly one L3 per core");
+        assert!(
+            l3s.iter()
+                .all(|l3| l3.capacity_bytes() == hierarchy.l3_partition_bytes()),
+            "every L3 must have the hierarchy's partition size"
         );
         let software_ranks = modes[0]
             .software_ranks
@@ -169,8 +205,9 @@ impl NodeSim {
             software_ranks,
             hierarchy.memory.banks_per_rank,
         );
-        let cores = (0..hierarchy.cores)
-            .map(|_| CoreSim::new(hierarchy.core, hierarchy.l3_partition_bytes()))
+        let cores = l3s
+            .into_iter()
+            .map(|l3| CoreSim::with_l3(hierarchy.core, l3))
             .collect();
         let controllers = modes
             .iter()

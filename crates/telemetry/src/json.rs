@@ -143,7 +143,7 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
+            Some(c) => Err(self.err(&format!("unexpected byte {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
