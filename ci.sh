@@ -39,6 +39,14 @@ echo "== LRU reference (flattened caches vs naive true LRU) =="
 # the suite by name so a recency regression names itself here.
 cargo test --offline -q -p memsim --test lru_reference
 
+echo "== scheduler reference (EASY backfill vs naive O(n²)) =="
+# The event loop (sorted-vector event queue, exact backfill bound) must
+# match a naive FCFS + EASY-backfill reference job for job, on
+# arbitrary and tie-dense traces under arbitrary validated speedup
+# tables. Runs the suite by name so a scheduling regression names
+# itself here.
+cargo test --release --offline -p scheduler --test scheduler_properties
+
 echo "== batched stepping gate (controller vs frozen reference) =="
 # The indexed controller must sustain at least the naive reference's
 # ops/s on an identical op sequence (asserts >= 1x internally).

@@ -275,18 +275,28 @@ pub fn fig13(ctx: &mut Ctx) {
         "design".into(),
         "normalized_epi".into(),
     ]];
+    let designs = [
+        MemoryDesign::Fmr,
+        MemoryDesign::HeteroDmr { margin_mts: 800 },
+        MemoryDesign::HeteroDmrFmr { margin_mts: 800 },
+    ];
+    let runs: Vec<_> = designs
+        .into_iter()
+        .flat_map(|design| {
+            Suite::ALL
+                .into_iter()
+                .flat_map(move |suite| [(MemoryDesign::CommercialBaseline, suite), (design, suite)])
+        })
+        .collect();
     for h in HierarchyConfig::both() {
         let m = model(ctx, h);
+        m.prime(&runs);
         say!(
             ctx,
             "{} (EPI normalized to Commercial Baseline, [0~25%) usage):",
             h.name
         );
-        for design in [
-            MemoryDesign::Fmr,
-            MemoryDesign::HeteroDmr { margin_mts: 800 },
-            MemoryDesign::HeteroDmrFmr { margin_mts: 800 },
-        ] {
+        for design in designs {
             let mut epi_ratio = 0.0;
             for suite in Suite::ALL {
                 let base = m.energy(MemoryDesign::CommercialBaseline, suite, &em);
@@ -316,6 +326,12 @@ pub fn fig13(ctx: &mut Ctx) {
 /// Figure 14: DRAM accesses per instruction, normalized to baseline.
 pub fn fig14(ctx: &mut Ctx) {
     let m = model(ctx, HierarchyConfig::hierarchy1());
+    let hf = MemoryDesign::HeteroDmrFmr { margin_mts: 800 };
+    let runs: Vec<_> = Suite::ALL
+        .into_iter()
+        .flat_map(|suite| [(MemoryDesign::CommercialBaseline, suite), (hf, suite)])
+        .collect();
+    m.prime(&runs);
     let mut rows = vec![vec!["suite".into(), "normalized_accesses_per_instr".into()]];
     say!(
         ctx,
@@ -324,8 +340,8 @@ pub fn fig14(ctx: &mut Ctx) {
     let mut avg = 0.0;
     for suite in Suite::ALL {
         let base = m.run(MemoryDesign::CommercialBaseline, suite);
-        let hf = m.run(MemoryDesign::HeteroDmrFmr { margin_mts: 800 }, suite);
-        let ratio = hf.dram_accesses_per_instruction() / base.dram_accesses_per_instruction();
+        let fast = m.run(hf, suite);
+        let ratio = fast.dram_accesses_per_instruction() / base.dram_accesses_per_instruction();
         say!(ctx, "  {:<10} {:>6.3}", suite.name(), ratio);
         rows.push(vec![suite.name().into(), format!("{ratio:.4}")]);
         avg += ratio;
@@ -342,6 +358,7 @@ pub fn fig14(ctx: &mut Ctx) {
 /// Figure 15: DRAM bandwidth utilization and write share per suite.
 pub fn fig15(ctx: &mut Ctx) {
     let m = model(ctx, HierarchyConfig::hierarchy1());
+    m.prime(&Suite::ALL.map(|suite| (MemoryDesign::CommercialBaseline, suite)));
     let mut rows = vec![vec![
         "suite".into(),
         "bandwidth_utilization".into(),
@@ -386,6 +403,19 @@ pub fn fig15(ctx: &mut Ctx) {
 /// emulation formula applied to the Exploit-Freq+Lat run.
 pub fn fig16(ctx: &mut Ctx) {
     let m = model(ctx, HierarchyConfig::hierarchy1());
+    let hdmr = MemoryDesign::HeteroDmr { margin_mts: 800 };
+    let runs: Vec<_> = Suite::ALL
+        .into_iter()
+        .flat_map(|suite| {
+            [
+                (MemoryDesign::CommercialBaseline, suite),
+                (MemoryDesign::ExploitFreqLat, suite),
+            ]
+            .into_iter()
+            .chain(normalized_runs([(hdmr, suite, UsageBucket::Low)]))
+        })
+        .collect();
+    m.prime(&runs);
     let mut rows = vec![vec![
         "suite".into(),
         "simulated_hdmr".into(),
@@ -405,11 +435,7 @@ pub fn fig16(ctx: &mut Ctx) {
     for suite in Suite::ALL {
         let base = m.run(MemoryDesign::CommercialBaseline, suite);
         let fast = m.run(MemoryDesign::ExploitFreqLat, suite);
-        let sim = m.normalized(
-            MemoryDesign::HeteroDmr { margin_mts: 800 },
-            suite,
-            UsageBucket::Low,
-        );
+        let sim = m.normalized(hdmr, suite, UsageBucket::Low);
         let emu = EmulationInputs::from_fast_run(&fast, dram::rate::DataRate::MT3200)
             .emulated_speedup(base.exec_time_ps);
         let fl = fast.speedup_over(&base);

@@ -220,6 +220,11 @@ fn per_design(ctx: &mut Ctx) {
         MemoryDesign::ExploitFreqLat,
         MemoryDesign::HeteroDmr { margin_mts: 800 },
     ];
+    let runs: Vec<_> = designs
+        .into_iter()
+        .flat_map(|design| Suite::ALL.map(|suite| (design, suite)))
+        .collect();
+    m.prime(&runs);
     say!(
         ctx,
         "State-residency EPI by design ({}, DDR4-3200, nJ/instruction, six-suite totals):",

@@ -56,6 +56,16 @@ impl SpeedupModel {
         }
     }
 
+    /// The largest value [`job_speedup`](Self::job_speedup) can
+    /// return: 1.0 (ineligible jobs and margin-less nodes) or a table
+    /// entry, whichever is larger.
+    pub fn max(&self) -> f64 {
+        self.at_800
+            .iter()
+            .chain(&self.at_600)
+            .fold(1.0, |m, &s| m.max(s))
+    }
+
     /// The execution-time speedup of a job whose slowest allocated
     /// node is in `min_group`, given its memory utilization.
     pub fn job_speedup(&self, min_group: u32, utilization: f64) -> f64 {
@@ -321,6 +331,8 @@ impl Sink for StreamSummary {
 /// either way. A traced stepper spans its run with a `schedule` root.
 pub(crate) struct Stepper<K> {
     config: SchedulerConfig,
+    /// `config.speedups().max()`: no job runs faster than this.
+    max_speedup: f64,
     free: [u32; 3],
     events: EventQueue,
     waiting: VecDeque<Job>,
@@ -338,6 +350,7 @@ impl<K: Sink> Stepper<K> {
     pub(crate) fn new(cluster: &Cluster, config: SchedulerConfig, obs: &Obs, sink: K) -> Self {
         Stepper {
             config,
+            max_speedup: config.speedups().max(),
             free: cluster.total,
             events: EventQueue::new(),
             waiting: VecDeque::new(),
@@ -427,13 +440,14 @@ impl<K: Sink> Stepper<K> {
     /// FCFS + EASY backfill scheduling pass at time `now`.
     fn schedule(&mut self, now: f64) {
         // Start FCFS-eligible jobs from the head.
+        let mut free = self.free_nodes();
         while let Some(&head) = self.waiting.front() {
-            if head.nodes <= self.free.iter().sum::<u32>() {
-                self.waiting.pop_front();
-                self.start(head, now, false);
-            } else {
+            if head.nodes > free {
                 break;
             }
+            self.waiting.pop_front();
+            self.start(head, now, false);
+            free = self.free_nodes();
         }
         let Some(&head) = self.waiting.front() else {
             return;
@@ -445,31 +459,47 @@ impl<K: Sink> Stepper<K> {
         // The completion estimate accounts for the speedup of the
         // nodes the candidate would actually receive — the scheduler
         // knows its groups (that is the whole point of margin
-        // awareness).
-        let shadow = self.shadow_time(head.nodes);
+        // awareness). A candidate that would overrun the reservation
+        // even at the fastest speedup is rejected before allocating.
+        let shadow = self.shadow_time(head.nodes, free);
         let mut i = 1;
         while i < self.waiting.len() {
             let candidate = self.waiting[i];
-            let fits = candidate.nodes <= self.free.iter().sum::<u32>();
-            let ends_in_time = fits && {
-                let alloc = self.allocate(candidate.nodes);
-                now + self.exec_s(&candidate, &alloc) <= shadow
-            };
+            let ends_in_time = candidate.nodes <= free
+                && !self.overruns_at_best(&candidate, now, shadow)
+                && now + self.exec_s(&candidate, &self.allocate(candidate.nodes)) <= shadow;
             if ends_in_time {
                 let job = self.waiting.remove(i).expect("index in bounds");
                 self.start(job, now, true);
+                free = self.free_nodes();
             } else {
                 i += 1;
             }
         }
     }
 
+    /// Whether `job`, started at `now`, would end after `shadow` even
+    /// at [`SpeedupModel::max`]. Exact: for a nonnegative duration,
+    /// `exec_s` divides by a speedup no larger than the maximum, and
+    /// IEEE division and addition are monotone, so `now + exec_s` is
+    /// never below `now + duration_s / max_speedup`. A negative
+    /// duration (`Job`'s fields are unvalidated) flips that order, so
+    /// it never takes the shortcut.
+    fn overruns_at_best(&self, job: &Job, now: f64, shadow: f64) -> bool {
+        job.duration_s >= 0.0 && now + job.duration_s / self.max_speedup > shadow
+    }
+
+    /// Free nodes across all groups.
+    fn free_nodes(&self) -> u32 {
+        self.free.iter().sum()
+    }
+
     /// The earliest time at which `needed` nodes will be
-    /// simultaneously free, given current free nodes and running
+    /// simultaneously free, given `free` nodes now and the running
     /// jobs. Walks the event queue in order and stops as soon as the
     /// deficit is covered — no copying, no re-sorting.
-    fn shadow_time(&self, needed: u32) -> f64 {
-        let mut available: u32 = self.free.iter().sum();
+    fn shadow_time(&self, needed: u32, free: u32) -> f64 {
+        let mut available = free;
         if available >= needed {
             return 0.0;
         }

@@ -9,6 +9,15 @@ use scheduler::{
     Cluster, GrizzlyTrace, Job, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel,
 };
 
+/// A validated configuration of `policy` and `speedups`.
+fn config(policy: Policy, speedups: SpeedupModel) -> SchedulerConfig {
+    SchedulerConfig::builder()
+        .policy(policy)
+        .speedups(speedups)
+        .build()
+        .expect("test tables are valid")
+}
+
 /// Schedule `jobs` on `cluster` through the builder entry point.
 fn run(
     cluster: &Cluster,
@@ -16,14 +25,9 @@ fn run(
     policy: Policy,
     speedups: SpeedupModel,
 ) -> Vec<scheduler::JobOutcome> {
-    let config = SchedulerConfig::builder()
-        .policy(policy)
-        .speedups(speedups)
-        .build()
-        .expect("test tables are valid");
     cluster
         .schedule(SliceSource::new(jobs))
-        .config(config)
+        .config(config(policy, speedups))
         .run()
 }
 
@@ -76,26 +80,46 @@ const MIXES: [[f64; 3]; 4] = [
     [0.0, 0.0, 1.0],
 ];
 
+/// The smallest table entry the configuration builder accepts
+/// (`1 - BASELINE_TOLERANCE`): quick node runs measure a hair under
+/// parity.
+const SPEEDUP_FLOOR: f64 = 0.95;
+
+/// Validated speedup tables: the conventional and default Hetero-DMR
+/// tables, and arbitrary ones with every entry in
+/// `[SPEEDUP_FLOOR, 1.5]`, drawn wholly below 1, wholly above 1, or
+/// across the range. The backfill scan rejects candidates against
+/// `now + duration / max` before allocating; these tables make that
+/// bound tight on some members, loose on others, and `max` sometimes
+/// 1.0 only because ineligible jobs never speed up.
+fn any_speedups() -> impl Strategy<Value = SpeedupModel> {
+    let band = |lo: f64, hi: f64| (lo..=hi, lo..=hi, lo..=hi, lo..=hi);
+    let arbitrary = prop_oneof![
+        band(SPEEDUP_FLOOR, 1.0),
+        band(1.0, 1.5),
+        band(SPEEDUP_FLOOR, 1.5),
+    ]
+    .prop_map(|(a, b, c, d)| SpeedupModel {
+        at_800: [a, b],
+        // The builder lets the 600 MT/s group exceed the 800 MT/s one
+        // by its 0.02 measurement slack, no more.
+        at_600: [c.min(a + 0.02), d.min(b + 0.02)],
+    });
+    prop_oneof![
+        Just(SpeedupModel::conventional()),
+        Just(SpeedupModel::hetero_dmr_default()),
+        arbitrary.boxed(),
+    ]
+}
+
 /// Runs `jobs` through the event loop (collected and streamed) and the
 /// naive reference; outcomes and backfill counts must agree exactly.
 fn check_against_reference(
+    cluster: &Cluster,
     jobs: &[Job],
-    policy: Policy,
-    mix: [f64; 3],
-    hetero: bool,
+    config: SchedulerConfig,
 ) -> Result<(), TestCaseError> {
-    let cluster = Cluster::new(64, mix);
-    let speedups = if hetero {
-        SpeedupModel::hetero_dmr_default()
-    } else {
-        SpeedupModel::conventional()
-    };
-    let config = SchedulerConfig::builder()
-        .policy(policy)
-        .speedups(speedups)
-        .build()
-        .expect("test tables are valid");
-    let (expected, expected_backfilled) = reference::schedule(&cluster, jobs, &config);
+    let (expected, expected_backfilled) = reference::schedule(cluster, jobs, &config);
     let outcomes = cluster
         .schedule(SliceSource::new(jobs))
         .config(config)
@@ -109,6 +133,55 @@ fn check_against_reference(
     Ok(())
 }
 
+/// Negative and zero durations (`Job`'s fields are public and
+/// unvalidated) behind a blocked head: outcomes must still equal the
+/// naive reference. A negative duration divided by a speedup below
+/// the table maximum ends *earlier* than at the maximum, so the
+/// backfill scan's `duration / max` bound must not apply to it.
+#[test]
+fn odd_durations_behind_a_blocked_head_match_the_reference() {
+    let job = |id, submit_s, nodes, duration_s, mem_utilization| Job {
+        id,
+        submit_s,
+        nodes,
+        duration_s,
+        mem_utilization,
+    };
+    let jobs = [
+        // Fills the cluster until 100 / speedup.
+        job(0, 0.0, 8, 100.0, 0.1),
+        // Starts first when job 0 ends and "ends" 100 s before that.
+        // Ineligible utilization: speedup 1.0 under any table.
+        job(1, 1.0, 2, -100.0, 0.8),
+        // The head: blocked until job 1's (past) completion frees its
+        // nodes, so the shadow time lies before `now`.
+        job(2, 2.0, 8, 10.0, 0.1),
+        // Ends 105 s before `now` at speedup 1.0, inside the shadow,
+        // but only 95.5 s before it at the 1.10 maximum.
+        job(3, 3.0, 2, -105.0, 0.8),
+        // Zero durations end exactly at `now`, after the shadow.
+        job(4, 4.0, 1, 0.0, 0.1),
+        job(5, 5.0, 1, 0.0, 0.8),
+        job(6, 6.0, 2, -0.0, 0.3),
+    ];
+    for policy in [Policy::Default, Policy::MarginAware] {
+        for speedups in [
+            SpeedupModel::conventional(),
+            SpeedupModel::hetero_dmr_default(),
+        ] {
+            for mix in [[1.0, 0.0, 0.0], [0.5, 0.25, 0.25]] {
+                let cluster = Cluster::new(8, mix);
+                let config = config(policy, speedups);
+                let (expected, _) = reference::schedule(&cluster, &jobs, &config);
+                let first_end = expected[0].start_s + expected[0].exec_s;
+                assert_eq!(expected[3].start_s, first_end, "job 3 backfills");
+                check_against_reference(&cluster, &jobs, config)
+                    .unwrap_or_else(|e| panic!("{policy:?} {speedups:?} {mix:?}: {e:?}"));
+            }
+        }
+    }
+}
+
 fn any_policy() -> impl Strategy<Value = Policy> {
     prop_oneof![Just(Policy::Default), Just(Policy::MarginAware)]
 }
@@ -117,15 +190,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The event-queue scheduler equals the naive O(n²) EASY reference
-    /// on arbitrary traces, under both policies.
+    /// on arbitrary traces, under both policies and any valid speedup
+    /// table.
     #[test]
     fn matches_the_naive_easy_reference(
         jobs in arbitrary_jobs(64),
         policy in any_policy(),
         mix in 0..MIXES.len(),
-        hetero in any::<bool>(),
+        speedups in any_speedups(),
     ) {
-        check_against_reference(&jobs, policy, MIXES[mix], hetero)?;
+        check_against_reference(&Cluster::new(64, MIXES[mix]), &jobs, config(policy, speedups))?;
     }
 
     /// The same, on traces dense in simultaneous events.
@@ -134,9 +208,9 @@ proptest! {
         jobs in tied_jobs(64),
         policy in any_policy(),
         mix in 0..MIXES.len(),
-        hetero in any::<bool>(),
+        speedups in any_speedups(),
     ) {
-        check_against_reference(&jobs, policy, MIXES[mix], hetero)?;
+        check_against_reference(&Cluster::new(64, MIXES[mix]), &jobs, config(policy, speedups))?;
     }
 
     /// Causality and per-job sanity under arbitrary traces/policies.
