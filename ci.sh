@@ -39,6 +39,13 @@ echo "== LRU reference (flattened caches vs naive true LRU) =="
 # the suite by name so a recency regression names itself here.
 cargo test --offline -q -p memsim --test lru_reference
 
+echo "== closed-form warm fill (batch prewarm vs per-block prewarm) =="
+# The L3 warm fill places provably distinct blocks without lookups and
+# must leave exactly the state per-block prewarm leaves, on warmup-
+# shaped, overlapping, duplicated and many-run sequences. Runs the
+# suite by name so a warm-fill regression names itself here.
+cargo test --offline -q -p memsim --test prewarm_closed_form
+
 echo "== scheduler reference (EASY backfill vs naive O(n²)) =="
 # The event loop (sorted-vector event queue, exact backfill bound) must
 # match a naive FCFS + EASY-backfill reference job for job, on

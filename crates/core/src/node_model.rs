@@ -126,9 +126,11 @@ fn warm_l3s(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) -> V
     let dirty_fraction = suite.params().write_fraction;
     let mut l3s = NodeSim::empty_l3s(hierarchy);
     for (l3, stream) in l3s.iter_mut().zip(core_streams(hierarchy, config, suite)) {
-        for (block, dirty) in stream.warmup_blocks(blocks, dirty_fraction) {
-            l3.prewarm(block << 6, dirty);
-        }
+        l3.prewarm_blocks(
+            stream
+                .warmup(blocks, dirty_fraction)
+                .map(|(block, dirty)| (block << 6, dirty)),
+        );
     }
     l3s
 }
@@ -718,8 +720,9 @@ mod tests {
     /// one design takes its suite's warm L3s by move: the same
     /// `SimResult`s, metrics and trace events. Every design variant
     /// runs on both hierarchies over two interleaved suites, with
-    /// repeats in the batch. Each result also equals a node built the
-    /// plain way, warmed core by core through `NodeSim::prewarm_core`.
+    /// repeats in the batch. Each result also equals a node built from
+    /// L3s warmed block by block through `Cache::prewarm`, independent
+    /// of the batch warm fill both engines use.
     #[test]
     fn primed_batch_matches_each_pair_run_alone() {
         use MemoryDesign as D;
@@ -791,12 +794,15 @@ mod tests {
                 assert_eq!(result, &alone[&(d, s)], "{label}: SimResult");
 
                 let (modes, mirror) = d.per_channel_modes(h.memory.channels);
-                let mut node = NodeSim::with_modes(h, modes, mirror);
                 let streams = core_streams(&h, &config, s);
-                let warm = node.l3_blocks_per_core();
-                for (i, stream) in streams.iter().enumerate() {
-                    node.prewarm_core(i, stream.warmup_blocks(warm, s.params().write_fraction));
+                let mut l3s = NodeSim::empty_l3s(&h);
+                let warm = h.l3_partition_bytes() / 64;
+                for (l3, stream) in l3s.iter_mut().zip(&streams) {
+                    for (block, dirty) in stream.warmup_blocks(warm, s.params().write_fraction) {
+                        l3.prewarm(block << 6, dirty);
+                    }
                 }
+                let mut node = NodeSim::with_l3s(h, modes, mirror, l3s);
                 assert_eq!(result, &node.run(streams), "{label}: plain node");
             }
         }

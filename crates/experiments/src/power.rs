@@ -131,7 +131,7 @@ fn run_generation(ctx: &Ctx, gen: &Generation, suite: Suite) -> (SimResult, Resi
         .collect();
     let warm = node.l3_blocks_per_core();
     for (i, stream) in streams.iter().enumerate() {
-        node.prewarm_core(i, stream.warmup_blocks(warm, suite.params().write_fraction));
+        node.prewarm_core(i, stream.warmup(warm, suite.params().write_fraction));
     }
     let result = node.run(streams);
     let input = residency_input(&result, h.memory.banks_per_rank as u32);

@@ -291,6 +291,48 @@ impl Cache {
         }
     }
 
+    /// [`prewarm`](Self::prewarm) for each `(addr, dirty)` of `blocks`
+    /// in order, leaving exactly the state those calls would: the one
+    /// batch warm fill.
+    ///
+    /// On an untouched cache (tick 0) it skips the lookup for every
+    /// block it can prove new. A new block always misses; the first
+    /// empty slot of a set is its leftmost one (occupied slots form a
+    /// prefix); and once a set is full its LRU line is the one placed
+    /// `ways` placements earlier, since no block was touched twice. So
+    /// a set's `k`-th placement goes to slot `k % ways`, kept as a
+    /// wrapping cursor per set. A block is proven new while the blocks
+    /// so far form strictly monotone runs and it lies outside the
+    /// `[lo, hi]` range of every earlier run, the shape of
+    /// `workloads::TraceGen::warmup`. From the first block it cannot
+    /// prove new, it continues with per-block `prewarm` on the
+    /// identical state.
+    pub fn prewarm_blocks<I: IntoIterator<Item = (u64, bool)>>(&mut self, blocks: I) {
+        let mut blocks = blocks.into_iter();
+        if self.tick == 0 {
+            let mut runs = DistinctRuns::default();
+            let mut next_slot = vec![0usize; self.set_count];
+            for (addr, dirty) in blocks.by_ref() {
+                let block = addr >> self.set_shift;
+                if !runs.admit(block) {
+                    self.prewarm(addr, dirty);
+                    break;
+                }
+                let tick = self.next_tick();
+                let set_idx = (block & self.set_mask) as usize;
+                let slot = next_slot[set_idx];
+                next_slot[set_idx] = if slot + 1 == self.ways { 0 } else { slot + 1 };
+                let line = set_idx * self.ways + slot;
+                self.tags[line] = block >> self.index_bits;
+                self.lru[line] = tick;
+                self.set_dirty(line, dirty);
+            }
+        }
+        for (addr, dirty) in blocks {
+            self.prewarm(addr, dirty);
+        }
+    }
+
     /// Whether `addr`'s block is currently cached (no LRU update).
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
@@ -331,6 +373,58 @@ impl Cache {
         // Dirty bits are only ever set on resident lines, and eviction
         // rewrites the slot's bit — so the popcount is exact.
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// Closed runs [`DistinctRuns`] remembers; a block stream with more
+/// runs falls back to per-block lookups.
+const MAX_RUNS: usize = 4;
+
+/// Proves a stream of blocks pairwise distinct as it goes, for
+/// [`Cache::prewarm_blocks`]: the stream must split into strictly
+/// monotone runs, each block beyond its run's last one and outside the
+/// `[lo, hi]` range of every earlier run.
+#[derive(Default)]
+struct DistinctRuns {
+    /// `[lo, hi]` of each closed run.
+    closed: [(u64, u64); MAX_RUNS],
+    closed_len: usize,
+    /// The open run's first and last blocks (`None` before any block).
+    open: Option<(u64, u64)>,
+    /// The open run's direction, once it has two blocks.
+    ascending: Option<bool>,
+}
+
+impl DistinctRuns {
+    /// Takes the next block; `false` when it cannot prove the block
+    /// differs from every block before it.
+    fn admit(&mut self, block: u64) -> bool {
+        match self.open {
+            Some((first, last)) => {
+                let extends = match self.ascending {
+                    Some(true) => block > last,
+                    Some(false) => block < last,
+                    None => block != last,
+                };
+                if extends {
+                    self.ascending = Some(block > last);
+                    self.open = Some((first, block));
+                } else {
+                    if self.closed_len == MAX_RUNS {
+                        return false;
+                    }
+                    self.closed[self.closed_len] = (first.min(last), first.max(last));
+                    self.closed_len += 1;
+                    self.open = Some((block, block));
+                    self.ascending = None;
+                }
+            }
+            None => self.open = Some((block, block)),
+        }
+        // The open run holds the block once; the closed ones must not.
+        !self.closed[..self.closed_len]
+            .iter()
+            .any(|&(lo, hi)| (lo..=hi).contains(&block))
     }
 }
 
@@ -456,12 +550,21 @@ mod tests {
     /// A cache whose tick starts just below `u32::MAX` renormalizes
     /// its recency partway through and must still match, op for op, a
     /// twin whose tick started at 0: hits, writebacks, cleaning order,
-    /// residency and dirty counts.
+    /// residency and dirty counts. Both start with the same batch warm
+    /// fill, which the fresh twin places in closed form and the
+    /// wrapping one block by block across the renormalization.
     #[test]
     fn tick_wrap_renormalization_is_invisible() {
         let mut fresh = Cache::new(1024, 4); // 4 sets x 4 ways
         let mut wrapping = fresh.clone();
         wrapping.tick = u32::MAX - 3;
+        // `TraceGen::warmup`'s shape: two descending runs, then an
+        // ascending one; 28 blocks over 16 lines.
+        let warm = (0..8u64).rev().chain((8..20).rev()).chain(24..32);
+        let warm = warm.map(|b| (b * 64 + b % 64, b % 3 == 0));
+        fresh.prewarm_blocks(warm.clone());
+        wrapping.prewarm_blocks(warm);
+        assert_eq!(fresh.dirty_count(), wrapping.dirty_count());
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         for step in 0..4_000 {
             x ^= x << 13;

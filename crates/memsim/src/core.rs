@@ -264,6 +264,13 @@ impl CoreSim {
         self.l3.prewarm(block << 6, dirty);
     }
 
+    /// [`prewarm_l3`](Self::prewarm_l3) for each `(block, dirty)` of
+    /// `blocks`, through the batch fill [`Cache::prewarm_blocks`].
+    pub(crate) fn prewarm_l3_blocks<I: IntoIterator<Item = (u64, bool)>>(&mut self, blocks: I) {
+        self.l3
+            .prewarm_blocks(blocks.into_iter().map(|(block, dirty)| (block << 6, dirty)));
+    }
+
     /// Cleans up to `limit` least-recently-used dirty L3 blocks
     /// (Hetero-DMR's write-mode LLC cleaning); returns their block
     /// addresses.

@@ -264,7 +264,8 @@ impl NodeSim {
     /// Warms core `core_idx`'s L3 partition with `(block, dirty)`
     /// pairs, so the run starts from a steady-state cache (full LLC,
     /// realistic writeback rate) the way the paper's warmed gem5
-    /// checkpoints do.
+    /// checkpoints do. The pairs go through the batch fill
+    /// [`Cache::prewarm_blocks`].
     ///
     /// # Panics
     ///
@@ -274,10 +275,7 @@ impl NodeSim {
         core_idx: usize,
         blocks: I,
     ) {
-        let core = &mut self.cores[core_idx];
-        for (block, dirty) in blocks {
-            core.prewarm_l3(block, dirty);
-        }
+        self.cores[core_idx].prewarm_l3_blocks(blocks);
     }
 
     /// The L3 partition capacity in 64-byte blocks (how many warmup

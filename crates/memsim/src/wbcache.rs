@@ -14,6 +14,10 @@
 pub struct WritebackCache {
     sets: Vec<Vec<u64>>,
     ways: usize,
+    /// Pending blocks across every set (the sum of the set lengths),
+    /// kept so [`len`](Self::len) is O(1) on the per-op write-mode
+    /// check.
+    len: usize,
     read_hits: u64,
 }
 
@@ -38,6 +42,7 @@ impl WritebackCache {
         WritebackCache {
             sets: vec![Vec::with_capacity(ways); sets],
             ways,
+            len: 0,
             read_hits: 0,
         }
     }
@@ -57,6 +62,7 @@ impl WritebackCache {
         }
         if set.len() < self.ways {
             set.push(block);
+            self.len += 1;
             true
         } else {
             false
@@ -87,6 +93,7 @@ impl WritebackCache {
     /// path feeds blocks straight into the controller's write queue
     /// without building an intermediate vector.
     pub fn drain_with<F: FnMut(u64)>(&mut self, mut sink: F) {
+        self.len = 0;
         for set in &mut self.sets {
             for block in set.drain(..) {
                 sink(block);
@@ -96,7 +103,7 @@ impl WritebackCache {
 
     /// Pending block count.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// Whether no writes are pending.
@@ -154,6 +161,45 @@ mod tests {
         assert!(!c.read_hit(8));
         assert_eq!(c.read_hits(), 2);
         assert_eq!(c.len(), 1);
+    }
+
+    /// The running count equals the sum of the set lengths after any
+    /// mix of new offers, coalesced offers, overflows and drains.
+    #[test]
+    fn len_tracks_set_lengths() {
+        let mut c = WritebackCache::new(8 * 4 * 64, 4); // 8 sets × 4 ways
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut coalesced, mut overflowed, mut drains) = (0, 0, 0);
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(97) {
+                let before = c.len();
+                let drained = if x & 1 == 0 {
+                    c.drain().len()
+                } else {
+                    let mut n = 0;
+                    c.drain_with(|_| n += 1);
+                    n
+                };
+                assert_eq!(drained, before, "step {step}: drained count");
+                drains += 1;
+            } else {
+                // 64 blocks over 8 sets: sets fill, coalesce and overflow.
+                let block = (x >> 8) % 64;
+                let before = c.len();
+                let present = c.sets[c.set_of(block)].contains(&block);
+                let absorbed = c.offer(block);
+                coalesced += usize::from(present);
+                overflowed += usize::from(!absorbed);
+                assert_eq!(c.len() - before, usize::from(absorbed && !present));
+            }
+            let sum: usize = c.sets.iter().map(Vec::len).sum();
+            assert_eq!(c.len(), sum, "step {step}");
+            assert_eq!(c.is_empty(), sum == 0, "step {step}");
+        }
+        assert!(coalesced > 0 && overflowed > 0 && drains > 0);
     }
 
     #[test]

@@ -599,8 +599,12 @@ fn allocate_margin_aware(nodes: u32, free: &[u32; 3]) -> [u32; 3] {
 }
 
 /// Margin-oblivious allocation: nodes come in proportion to what
-/// is free (groups are physically interleaved in the racks).
+/// is free (groups are physically interleaved in the racks). A
+/// zero-node job gets nothing, even when nothing is free.
 fn allocate_default(nodes: u32, free: &[u32; 3]) -> [u32; 3] {
+    if nodes == 0 {
+        return [0; 3];
+    }
     let total: u32 = free.iter().sum();
     let mut alloc = [0u32; 3];
     let mut assigned = 0;
@@ -690,6 +694,22 @@ mod tests {
         let out = run(&c, &jobs, conventional());
         assert_eq!(out[1].start_s, 100.0);
         assert_eq!(out[1].queue_delay_s(), 99.0);
+    }
+
+    /// `Job` is unvalidated, so a zero-node job can reach a cluster
+    /// with nothing free; both policies start it at once with an empty
+    /// allocation.
+    #[test]
+    fn zero_node_job_starts_on_a_full_cluster_under_both_policies() {
+        let c = Cluster::conventional(4);
+        let jobs = [job(0, 0.0, 4, 100.0, 0.1), job(1, 1.0, 0, 50.0, 0.1)];
+        for config in [conventional(), aware()] {
+            let policy = config.policy();
+            let out = run(&c, &jobs, config);
+            assert_eq!(out.len(), 2, "{policy:?}");
+            assert_eq!(out[1].job.id, 1, "{policy:?}");
+            assert_eq!(out[1].start_s, 1.0, "{policy:?}");
+        }
     }
 
     #[test]

@@ -205,6 +205,9 @@ fn allocate_margin_aware(nodes: u32, free: [u32; 3]) -> [u32; 3] {
 /// Proportional shares of the free pool (rounded down), then the
 /// remainder one node at a time round-robin over groups with room.
 fn allocate_default(nodes: u32, free: [u32; 3]) -> [u32; 3] {
+    if nodes == 0 {
+        return [0; 3];
+    }
     let total: u64 = free.iter().map(|&f| f as u64).sum();
     let mut alloc = free.map(|f| ((nodes as u64 * f as u64 / total) as u32).min(f));
     let mut g = 0;

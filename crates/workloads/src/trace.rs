@@ -70,34 +70,46 @@ impl TraceGen {
     /// The `(block, dirty)` pairs a warmed cache would hold when this
     /// stream begins: the `count` footprint blocks *behind* the
     /// stream's starting cursor (its recent past), dirtied with
-    /// probability `dirty_fraction`. Feed to
-    /// `memsim::NodeSim::prewarm_core` so the run starts in steady
+    /// probability `dirty_fraction`, then the warm reuse region. Feed
+    /// to `memsim::NodeSim::prewarm_core` so the run starts in steady
     /// state. A conventional system's steady-state LLC is dirty at
     /// roughly the store fraction ([`SuiteParams::write_fraction`]);
     /// a system with proactive LLC cleaning keeps it nearly clean.
-    pub fn warmup_blocks(&self, count: usize, dirty_fraction: f64) -> Vec<(u64, bool)> {
+    ///
+    /// The blocks come as at most two descending runs (the footprint
+    /// behind the cursor, wrapping once) and one ascending run (the
+    /// warm region), pairwise distinct while `count` is at most the
+    /// footprint: the shape `memsim::cache::Cache::prewarm_blocks`
+    /// places without lookups.
+    pub fn warmup(&self, count: usize, dirty_fraction: f64) -> impl Iterator<Item = (u64, bool)> {
         let p = self.params;
-        let base_block = self.base / 64;
-        let mut rng = StdRng::seed_from_u64(self.base ^ 0x9E37_79B9);
-        let per_stream = count / STREAMS_PER_CORE;
-        let mut out = Vec::with_capacity(count + p.warm_blocks as usize);
-        for cursor in self.cursors {
-            for i in 0..per_stream as u64 {
-                let offset =
-                    (cursor + p.footprint_blocks - 1 - i % p.footprint_blocks) % p.footprint_blocks;
-                let block = base_block + p.hot_blocks + offset;
-                out.push((block, rng.random_bool(dirty_fraction.clamp(0.0, 1.0))));
-            }
-        }
+        let first = self.base / 64 + p.hot_blocks;
         // The warm reuse region (when the suite uses one) goes in last
         // (most recently used) so a cache large enough to hold it
         // starts with it resident.
-        if p.warm_fraction > 0.0 {
-            for i in 0..p.warm_blocks {
-                out.push((base_block + p.hot_blocks + p.footprint_blocks + i, false));
-            }
+        let warm = if p.warm_fraction > 0.0 {
+            p.warm_blocks
+        } else {
+            0
+        };
+        let warm_first = first + p.footprint_blocks;
+        Warmup {
+            rng: StdRng::seed_from_u64(self.base ^ 0x9E37_79B9),
+            dirty_fraction: dirty_fraction.clamp(0.0, 1.0),
+            first,
+            footprint: p.footprint_blocks,
+            cursors: self.cursors,
+            next_stream: 0,
+            per_stream: (count / STREAMS_PER_CORE) as u64,
+            left: 0,
+            offset: 0,
+            warm: warm_first..warm_first + warm,
         }
-        out
+    }
+
+    /// [`warmup`](Self::warmup), collected.
+    pub fn warmup_blocks(&self, count: usize, dirty_fraction: f64) -> Vec<(u64, bool)> {
+        self.warmup(count, dirty_fraction).collect()
     }
 
     fn sample_gap(&mut self) -> u32 {
@@ -142,6 +154,54 @@ impl TraceGen {
             self.cursors[s] = self.rng.random_range(0..p.footprint_blocks);
         }
         p.hot_blocks + self.cursors[s]
+    }
+}
+
+/// The stream [`TraceGen::warmup`] returns: each stream cursor's pass
+/// over the footprint blocks behind it, then the warm region.
+struct Warmup {
+    rng: StdRng,
+    dirty_fraction: f64,
+    /// The first footprint block (just past the hot region).
+    first: u64,
+    footprint: u64,
+    cursors: [u64; STREAMS_PER_CORE],
+    /// The cursor whose pass starts next.
+    next_stream: usize,
+    per_stream: u64,
+    /// Blocks left in the current pass, and the footprint offset of
+    /// the next one: one below the last, wrapping from 0 to the top.
+    left: u64,
+    offset: u64,
+    warm: std::ops::Range<u64>,
+}
+
+impl Iterator for Warmup {
+    type Item = (u64, bool);
+
+    fn next(&mut self) -> Option<(u64, bool)> {
+        loop {
+            if self.left > 0 {
+                self.left -= 1;
+                let offset = self.offset;
+                self.offset = offset.checked_sub(1).unwrap_or(self.footprint - 1);
+                let dirty = self.rng.random_bool(self.dirty_fraction);
+                return Some((self.first + offset, dirty));
+            }
+            let Some(&cursor) = self.cursors.get(self.next_stream) else {
+                return self.warm.next().map(|block| (block, false));
+            };
+            // The pass starts just behind the cursor.
+            self.next_stream += 1;
+            self.left = self.per_stream;
+            self.offset = (cursor + self.footprint - 1) % self.footprint;
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let passes = (STREAMS_PER_CORE - self.next_stream) as u64 * self.per_stream;
+        let n = (self.left + passes + (self.warm.end - self.warm.start)) as usize;
+        (n, Some(n))
     }
 }
 
@@ -271,6 +331,36 @@ mod tests {
             for op in TraceGen::new(p, seed, 2_000) {
                 assert!(op.addr >= base && op.addr < base + span);
             }
+        }
+    }
+
+    /// `warmup` walks down from just behind the cursor with a
+    /// decrement that wraps, which must equal the position formula
+    /// `(cursor + f - 1 - i % f) % f` for every `i`, also past a whole
+    /// footprint, and must end with the warm region.
+    #[test]
+    fn warmup_matches_its_position_formula() {
+        let p = SuiteParams {
+            footprint_blocks: 37,
+            warm_fraction: 0.5,
+            warm_blocks: 5,
+            ..Suite::Hpcg.params()
+        };
+        for seed in 0..40u64 {
+            let gen = TraceGen::new(p, seed, 10);
+            let first = gen.base / 64 + p.hot_blocks;
+            let mut rng = StdRng::seed_from_u64(gen.base ^ 0x9E37_79B9);
+            let f = p.footprint_blocks;
+            let mut expected: Vec<(u64, bool)> = (0..100u64)
+                .map(|i| {
+                    let offset = (gen.cursors[0] + f - 1 - i % f) % f;
+                    (first + offset, rng.random_bool(0.3))
+                })
+                .collect();
+            expected.extend((0..5).map(|i| (first + f + i, false)));
+            let warmup = gen.warmup(100, 0.3);
+            assert_eq!(warmup.size_hint(), (105, Some(105)), "seed {seed}");
+            assert_eq!(warmup.collect::<Vec<_>>(), expected, "seed {seed}");
         }
     }
 

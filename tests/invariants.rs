@@ -16,7 +16,7 @@ fn run_suite(mode: ChannelMode, suite: Suite, ops: usize, seed: u64) -> memsim::
         .collect();
     let warm = node.l3_blocks_per_core();
     for (i, s) in streams.iter().enumerate() {
-        node.prewarm_core(i, s.warmup_blocks(warm, suite.params().write_fraction));
+        node.prewarm_core(i, s.warmup(warm, suite.params().write_fraction));
     }
     node.run(streams)
 }
