@@ -125,15 +125,35 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
 grep -q "## Paper drift" "$DET_DIR/rep/report.md"
 
 echo "== power/energy smoke =="
-# The residency-model targets must run, their report must render the
-# Power/energy section, and the drift table must stay clean (the new
-# summary gauges add no reference comparisons).
-"$EXP" energy --quick --metrics "$DET_DIR/energy" > /dev/null
-"$EXP" report "$DET_DIR/energy" --out "$DET_DIR/energy/report.md"
-grep -q "## Power/energy" "$DET_DIR/energy/report.md"
-grep -q "0 breach(es)" "$DET_DIR/energy/report.md"
-"$EXP" configurator --quick > "$DET_DIR/configurator.out"
-grep -q "meet all requirements" "$DET_DIR/configurator.out"
+# The residency energy engine must conserve bank time in its tap and
+# stay inside the standby envelope built from the datasheet calibration
+# alone (edge sum plus precharge/active standby). Runs the oracle by
+# name so an energy-model regression names itself here.
+cargo test --offline -q -p energy --test residency_envelope
+# Both residency-model targets must run, and the generation sweep fans
+# out on the worker pool only when a target has the pool to itself
+# (inside 'all' the other targets hold the permits), so these standalone
+# runs diff stdout, metrics, trace and span tree between parallel and
+# serial runs. The report must render the Power/energy section, and the
+# drift table must stay clean.
+for t in energy configurator; do
+    for run in par ser; do
+        jobs=1
+        [ "$run" = par ] && jobs=$(nproc)
+        out="$DET_DIR/${t}_$run"
+        "$EXP" "$t" --quick --jobs "$jobs" --metrics "$out" --trace "$out" \
+            > "$out.out"
+        sed -i "s|$out|DIR|" "$out.out"
+    done
+    diff -u "$DET_DIR/${t}_ser.out" "$DET_DIR/${t}_par.out"
+    for f in "$t.metrics.jsonl" "$t.trace.json" "$t.spans.txt"; do
+        diff -u "$DET_DIR/${t}_ser/$f" "$DET_DIR/${t}_par/$f"
+    done
+done
+"$EXP" report "$DET_DIR/energy_par" --out "$DET_DIR/energy_par/report.md"
+grep -q "## Power/energy" "$DET_DIR/energy_par/report.md"
+grep -q "0 breach(es)" "$DET_DIR/energy_par/report.md"
+grep -q "meet all requirements" "$DET_DIR/configurator_par.out"
 
 echo "== fleet federation smoke =="
 # The federated sweep must report both placement policies on a reduced

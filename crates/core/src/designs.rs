@@ -1,8 +1,58 @@
 //! The evaluated memory designs as [`memsim::ChannelMode`] builders.
 
-use dram::timing::MemorySetting;
+use dram::timing::{MemorySetting, TimingParams};
 use dram::PS_PER_US;
 use memsim::config::{ChannelMode, HierarchyConfig};
+
+/// A shipped DRAM generation, for the `energy` target's generation
+/// sweep. A design that carries it keys the node model's result cache,
+/// which a [`TimingParams`] (floats) cannot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DramGeneration {
+    /// DDR4-2400.
+    Ddr4_2400,
+    /// DDR4-3200, the paper's baseline configuration.
+    Ddr4_3200,
+    /// DDR5-4800.
+    Ddr5_4800,
+    /// DDR5-6400.
+    Ddr5_6400,
+    /// MRDIMM-8800.
+    Mrdimm8800,
+}
+
+impl DramGeneration {
+    /// Every generation, oldest first.
+    pub const ALL: [DramGeneration; 5] = [
+        DramGeneration::Ddr4_2400,
+        DramGeneration::Ddr4_3200,
+        DramGeneration::Ddr5_4800,
+        DramGeneration::Ddr5_6400,
+        DramGeneration::Mrdimm8800,
+    ];
+
+    /// The generation's label, such as `"DDR5-4800"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            DramGeneration::Ddr4_2400 => "DDR4-2400",
+            DramGeneration::Ddr4_3200 => "DDR4-3200",
+            DramGeneration::Ddr5_4800 => "DDR5-4800",
+            DramGeneration::Ddr5_6400 => "DDR5-6400",
+            DramGeneration::Mrdimm8800 => "MRDIMM-8800",
+        }
+    }
+
+    /// The generation's specification timing.
+    pub fn timing(self) -> TimingParams {
+        match self {
+            DramGeneration::Ddr4_2400 => TimingParams::ddr4_2400_spec(),
+            DramGeneration::Ddr4_3200 => TimingParams::ddr4_3200_spec(),
+            DramGeneration::Ddr5_4800 => TimingParams::ddr5_4800_spec(),
+            DramGeneration::Ddr5_6400 => TimingParams::ddr5_6400_spec(),
+            DramGeneration::Mrdimm8800 => TimingParams::mrdimm_8800_spec(),
+        }
+    }
+}
 
 /// A memory-system design from the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,6 +96,9 @@ pub enum MemoryDesign {
         /// never strengthens past this margin.
         max_margin_mts: u32,
     },
+    /// A DRAM generation at its specification timing, with no margin
+    /// and no replication.
+    Generation(DramGeneration),
 }
 
 impl MemoryDesign {
@@ -72,6 +125,7 @@ impl MemoryDesign {
             MemoryDesign::AdaptiveDmr { max_margin_mts } => {
                 format!("Adaptive-DMR<=+{:.1}GT/s", max_margin_mts as f64 / 1000.0)
             }
+            MemoryDesign::Generation(generation) => generation.label().into(),
         }
     }
 
@@ -146,6 +200,9 @@ impl MemoryDesign {
                     margin_mts: max_margin_mts,
                 }
                 .channel_mode()
+            }
+            MemoryDesign::Generation(generation) => {
+                ChannelMode::builder().timings(generation.timing()).build()
             }
         };
         built.unwrap_or_else(|e| panic!("{}: invalid channel mode: {e}", self.name()))

@@ -52,7 +52,7 @@ pub mod protocol;
 pub mod replication;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveGovernor, Decision, Environment, MarginResponse};
-pub use designs::MemoryDesign;
+pub use designs::{DramGeneration, MemoryDesign};
 pub use faults::PermanentFaultTracker;
 pub use governor::{EpochGovernor, GovernorState};
 pub use monte_carlo::{MarginGroups, MonteCarlo};

@@ -20,8 +20,7 @@
 
 use crate::designs::MemoryDesign;
 use crate::monte_carlo::MarginGroups;
-use dram::power::ActivityCounters;
-use energy::{EnergyBreakdown, EnergyModel};
+use energy::{ResidencyBreakdown, ResidencyInput, ResidencyModel};
 use memsim::cache::Cache;
 use memsim::config::HierarchyConfig;
 use memsim::{NodeSim, SimResult};
@@ -511,20 +510,29 @@ impl NodeModel {
             + groups.at_0
     }
 
-    /// Energy of a run for Figure 13. The self-refresh residency of
-    /// the original-holding modules under Hetero-DMR comes from the
-    /// simulator's bank-state residency tap (via
-    /// [`SimResult::activity`]), not a fixed fraction.
+    /// DRAM energy of a run under `model`, priced from the run's
+    /// bank-state residency tap and command counts: Figure 13 and the
+    /// `energy`/`configurator` targets. Under Hetero-DMR the parked
+    /// original-module ranks show up as simulated self-refresh time.
     pub fn energy(
         &self,
         design: MemoryDesign,
         suite: Suite,
-        model: &EnergyModel,
-    ) -> EnergyBreakdown {
-        let result = self.run(design, suite);
-        let activity: ActivityCounters = result.activity();
-        let modules = self.hierarchy.memory.channels * self.hierarchy.memory.modules_per_channel;
-        model.energy(&activity, modules, result.instructions)
+        model: &ResidencyModel,
+    ) -> ResidencyBreakdown {
+        let r = self.run(design, suite);
+        model.energy(&ResidencyInput {
+            active_bank_ps: r.residency.active_bank_ps,
+            precharged_bank_ps: r.residency.precharged_bank_ps(),
+            refresh_bank_ps: r.residency.refresh_bank_ps,
+            self_refresh_bank_ps: r.residency.self_refresh_bank_ps,
+            banks_per_rank: self.hierarchy.memory.banks_per_rank as u32,
+            activates: r.controller.activates,
+            reads: r.controller.reads,
+            writes: r.controller.writes,
+            broadcast_extra_cells: r.controller.broadcast_extra_cells,
+            refreshes: r.controller.refreshes,
+        })
     }
 }
 
@@ -738,6 +746,7 @@ mod tests {
             D::AdaptiveDmr {
                 max_margin_mts: 800,
             },
+            D::Generation(crate::designs::DramGeneration::Ddr5_4800),
         ];
         // A new variant must join the list above.
         for d in designs {
@@ -750,7 +759,8 @@ mod tests {
                 | D::HeteroDmr { .. }
                 | D::HeteroDmrFmr { .. }
                 | D::NaiveDmr { .. }
-                | D::AdaptiveDmr { .. } => {}
+                | D::AdaptiveDmr { .. }
+                | D::Generation(_) => {}
             }
         }
         let mut pairs: Vec<(MemoryDesign, Suite)> = designs
@@ -1003,18 +1013,15 @@ mod tests {
     #[test]
     fn energy_improves_under_hetero_dmr() {
         let m = model(HierarchyConfig::hierarchy1());
-        let em = EnergyModel::default();
-        let base = m.energy(MemoryDesign::CommercialBaseline, Suite::Hpcg, &em);
-        let hdmr = m.energy(
-            MemoryDesign::HeteroDmr { margin_mts: 800 },
-            Suite::Hpcg,
-            &em,
-        );
-        assert!(
-            hdmr.epi_nj() < base.epi_nj(),
-            "EPI should improve: {} vs {}",
-            hdmr.epi_nj(),
-            base.epi_nj()
-        );
+        let epi = |design| {
+            let r = m.run(design, Suite::Hpcg);
+            let dram = m.energy(design, Suite::Hpcg, &ResidencyModel::ddr4_3200());
+            let cpu = energy::CpuPowerParams::default()
+                .energy_j(energy::ps_to_s(r.exec_time_ps), r.instructions);
+            (dram.total_j() + cpu) / r.instructions as f64
+        };
+        let base = epi(MemoryDesign::CommercialBaseline);
+        let hdmr = epi(MemoryDesign::HeteroDmr { margin_mts: 800 });
+        assert!(hdmr < base, "EPI should improve: {hdmr} vs {base}");
     }
 }

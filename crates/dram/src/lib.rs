@@ -13,8 +13,7 @@
 //!   density, ECC chips),
 //! * [`module`] — a DIMM with self-refresh state,
 //! * [`channel`] — a memory channel with the runtime frequency-scaling
-//!   protocol of Figures 9 and 10 of the paper and broadcast writes,
-//! * [`power`] — activity counters consumed by the `energy` crate.
+//!   protocol of Figures 9 and 10 of the paper and broadcast writes.
 //!
 //! All times are integer **picoseconds** ([`Picos`]) so that frequency
 //! changes at runtime never lose precision.
@@ -37,7 +36,6 @@ pub mod command;
 pub mod error;
 pub mod module;
 pub mod organization;
-pub mod power;
 pub mod rank;
 pub mod rate;
 pub mod timing;
@@ -48,7 +46,6 @@ pub use command::Command;
 pub use error::DramError;
 pub use module::{Module, ModuleId};
 pub use organization::ModuleOrganization;
-pub use power::ActivityCounters;
 pub use rate::DataRate;
 pub use timing::{MemorySetting, TimingParams};
 

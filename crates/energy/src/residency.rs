@@ -1,8 +1,8 @@
 //! DRAMPower-style state-residency energy engine.
 //!
-//! Instead of charging a flat background power plus per-op constants
-//! (the [`crate::simple`] model), this engine integrates the power of
-//! each bank *state* over the time the simulator actually spent there:
+//! Instead of charging a flat background power plus per-op constants,
+//! this engine integrates the power of each bank *state* over the time
+//! the simulator actually spent there:
 //!
 //! ```text
 //! E = Σ_state P_state × t_state  +  Σ_edge N_edge × E_edge
@@ -75,42 +75,6 @@ impl ResidencyModel {
             &DatasheetCurrents::ddr4_8gb(),
             &TimingParams::ddr4_3200_spec(),
             9,
-        )
-    }
-
-    /// DDR4-2400, 9-chip ranks.
-    pub fn ddr4_2400() -> ResidencyModel {
-        ResidencyModel::from_currents(
-            &DatasheetCurrents::ddr4_8gb(),
-            &TimingParams::ddr4_2400_spec(),
-            9,
-        )
-    }
-
-    /// DDR5-4800, 10-chip ranks.
-    pub fn ddr5_4800() -> ResidencyModel {
-        ResidencyModel::from_currents(
-            &DatasheetCurrents::ddr5_16gb(),
-            &TimingParams::ddr5_4800_spec(),
-            10,
-        )
-    }
-
-    /// DDR5-6400, 10-chip ranks.
-    pub fn ddr5_6400() -> ResidencyModel {
-        ResidencyModel::from_currents(
-            &DatasheetCurrents::ddr5_16gb(),
-            &TimingParams::ddr5_6400_spec(),
-            10,
-        )
-    }
-
-    /// MRDIMM-8800, 10-chip pseudo-ranks behind the mux buffer.
-    pub fn mrdimm_8800() -> ResidencyModel {
-        ResidencyModel::from_currents(
-            &DatasheetCurrents::mrdimm_16gb(),
-            &TimingParams::mrdimm_8800_spec(),
-            10,
         )
     }
 
@@ -225,7 +189,11 @@ mod tests {
 
     #[test]
     fn components_sum_to_total() {
-        let m = ResidencyModel::ddr5_4800();
+        let m = ResidencyModel::from_currents(
+            &DatasheetCurrents::ddr5_16gb(),
+            &TimingParams::ddr5_4800_spec(),
+            10,
+        );
         let b = m.energy(&ResidencyInput {
             active_bank_ps: 4 * PS_PER_S,
             precharged_bank_ps: 27 * PS_PER_S,
@@ -262,13 +230,17 @@ mod tests {
 
     #[test]
     fn generation_presets_are_well_formed() {
-        for m in [
-            ResidencyModel::ddr4_2400(),
-            ResidencyModel::ddr4_3200(),
-            ResidencyModel::ddr5_4800(),
-            ResidencyModel::ddr5_6400(),
-            ResidencyModel::mrdimm_8800(),
+        let ddr4 = DatasheetCurrents::ddr4_8gb();
+        let ddr5 = DatasheetCurrents::ddr5_16gb();
+        let mrdimm = DatasheetCurrents::mrdimm_16gb();
+        for (currents, timing, chips) in [
+            (ddr4, TimingParams::ddr4_2400_spec(), 9),
+            (ddr4, TimingParams::ddr4_3200_spec(), 9),
+            (ddr5, TimingParams::ddr5_4800_spec(), 10),
+            (ddr5, TimingParams::ddr5_6400_spec(), 10),
+            (mrdimm, TimingParams::mrdimm_8800_spec(), 10),
         ] {
+            let m = ResidencyModel::from_currents(&currents, &timing, chips);
             assert!(m.powers.self_refresh_w < m.powers.precharge_standby_w);
             assert!(m.powers.precharge_standby_w < m.powers.active_standby_w);
             assert!(m.edges.act_pre_nj > 0.0);

@@ -2,7 +2,7 @@
 //! `hetero_dmr::NodeModel` evaluation engine.
 
 use crate::context::{say, sayp, Ctx};
-use energy::EnergyModel;
+use energy::{CpuPowerParams, ResidencyModel};
 use hetero_dmr::emulation::EmulationInputs;
 use hetero_dmr::monte_carlo::MonteCarlo;
 use hetero_dmr::{EvalConfig, MemoryDesign, NodeModel, UsageBucket};
@@ -12,6 +12,12 @@ use workloads::utilization::{Cluster, UtilizationModel};
 use workloads::Suite;
 
 pub(crate) fn model(ctx: &Ctx, h: HierarchyConfig) -> NodeModel {
+    model_scoped(ctx, h, &format!("node.{}", telemetry::slug(h.name)))
+}
+
+/// An engine for `h` whose runs record metrics under
+/// `<scope>.<design>.<suite>` and trace under the context's tracer.
+pub(crate) fn model_scoped(ctx: &Ctx, h: HierarchyConfig, scope: &str) -> NodeModel {
     let mut m = NodeModel::new(
         h,
         EvalConfig {
@@ -20,7 +26,7 @@ pub(crate) fn model(ctx: &Ctx, h: HierarchyConfig) -> NodeModel {
             windows: 1,
         },
     );
-    if let Some(scope) = ctx.metrics_scope(&format!("node.{}", telemetry::slug(h.name))) {
+    if let Some(scope) = ctx.metrics_scope(scope) {
         m.set_metrics_scope(scope);
     }
     if let Some(t) = ctx.obs.tracer() {
@@ -267,9 +273,11 @@ pub fn fig12(ctx: &mut Ctx) {
     ctx.csv("fig12", &rows);
 }
 
-/// Figure 13: system-level energy per instruction, normalized.
+/// Figure 13: system-level energy per instruction, normalized. DRAM
+/// energy comes from the state-residency model at DDR4-3200, CPU
+/// energy from [`CpuPowerParams`].
 pub fn fig13(ctx: &mut Ctx) {
-    let em = EnergyModel::default();
+    let (dram, cpu) = (ResidencyModel::ddr4_3200(), CpuPowerParams::default());
     let mut rows = vec![vec![
         "hierarchy".into(),
         "design".into(),
@@ -296,12 +304,15 @@ pub fn fig13(ctx: &mut Ctx) {
             "{} (EPI normalized to Commercial Baseline, [0~25%) usage):",
             h.name
         );
+        let epi = |design, suite| {
+            let r = m.run(design, suite);
+            let cpu_j = cpu.energy_j(energy::ps_to_s(r.exec_time_ps), r.instructions);
+            (m.energy(design, suite, &dram).total_j() + cpu_j) / r.instructions as f64
+        };
         for design in designs {
             let mut epi_ratio = 0.0;
             for suite in Suite::ALL {
-                let base = m.energy(MemoryDesign::CommercialBaseline, suite, &em);
-                let d = m.energy(design, suite, &em);
-                epi_ratio += d.epi_nj() / base.epi_nj();
+                epi_ratio += epi(design, suite) / epi(MemoryDesign::CommercialBaseline, suite);
             }
             epi_ratio /= Suite::ALL.len() as f64;
             if h.name == "Hierarchy1" && matches!(design, MemoryDesign::HeteroDmr { .. }) {

@@ -2,84 +2,57 @@
 //! (per-design EPI decomposition plus a DRAM-generation sweep) and the
 //! `configurator` fleet sizing tool.
 //!
-//! Both targets consume the memsim bank-state residency tap through
-//! the calibrated [`ResidencyModel`]: DRAM energy is integrated from
+//! Both targets run on the node model: the design table on Hierarchy1,
+//! and each generation as a [`MemoryDesign::Generation`] design at its
+//! specification timing. [`NodeModel::energy`] prices every run with a
+//! calibrated [`ResidencyModel`]: DRAM energy is integrated from
 //! time-in-state (active / precharged / refreshing / self-refresh)
-//! plus per-command edge energies, not from flat per-op constants.
+//! plus per-command edge energies.
 
 use crate::context::{say, Ctx};
-use crate::node_figures::model;
+use crate::node_figures::{model, model_scoped};
 use dram::organization::ModuleOrganization;
-use dram::timing::TimingParams;
-use energy::{CpuPowerParams, ResidencyBreakdown, ResidencyInput, ResidencyModel};
-use hetero_dmr::MemoryDesign;
-use memsim::config::{ChannelMode, HierarchyConfig};
-use memsim::{NodeSim, SimResult};
+use energy::{CpuPowerParams, DatasheetCurrents, ResidencyBreakdown, ResidencyModel};
+use hetero_dmr::{DramGeneration, MemoryDesign, NodeModel};
+use memsim::config::HierarchyConfig;
+use memsim::SimResult;
 use telemetry::slug;
-use workloads::{Suite, TraceGen};
+use workloads::Suite;
 
-/// One DRAM generation the sweep and the configurator evaluate: a
-/// shipped timing preset, its calibrated residency model, and the
-/// module geometry it comes packaged in.
-struct Generation {
-    label: &'static str,
-    timing: TimingParams,
-    model: ResidencyModel,
-    organization: ModuleOrganization,
-    /// MRDIMMs multiplex four physical ranks behind one buffer, so a
-    /// channel carries one quad-rank module instead of two dual-rank
-    /// ones (same ranks per channel, half the sockets).
-    mrdimm: bool,
+/// The module geometry a generation ships in, and its residency model:
+/// the generation's device currents at its specification timing, over
+/// the module's devices per rank.
+fn packaging(generation: DramGeneration) -> (ModuleOrganization, ResidencyModel) {
+    use DramGeneration::*;
+    let organization = match generation {
+        Ddr4_2400 => ModuleOrganization::ddr4_2400_9cpr_dual_rank(),
+        Ddr4_3200 => ModuleOrganization::ddr4_3200_9cpr_dual_rank(),
+        Ddr5_4800 => ModuleOrganization::ddr5_4800_10cpr_dual_rank(),
+        Ddr5_6400 => ModuleOrganization::ddr5_6400_10cpr_dual_rank(),
+        Mrdimm8800 => ModuleOrganization::mrdimm_8800_10cpr_quad_rank(),
+    };
+    let currents = match generation {
+        Ddr4_2400 | Ddr4_3200 => DatasheetCurrents::ddr4_8gb(),
+        Ddr5_4800 | Ddr5_6400 => DatasheetCurrents::ddr5_16gb(),
+        Mrdimm8800 => DatasheetCurrents::mrdimm_16gb(),
+    };
+    let chips = u32::from(organization.chips_per_rank);
+    let model = ResidencyModel::from_currents(&currents, &generation.timing(), chips);
+    (organization, model)
 }
 
-/// The five generations, oldest first. DDR4-3200 (index 1) is the
-/// paper's baseline configuration and the sweep's normalization point.
-fn generations() -> [Generation; 5] {
-    [
-        Generation {
-            label: "DDR4-2400",
-            timing: TimingParams::ddr4_2400_spec(),
-            model: ResidencyModel::ddr4_2400(),
-            organization: ModuleOrganization::ddr4_2400_9cpr_dual_rank(),
-            mrdimm: false,
-        },
-        Generation {
-            label: "DDR4-3200",
-            timing: TimingParams::ddr4_3200_spec(),
-            model: ResidencyModel::ddr4_3200(),
-            organization: ModuleOrganization::ddr4_3200_9cpr_dual_rank(),
-            mrdimm: false,
-        },
-        Generation {
-            label: "DDR5-4800",
-            timing: TimingParams::ddr5_4800_spec(),
-            model: ResidencyModel::ddr5_4800(),
-            organization: ModuleOrganization::ddr5_4800_10cpr_dual_rank(),
-            mrdimm: false,
-        },
-        Generation {
-            label: "DDR5-6400",
-            timing: TimingParams::ddr5_6400_spec(),
-            model: ResidencyModel::ddr5_6400(),
-            organization: ModuleOrganization::ddr5_6400_10cpr_dual_rank(),
-            mrdimm: false,
-        },
-        Generation {
-            label: "MRDIMM-8800",
-            timing: TimingParams::mrdimm_8800_spec(),
-            model: ResidencyModel::mrdimm_8800(),
-            organization: ModuleOrganization::mrdimm_8800_10cpr_quad_rank(),
-            mrdimm: true,
-        },
-    ]
+/// Whether `generation` runs on the MRDIMM node of [`hierarchy_for`].
+fn mrdimm(generation: DramGeneration) -> bool {
+    generation == DramGeneration::Mrdimm8800
 }
 
-/// The node a generation runs in: Hierarchy1, with the MRDIMM's
-/// quad-rank single-socket channel substituted where applicable (rank
-/// count per channel stays four either way, so bank-level parallelism
-/// is held constant across the sweep).
-fn hierarchy_for(gen: &Generation) -> HierarchyConfig {
-    if gen.mrdimm {
+/// The node a generation runs in: Hierarchy1, or for MRDIMMs its
+/// quad-rank variant. MRDIMMs multiplex four physical ranks behind one
+/// buffer, so a channel carries one quad-rank module instead of two
+/// dual-rank ones: ranks per channel stay four either way, so
+/// bank-level parallelism is held constant across the sweep.
+fn hierarchy_for(mrdimm: bool) -> HierarchyConfig {
+    if mrdimm {
         HierarchyConfig::builder("Hierarchy1-MRDIMM")
             .modules_per_channel(1)
             .ranks_per_module(4)
@@ -89,54 +62,25 @@ fn hierarchy_for(gen: &Generation) -> HierarchyConfig {
     }
 }
 
-/// Converts a run's residency tap and command counts into the
-/// residency model's input.
-fn residency_input(result: &SimResult, banks_per_rank: u32) -> ResidencyInput {
-    ResidencyInput {
-        active_bank_ps: result.residency.active_bank_ps,
-        precharged_bank_ps: result.residency.precharged_bank_ps(),
-        refresh_bank_ps: result.residency.refresh_bank_ps,
-        self_refresh_bank_ps: result.residency.self_refresh_bank_ps,
-        banks_per_rank,
-        activates: result.controller.activates,
-        reads: result.controller.reads,
-        writes: result.controller.writes,
-        broadcast_extra_cells: result.controller.broadcast_extra_cells,
-        refreshes: result.controller.refreshes,
-    }
-}
-
-/// Simulates `suite` on `gen`'s node at specification timing and
-/// returns the run plus its residency-model energy.
-fn run_generation(ctx: &Ctx, gen: &Generation, suite: Suite) -> (SimResult, ResidencyBreakdown) {
-    let h = hierarchy_for(gen);
-    let mode = ChannelMode::builder()
-        .timings(gen.timing)
-        .build()
-        .expect("shipped generation timings are coherent");
-    let mut node = NodeSim::new(h, mode);
-    if let Some(scope) =
-        ctx.metrics_scope(&format!("sweep.{}.{}", slug(gen.label), slug(suite.name())))
-    {
-        node.attach_telemetry(&scope);
-    }
-    let streams: Vec<TraceGen> = (0..h.cores)
-        .map(|i| {
-            TraceGen::new(
-                suite.params(),
-                ctx.seed.wrapping_add(i as u64),
-                ctx.ops_per_core,
-            )
-        })
-        .collect();
-    let warm = node.l3_blocks_per_core();
-    for (i, stream) in streams.iter().enumerate() {
-        node.prewarm_core(i, stream.warmup(warm, suite.params().write_fraction));
-    }
-    let result = node.run(streams);
-    let input = residency_input(&result, h.memory.banks_per_rank as u32);
-    let breakdown = gen.model.energy(&input);
-    (result, breakdown)
+/// One engine per generation node (indexed by [`mrdimm`]), primed with
+/// every generation it hosts on `suites`. The engines record under
+/// `sweep`, so a run's metrics and `sim.*` span read
+/// `sweep.<generation>.<suite>`.
+fn sweep_engines(ctx: &Ctx, suites: &[Suite]) -> [NodeModel; 2] {
+    [false, true].map(|on_mrdimm| {
+        let m = model_scoped(ctx, hierarchy_for(on_mrdimm), "sweep");
+        let pairs: Vec<_> = DramGeneration::ALL
+            .into_iter()
+            .filter(|&g| mrdimm(g) == on_mrdimm)
+            .flat_map(|g| {
+                suites
+                    .iter()
+                    .map(move |&suite| (MemoryDesign::Generation(g), suite))
+            })
+            .collect();
+        m.prime(&pairs);
+        m
+    })
 }
 
 /// Per-design (or per-generation) energy totals accumulated across
@@ -256,9 +200,7 @@ fn per_design(ctx: &mut Ctx) {
     for design in designs {
         let mut t = EnergyTotals::default();
         for suite in Suite::ALL {
-            let result = m.run(design, suite);
-            let input = residency_input(&result, h.memory.banks_per_rank as u32);
-            t.add(&rm.energy(&input), &cpu, &result);
+            t.add(&m.energy(design, suite, &rm), &cpu, &m.run(design, suite));
         }
         let ppw = t.perf_per_watt();
         if design == MemoryDesign::CommercialBaseline {
@@ -340,14 +282,16 @@ fn generation_sweep(ctx: &mut Ctx) {
         "perf_per_w_rel".into(),
     ]];
     let cpu = CpuPowerParams::default();
+    let engines = sweep_engines(ctx, &Suite::ALL);
     let mut measured = Vec::new();
-    for gen in &generations() {
+    for g in DramGeneration::ALL {
+        let (m, design) = (&engines[mrdimm(g) as usize], MemoryDesign::Generation(g));
+        let rm = packaging(g).1;
         let mut t = EnergyTotals::default();
         for suite in Suite::ALL {
-            let (result, breakdown) = run_generation(ctx, gen, suite);
-            t.add(&breakdown, &cpu, &result);
+            t.add(&m.energy(design, suite, &rm), &cpu, &m.run(design, suite));
         }
-        measured.push((gen.label, gen.timing.data_rate.mts(), t));
+        measured.push((g.label(), g.timing().data_rate.mts(), t));
     }
     let base = &measured[1].2; // DDR4-3200
     let base_ips = base.instructions as f64 / base.secs;
@@ -450,15 +394,20 @@ pub fn configurator(ctx: &mut Ctx) {
         req.power_budget_w,
         req.workload
     );
+    let engines = sweep_engines(ctx, &[req.workload]);
     let mut configs = Vec::new();
-    for gen in &generations() {
-        let (result, breakdown) = run_generation(ctx, gen, req.workload);
-        let h = hierarchy_for(gen);
+    for g in DramGeneration::ALL {
+        let (m, design) = (&engines[mrdimm(g) as usize], MemoryDesign::Generation(g));
+        let (organization, rm) = packaging(g);
+        let result = m.run(design, req.workload);
+        let breakdown = m.energy(design, req.workload, &rm);
+        let h = m.hierarchy();
+        let mts = g.timing().data_rate.mts();
         let secs = energy::ps_to_s(result.exec_time_ps);
         let sim_modules = (h.memory.channels * h.memory.modules_per_channel) as f64;
         let power_per_dimm_w = breakdown.total_j() / secs / sim_modules;
         let slots = CHANNELS_PER_SERVER * h.memory.modules_per_channel as u32;
-        let module_gb = gen.organization.capacity_gb();
+        let module_gb = organization.capacity_gb();
         let dimms_per_server = req.total_capacity_gb.div_ceil(module_gb).max(1);
         let server_power_w = dimms_per_server as f64 * power_per_dimm_w;
         // Perf proxy: the measured single-channel throughput scaled to
@@ -467,14 +416,14 @@ pub fn configurator(ctx: &mut Ctx) {
         let server_perf = result.instructions_per_ns() * 1e9 * CHANNELS_PER_SERVER as f64
             / h.memory.channels as f64;
         configs.push(ServerConfiguration {
-            label: gen.label,
-            data_rate_mts: gen.timing.data_rate.mts(),
+            label: g.label(),
+            data_rate_mts: mts,
             dimms_per_server,
             capacity_gb: dimms_per_server * module_gb,
             power_per_dimm_w,
             server_power_w,
             meets_power: server_power_w <= req.power_budget_w,
-            meets_performance: gen.timing.data_rate.mts() >= req.min_data_rate_mts,
+            meets_performance: mts >= req.min_data_rate_mts,
             meets_capacity: dimms_per_server <= slots,
             score: server_perf / server_power_w,
         });

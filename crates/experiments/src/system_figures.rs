@@ -2,7 +2,6 @@
 //! simulation).
 
 use crate::context::{say, Ctx};
-use energy::EnergyModel;
 use hetero_dmr::monte_carlo::MonteCarlo;
 use hetero_dmr::MemoryDesign;
 use margin::composition::SelectionPolicy;
@@ -11,7 +10,6 @@ use scheduler::{
     Cluster as HpcCluster, GrizzlyTrace, Policy, QueueTail, RunSummary, SchedulerConfig,
     SliceSource, SpeedupModel,
 };
-use workloads::utilization::{Cluster as LanlCluster, UtilizationModel};
 
 /// Figure 11: channel- and node-level margin distributions under
 /// margin-aware vs margin-unaware module selection.
@@ -211,7 +209,5 @@ pub fn fig17(ctx: &mut Ctx) {
         "queueing tail (conventional -> Hetero-DMR): p50 {:.0}->{:.0}s, p95 {:.0}->{:.0}s, p99 {:.0}->{:.0}s",
         conv_tail.p50_s, aware_tail.p50_s, conv_tail.p95_s, aware_tail.p95_s, conv_tail.p99_s, aware_tail.p99_s
     );
-    let _ = UtilizationModel::for_cluster(LanlCluster::Grizzly);
-    let _ = EnergyModel::default();
     ctx.csv("fig17", &rows);
 }

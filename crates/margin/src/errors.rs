@@ -51,13 +51,13 @@ pub struct ErrorProfile {
     /// Uncorrected errors per hour, frequency margin, 23 °C.
     pub ue_freq_23c: f64,
     /// Temperature multiplier for frequency-only operation
-    /// (~4× on average across the population).
+    /// (~4× on average across the population, never below 1).
     pub hot_multiplier_freq: f64,
     /// Additional multiplier when latency margins are also exploited
     /// at 23 °C.
     pub lat_multiplier: f64,
     /// Temperature multiplier when both margins are exploited
-    /// (~2× on average).
+    /// (~2× on average, never below 1).
     pub hot_multiplier_freq_lat: f64,
 }
 
@@ -79,12 +79,15 @@ impl ErrorProfile {
         } else {
             0.0
         };
+        // Heat never lowers an error rate, so the temperature
+        // multipliers are floored at 1 after their draws (the floor
+        // leaves the RNG stream unchanged).
         ErrorProfile {
             ce_freq_23c: ce,
             ue_freq_23c: ue,
-            hot_multiplier_freq: 4.0 * sample_lognormal(rng, 0.0, 0.25),
+            hot_multiplier_freq: (4.0 * sample_lognormal(rng, 0.0, 0.25)).max(1.0),
             lat_multiplier: 1.0 + sample_lognormal(rng, 0.0, 0.5),
-            hot_multiplier_freq_lat: 2.0 * sample_lognormal(rng, 0.0, 0.25),
+            hot_multiplier_freq_lat: (2.0 * sample_lognormal(rng, 0.0, 0.25)).max(1.0),
         }
     }
 

@@ -2,6 +2,7 @@
 
 use dram::rate::DataRate;
 use margin::composition::{channel_margin, node_margin, SelectionPolicy};
+use margin::errors::{ErrorProfile, TestCondition::*};
 use margin::population::{quantize, ModulePopulation};
 use margin::stress::{measure_margin, sample_poisson, StressConfig};
 use proptest::prelude::*;
@@ -65,6 +66,26 @@ proptest! {
             let sigma = (lambda / n as f64).sqrt();
             prop_assert!((mean - lambda).abs() < 6.0 * sigma.max(0.3),
                 "lambda {lambda}: sample mean {mean}");
+        }
+    }
+
+    /// Metamorphic: at 23 °C, latency margins on top of the frequency
+    /// margin never lower a module's CE or UE rate, and under either
+    /// margin neither does 45 °C (PAPER §II; AL-DRAM's findings).
+    /// Each case samples 2 000 profiles, so a defect that touches a
+    /// fraction of a percent of modules shows within a few cases.
+    #[test]
+    fn error_rates_never_fall_with_latency_margins_or_heat(seed in any::<u64>()) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let spec = ModulePopulation::paper_study(1).modules()[0].spec;
+        for _ in 0..2_000 {
+            let p = ErrorProfile::sample(&mut rng, &spec);
+            for rate in [ErrorProfile::ce_per_hour, ErrorProfile::ue_per_hour] {
+                prop_assert!(rate(&p, FreqLat23C) >= rate(&p, Freq23C), "{p:?}");
+                prop_assert!(rate(&p, Freq45C) >= rate(&p, Freq23C), "{p:?}");
+                prop_assert!(rate(&p, FreqLat45C) >= rate(&p, FreqLat23C), "{p:?}");
+            }
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Measured outputs of a node simulation.
 
 use crate::controller::{ControllerStats, ResidencyStats};
-use dram::power::ActivityCounters;
 use dram::rate::DataRate;
 use dram::Picos;
 
@@ -110,38 +109,6 @@ impl SimResult {
         self.controller.mean_read_latency_ps() / 1000.0
     }
 
-    /// Converts the run into DRAM activity counters for the energy
-    /// model. Self-refresh time comes from the simulated bank-state
-    /// residency, converted from bank·ps to module·ps (summed across
-    /// channels); zero when the run predates residency finalization.
-    pub fn activity(&self) -> ActivityCounters {
-        ActivityCounters {
-            activates: self.controller.activates,
-            reads: self.controller.reads,
-            writes: self.controller.writes,
-            broadcast_extra_cells: self.controller.broadcast_extra_cells,
-            refreshes: self.controller.refreshes,
-            active_time: self.controller.bus_busy_ps,
-            self_refresh_time: self.self_refresh_module_ps(),
-            total_time: self.exec_time_ps,
-        }
-    }
-
-    /// Self-refresh time in module·ps summed over channels: the
-    /// residency's bank·ps divided by the banks behind one module.
-    pub fn self_refresh_module_ps(&self) -> Picos {
-        let modules = self.channels * self.modules_per_channel;
-        let banks_per_module = self
-            .residency
-            .banks
-            .checked_div(modules as u64)
-            .unwrap_or(0);
-        self.residency
-            .self_refresh_bank_ps
-            .checked_div(banks_per_module)
-            .unwrap_or(0)
-    }
-
     /// Overall cache hit rate across demand accesses.
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -208,15 +175,6 @@ mod tests {
         assert_eq!(r.instructions_per_ns(), 0.0);
         assert_eq!(r.bandwidth_utilization(), 0.0);
         assert_eq!(r.speedup_over(&r), 0.0);
-    }
-
-    #[test]
-    fn activity_conversion() {
-        let r = result(5_000, 10, 5);
-        let a = r.activity();
-        assert_eq!(a.reads, 10);
-        assert_eq!(a.writes, 5);
-        assert_eq!(a.total_time, 5_000);
     }
 
     #[test]
