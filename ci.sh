@@ -46,6 +46,16 @@ echo "== closed-form warm fill (batch prewarm vs per-block prewarm) =="
 # suite by name so a warm-fill regression names itself here.
 cargo test --offline -q -p memsim --test prewarm_closed_form
 
+echo "== replay oracle (recorded cache pass vs live simulation) =="
+# A prime batch records each suite's cache pass once and times every
+# design from the recording; a one-design batch runs live. Every design
+# variant on both hierarchies, at one and three windows, must give the
+# same SimResults, metrics and trace events either way, NodeSim::replay
+# must equal NodeSim::run, and a replay with its writebacks dropped
+# must fail that comparison. Runs the suite by name so a replay
+# regression names itself here.
+cargo test --offline -q -p hetero-dmr --test replay_equivalence
+
 echo "== scheduler reference (EASY backfill vs naive O(n²)) =="
 # The event loop (sorted-vector event queue, exact backfill bound) must
 # match a naive FCFS + EASY-backfill reference job for job, on

@@ -22,12 +22,14 @@ use crate::designs::MemoryDesign;
 use crate::monte_carlo::MarginGroups;
 use energy::{ResidencyBreakdown, ResidencyInput, ResidencyModel};
 use memsim::cache::Cache;
-use memsim::config::HierarchyConfig;
-use memsim::{NodeSim, SimResult};
+use memsim::config::{HierarchyConfig, L3_WAYS};
+use memsim::core::CoreSim;
+use memsim::replay::CoreSource;
+use memsim::{CoreRecording, NodeSim, RunCursor, SimResult};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use telemetry::trace::{kv, Clock, Tracer};
 use telemetry::{slug, Obs, ObsSnapshot, Scope};
 use workloads::{Suite, TraceGen};
@@ -111,31 +113,54 @@ fn core_streams(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) 
         .collect()
 }
 
-/// Every core's warmed L3 partition for a `suite` run: the one place
-/// the node model builds warm state. Each partition is filled with its
-/// core's stream's recent past (the paper warms its gem5 caches before
-/// the measured interval), dirty at the store fraction. The warm state
+/// One core's warmed L3 partition: the one place the node model
+/// builds warm state. The partition is filled with `stream`'s recent
+/// past (the paper warms its gem5 caches before the measured interval),
+/// dirty at the suite's store fraction `dirty_fraction`. The warm state
 /// depends on hierarchy, eval config and suite alone, so every design
 /// starts from the identical state (write volumes stay comparable;
 /// Hetero-DMR's cleaning drains the same dirty blocks in batches that
-/// eviction would have trickled), and [`NodeModel::prime`] builds it
-/// once per suite and hands each design a clone.
-fn warm_l3s(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) -> Vec<Cache> {
+/// eviction would have trickled).
+fn warm_l3(hierarchy: &HierarchyConfig, stream: &TraceGen, dirty_fraction: f64) -> Cache {
     let blocks = hierarchy.l3_partition_bytes() / 64;
-    let dirty_fraction = suite.params().write_fraction;
-    let mut l3s = NodeSim::empty_l3s(hierarchy);
-    for (l3, stream) in l3s.iter_mut().zip(core_streams(hierarchy, config, suite)) {
-        l3.prewarm_blocks(
-            stream
-                .warmup(blocks, dirty_fraction)
-                .map(|(block, dirty)| (block << 6, dirty)),
-        );
-    }
-    l3s
+    let mut l3 = Cache::new(hierarchy.l3_partition_bytes(), L3_WAYS);
+    l3.prewarm_blocks(
+        stream
+            .warmup(blocks, dirty_fraction)
+            .map(|(block, dirty)| (block << 6, dirty)),
+    );
+    l3
 }
 
-/// One full simulation of `design` on `suite`, starting from `l3s`
-/// (the suite's [`warm_l3s`]): pure with respect to its arguments (no
+/// Every core's [`warm_l3`] for a `suite` run, in core order: the start
+/// of a live run.
+fn warm_l3s(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) -> Vec<Cache> {
+    let dirty_fraction = suite.params().write_fraction;
+    core_streams(hierarchy, config, suite)
+        .iter()
+        .map(|stream| warm_l3(hierarchy, stream, dirty_fraction))
+        .collect()
+}
+
+/// The cache pass of a `suite` run, once for every design: each core's
+/// stream runs through its own caches, from its [`warm_l3`], and the
+/// outcomes are recorded. The pass cannot depend on the design (the
+/// caches are per core and no timing feeds back into them), so
+/// [`NodeModel::prime`] records it once per suite and batch and times
+/// every design of the batch from it. Cores record in parallel on the
+/// worker pool, each building and dropping its own warm L3.
+fn record(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) -> Vec<CoreRecording> {
+    let dirty_fraction = suite.params().write_fraction;
+    runner::parallel_map(core_streams(hierarchy, config, suite), |_, stream| {
+        let l3 = warm_l3(hierarchy, &stream, dirty_fraction);
+        CoreRecording::capture(CoreSim::with_l3(hierarchy.core, l3), stream)
+    })
+}
+
+/// One full simulation of `design` on `suite`: live from the suite's
+/// [`warm_l3s`] and streams when `recording` is `None`, else timed from
+/// the suite's [`record`]ed cache pass, with identical results,
+/// telemetry and trace. Pure with respect to its arguments (no
 /// memoization, no engine state), which is what makes
 /// [`NodeModel::prime`] safe to fan out across workers. `obs` is the
 /// fully-labelled handle the run's telemetry lands under (callers nest
@@ -146,7 +171,7 @@ fn simulate(
     obs: &Obs,
     design: MemoryDesign,
     suite: Suite,
-    l3s: Vec<Cache>,
+    recording: Option<&[CoreRecording]>,
 ) -> SimResult {
     let trace = obs.tracer();
     // The sim span opens at t=0 on the simulation clock and closes at
@@ -161,14 +186,29 @@ fn simulate(
         )
     });
     let (modes, mirror) = design.per_channel_modes(hierarchy.memory.channels);
-    let mut node = NodeSim::with_l3s(*hierarchy, modes, mirror, l3s);
-    if let Some(scope) = obs.scope() {
-        node.attach_telemetry(scope);
-    }
-    if let Some(t) = trace {
-        node.attach_trace(t);
-    }
-    let result = run_windowed(node, core_streams(hierarchy, config, suite), config.windows);
+    let observed = |mut node: NodeSim| {
+        if let Some(scope) = obs.scope() {
+            node.attach_telemetry(scope);
+        }
+        if let Some(t) = trace {
+            node.attach_trace(t);
+        }
+        node
+    };
+    let total_ops = (hierarchy.cores * config.ops_per_core) as u64;
+    let result = match recording {
+        Some(recordings) => {
+            let mut node = observed(NodeSim::for_replay(*hierarchy, modes, mirror));
+            let cursor = node.begin_replay(recordings);
+            run_windowed(&mut node, cursor, total_ops, config.windows)
+        }
+        None => {
+            let l3s = warm_l3s(hierarchy, config, suite);
+            let mut node = observed(NodeSim::with_l3s(*hierarchy, modes, mirror, l3s));
+            let cursor = node.begin(core_streams(hierarchy, config, suite));
+            run_windowed(&mut node, cursor, total_ops, config.windows)
+        }
+    };
     if let (Some(t), Some(span)) = (trace, span) {
         t.end_with(
             span,
@@ -179,19 +219,20 @@ fn simulate(
     result
 }
 
-/// Executes a prepared node to completion, split into `windows` time
-/// windows. The cursor API makes any partition byte-identical to
-/// `node.run(..)`, so windowing changes *when* tallies flush into
-/// telemetry — once per window boundary instead of once per op — never
-/// *what* they total to. The final window's budget is unbounded, so an
-/// uneven op count still runs to completion.
-fn run_windowed(mut node: NodeSim, streams: Vec<TraceGen>, windows: u32) -> SimResult {
-    if windows <= 1 {
-        return node.run(streams);
-    }
-    let total_ops: u64 = streams.iter().map(|s| s.remaining() as u64).sum();
-    let budget = total_ops.div_ceil(u64::from(windows)).max(1);
-    let mut cursor = node.begin(streams);
+/// Executes an opened run of `total_ops` operations to completion,
+/// split into `windows` time windows. The cursor API makes any
+/// partition byte-identical to one unbounded window, so windowing
+/// changes *when* tallies flush into telemetry — once per window
+/// boundary instead of once per op — never *what* they total to. The
+/// final window's budget is unbounded, so an uneven op count still runs
+/// to completion.
+fn run_windowed<S: CoreSource>(
+    node: &mut NodeSim,
+    mut cursor: RunCursor<S>,
+    total_ops: u64,
+    windows: u32,
+) -> SimResult {
+    let budget = total_ops.div_ceil(u64::from(windows.max(1))).max(1);
     for _ in 1..windows {
         node.run_steps(&mut cursor, budget);
     }
@@ -355,7 +396,11 @@ impl NodeModel {
 
     /// Runs every not-yet-memoized `(design, suite)` pair on the
     /// worker pool and fills the cache, so subsequent [`run`] calls
-    /// are recalls. Each simulation is single-threaded, seeded purely
+    /// are recalls. Misses are grouped by suite: a suite with two or
+    /// more designs to run has its cache pass [`record`]ed once, and
+    /// each of its designs is timed from that recording; a suite with
+    /// one design runs it live, so nothing is recorded that only one
+    /// design reads. Each simulation is single-threaded, seeded purely
     /// from the engine config, and observed through its own
     /// [`Obs::fork`] labelled by the pair. Shared-cache hits stand in
     /// for their simulations, and the engine absorbs every pair's
@@ -383,11 +428,7 @@ impl NodeModel {
             .zip(&hits)
             .filter_map(|(&pair, hit)| hit.is_none().then_some(pair))
             .collect();
-        // Misses grouped by suite, in order of first appearance: each
-        // suite's warm L3s are built once per batch, and the group's
-        // designs simulate in parallel from clones of them (the last to
-        // start takes the originals by move, so a one-design group
-        // copies nothing).
+        // Misses grouped by suite, in order of first appearance.
         let mut groups: Vec<(Suite, Vec<MemoryDesign>)> = Vec::new();
         for &(design, suite) in &to_run {
             match groups.iter_mut().find(|(s, _)| *s == suite) {
@@ -401,14 +442,12 @@ impl NodeModel {
         let (hierarchy, config, obs) = (&self.hierarchy, &self.config, &self.obs);
         let mut runs: HashMap<(MemoryDesign, Suite), SharedEntry> = HashMap::new();
         for (suite, designs) in groups {
-            let warm = Arc::new(warm_l3s(hierarchy, config, suite));
-            let items: Vec<_> = designs.iter().map(|&d| (d, Arc::clone(&warm))).collect();
-            drop(warm);
-            let entries = runner::parallel_map(items, |_, (design, l3s)| {
+            let recording = (designs.len() > 1).then(|| record(hierarchy, config, suite));
+            let recording = recording.as_deref();
+            let entries = runner::parallel_map(designs.clone(), |_, design| {
                 let worker = obs.fork();
                 let run = worker.child(&run_label(design, suite));
-                let l3s = Arc::unwrap_or_clone(l3s);
-                let result = simulate(hierarchy, config, &run, design, suite, l3s);
+                let result = simulate(hierarchy, config, &run, design, suite, recording);
                 (result, worker.take())
             });
             runs.extend(designs.into_iter().map(|d| (d, suite)).zip(entries));
@@ -719,102 +758,6 @@ mod tests {
                 events, plain_events,
                 "shared={shared}: trace events vs unshared"
             );
-        }
-    }
-
-    /// The warm-state oracle. One `prime` batch builds each suite's warm
-    /// L3s once and runs every design from a clone of them; that must
-    /// equal running each pair alone on a fresh cache-off engine, whose
-    /// one design takes its suite's warm L3s by move: the same
-    /// `SimResult`s, metrics and trace events. Every design variant
-    /// runs on both hierarchies over two interleaved suites, with
-    /// repeats in the batch. Each result also equals a node built from
-    /// L3s warmed block by block through `Cache::prewarm`, independent
-    /// of the batch warm fill both engines use.
-    #[test]
-    fn primed_batch_matches_each_pair_run_alone() {
-        use MemoryDesign as D;
-        let designs = [
-            D::CommercialBaseline,
-            D::ExploitLatency,
-            D::ExploitFrequency,
-            D::ExploitFreqLat,
-            D::Fmr,
-            D::HeteroDmr { margin_mts: 800 },
-            D::HeteroDmrFmr { margin_mts: 600 },
-            D::NaiveDmr { margin_mts: 800 },
-            D::AdaptiveDmr {
-                max_margin_mts: 800,
-            },
-            D::Generation(crate::designs::DramGeneration::Ddr5_4800),
-        ];
-        // A new variant must join the list above.
-        for d in designs {
-            match d {
-                D::CommercialBaseline
-                | D::ExploitLatency
-                | D::ExploitFrequency
-                | D::ExploitFreqLat
-                | D::Fmr
-                | D::HeteroDmr { .. }
-                | D::HeteroDmrFmr { .. }
-                | D::NaiveDmr { .. }
-                | D::AdaptiveDmr { .. }
-                | D::Generation(_) => {}
-            }
-        }
-        let mut pairs: Vec<(MemoryDesign, Suite)> = designs
-            .iter()
-            .flat_map(|&d| [Suite::Hpcg, Suite::Lulesh].map(|s| (d, s)))
-            .collect();
-        pairs.extend_from_within(3..8);
-        let config = EvalConfig {
-            ops_per_core: 800,
-            seed: 0x3A12,
-            windows: 1,
-        };
-        for h in HierarchyConfig::both() {
-            let engine = |registry: &telemetry::Registry, tracer: &Tracer| {
-                let mut m = NodeModel::new(h, config);
-                m.set_shared_cache(false);
-                m.set_metrics_scope(registry.scope("node"));
-                m.set_trace(tracer);
-                m
-            };
-            let (registry, tracer) = (telemetry::Registry::new(), Tracer::new());
-            let batch = engine(&registry, &tracer);
-            batch.prime(&pairs);
-            let batched: Vec<SimResult> = pairs.iter().map(|&(d, s)| batch.run(d, s)).collect();
-            let (batch_metrics, batch_events) = (registry.snapshot(), tracer.take());
-            assert!(!batch_events.is_empty(), "the batch traced its runs");
-
-            // Fresh engines one after another, each observed into one
-            // registry and tracer, record in the batch's `pairs` order.
-            let (registry, tracer) = (telemetry::Registry::new(), Tracer::new());
-            let mut alone = HashMap::new();
-            for &(d, s) in &pairs {
-                alone
-                    .entry((d, s))
-                    .or_insert_with(|| engine(&registry, &tracer).run(d, s));
-            }
-            assert_eq!(registry.snapshot(), batch_metrics, "{}: metrics", h.name);
-            assert_eq!(tracer.take(), batch_events, "{}: trace events", h.name);
-            for (&(d, s), result) in pairs.iter().zip(&batched) {
-                let label = format!("{}: {} on {}", h.name, d.name(), s.name());
-                assert_eq!(result, &alone[&(d, s)], "{label}: SimResult");
-
-                let (modes, mirror) = d.per_channel_modes(h.memory.channels);
-                let streams = core_streams(&h, &config, s);
-                let mut l3s = NodeSim::empty_l3s(&h);
-                let warm = h.l3_partition_bytes() / 64;
-                for (l3, stream) in l3s.iter_mut().zip(&streams) {
-                    for (block, dirty) in stream.warmup_blocks(warm, s.params().write_fraction) {
-                        l3.prewarm(block << 6, dirty);
-                    }
-                }
-                let mut node = NodeSim::with_l3s(h, modes, mirror, l3s);
-                assert_eq!(result, &node.run(streams), "{label}: plain node");
-            }
         }
     }
 

@@ -343,9 +343,11 @@ impl Cache {
 
     /// Collects up to `limit` least-recently-used *dirty* blocks across
     /// the cache and marks them clean, returning their block addresses
-    /// — the LLC-cleaning operation Hetero-DMR performs when a channel
-    /// enters write mode (Section III-E: "first cleans least-recently
-    /// used blocks as they are unlikely to be re-written").
+    /// in recency order (Hetero-DMR's LLC-cleaning order, Section
+    /// III-E). The simulator models cleaning through the write-batch
+    /// watermark instead, so this is a recency probe: it exposes the
+    /// cache-wide LRU order that rank compression must preserve, and
+    /// the recency tests and oracles compare it.
     pub fn clean_lru_dirty(&mut self, limit: usize) -> Vec<u64> {
         let mut dirty: Vec<(u32, usize)> = Vec::new();
         for (word_idx, &word) in self.dirty.iter().enumerate() {

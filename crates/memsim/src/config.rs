@@ -129,12 +129,6 @@ pub struct ChannelMode {
     /// Maximum writes drained per write-mode entry (`usize::MAX` to
     /// drain everything pending; used by the batch-size ablation).
     pub write_batch: usize,
-    /// Dirty LLC blocks *explicitly* cleaned (written early) per
-    /// write-mode entry. Cleaning is traffic-neutral in steady state —
-    /// a cleaned block's later eviction is clean — so the default
-    /// models it as part of the batch watermark; a nonzero value
-    /// front-loads the writes explicitly (the cleaning ablation).
-    pub llc_clean_target: usize,
     /// Whether the per-channel 128 KB 64-way victim writeback cache is
     /// present (it is, in every evaluated design, including the
     /// baseline — Section IV-A adds it to the baseline for fairness).
@@ -175,7 +169,6 @@ impl ChannelMode {
             // sweeps this knob explicitly.
             write_high_watermark: 12_800,
             write_batch: usize::MAX,
-            llc_clean_target: 0,
             writeback_cache: true,
             read_ranks: None,
             broadcast_copies: 0,
@@ -268,12 +261,6 @@ impl ChannelModeBuilder {
     /// Maximum writes drained per write-mode entry.
     pub fn write_batch(mut self, writes: usize) -> Self {
         self.mode.write_batch = writes;
-        self
-    }
-
-    /// Dirty LLC blocks explicitly cleaned per write-mode entry.
-    pub fn llc_clean_target(mut self, blocks: usize) -> Self {
-        self.mode.llc_clean_target = blocks;
         self
     }
 

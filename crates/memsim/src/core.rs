@@ -1,12 +1,19 @@
-//! The per-core model: private caches, prefetcher, and a ROB/MSHR-
-//! limited out-of-order timing approximation.
+//! The per-core model, in two halves that a node run drives in turn.
 //!
-//! The core retires up to `width` instructions per cycle; loads that
-//! miss the whole hierarchy occupy an MSHR until DRAM responds, and
-//! the core may run ahead of the oldest outstanding load by at most
-//! the ROB capacity. L1/L2 hit latencies are assumed hidden by the
-//! out-of-order window (they are 3–12 cycles against a 224-entry ROB);
-//! L3 hits and DRAM accesses are the modelled stalls, which is the
+//! [`CoreSim`] is a core's cache side: private L1/L2, its CAT partition
+//! of the L3, and the prefetcher. It turns each memory operation into a
+//! [`CacheOutcome`] plus the [`Traffic`] the op sends past the LLC.
+//! Nothing in it depends on time, so its pass over an op stream is the
+//! same under every memory design and can be recorded once
+//! ([`crate::replay::CoreRecording`]) and replayed under many.
+//!
+//! `CoreTiming` is the ROB/MSHR-limited out-of-order timing
+//! approximation. The core retires up to `width` instructions per
+//! cycle; loads that miss the whole hierarchy occupy an MSHR until DRAM
+//! responds, and the core may run ahead of the oldest outstanding load
+//! by at most the ROB capacity. L1/L2 hit latencies are assumed hidden
+//! by the out-of-order window (they are 3–12 cycles against a 224-entry
+//! ROB); L3 hits and DRAM accesses are the modelled stalls, which is the
 //! regime the paper's experiments vary.
 
 use crate::cache::Cache;
@@ -33,6 +40,17 @@ pub struct CacheOutcome {
     pub l3_hit: bool,
 }
 
+/// One request an op sends past the LLC besides its demand miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Traffic {
+    /// A dirty L3 victim (64-byte block address) that must be written
+    /// back to memory.
+    Writeback(u64),
+    /// A prefetch read of a block not yet cached (its fill already
+    /// installed the block in L2/L3).
+    Prefetch(u64),
+}
+
 /// An in-flight load: either its completion time is already known
 /// (cache / writeback-cache hits) or it awaits FR-FCFS scheduling in a
 /// channel's read queue.
@@ -49,29 +67,23 @@ pub enum LoadHandle {
     },
 }
 
-/// One simulated core.
+/// One simulated core's cache side: private L1/L2, the core's L3
+/// partition and the prefetcher.
 #[derive(Debug)]
 pub struct CoreSim {
-    config: CoreConfig,
     l1: Cache,
     l2: Cache,
     /// This core's CAT partition of the L3.
     l3: Cache,
     prefetcher: Prefetcher,
-    /// Current core time.
-    pub now: Picos,
-    /// Retired instruction count.
-    pub instructions: u64,
-    /// Outstanding load misses: (handle, instruction index at issue).
-    outstanding: VecDeque<(LoadHandle, u64)>,
     /// Demand accesses that hit somewhere in the hierarchy.
     pub cache_hits: u64,
     /// Demand accesses that missed everywhere.
     pub cache_misses: u64,
-    l3_latency_ps: Picos,
-    instr_fp_ps: f64,
-    /// Fractional instruction-time accumulator (sub-picosecond carry).
-    time_carry: f64,
+    /// Reusable writeback and prefetch buffers for
+    /// [`filter`](Self::filter), so the per-op loop allocates nothing.
+    scratch_writebacks: Vec<u64>,
+    scratch_prefetches: Vec<u64>,
 }
 
 impl CoreSim {
@@ -80,8 +92,8 @@ impl CoreSim {
         CoreSim::with_l3(config, Cache::new(l3_partition_bytes, L3_WAYS))
     }
 
-    /// Creates a core around a prepared L3 partition, such as a clone
-    /// of one warmed with [`Cache::prewarm`]. L1, L2 and the prefetcher
+    /// Creates a core around a prepared L3 partition, such as one
+    /// warmed with [`Cache::prewarm_blocks`]. L1, L2 and the prefetcher
     /// start empty.
     pub fn with_l3(config: CoreConfig, l3: Cache) -> CoreSim {
         CoreSim {
@@ -89,65 +101,11 @@ impl CoreSim {
             l2: Cache::new(config.l2_bytes, config.l2_ways),
             l3,
             prefetcher: Prefetcher::new(config.prefetch_degree),
-            now: 0,
-            instructions: 0,
-            outstanding: VecDeque::new(),
             cache_hits: 0,
             cache_misses: 0,
-            l3_latency_ps: ns_to_ps(config.l3_latency_ns),
-            instr_fp_ps: config.instr_ps(),
-            time_carry: 0.0,
-            config,
+            scratch_writebacks: Vec::new(),
+            scratch_prefetches: Vec::new(),
         }
-    }
-
-    /// The L3 latency this core pays on an LLC hit.
-    pub fn l3_latency_ps(&self) -> Picos {
-        self.l3_latency_ps
-    }
-
-    /// Advances core time over the compute gap preceding `op` and
-    /// enforces ROB/MSHR limits against outstanding loads, resolving
-    /// queued completions through `resolve`. Returns the time at which
-    /// the memory operation issues.
-    pub fn advance_to_issue<F>(&mut self, op: &MemOp, mut resolve: F) -> Picos
-    where
-        F: FnMut(LoadHandle) -> Picos,
-    {
-        let instrs = op.gap_instructions as u64 + 1;
-        self.instructions += instrs;
-        let exact = self.instr_fp_ps * instrs as f64 + self.time_carry;
-        let whole = exact.floor();
-        self.time_carry = exact - whole;
-        self.now += whole as Picos;
-
-        // Retire loads whose completion is already known. Queued
-        // handles stay unresolved here — forcing them would flush the
-        // controller's read queue and destroy FR-FCFS reordering depth;
-        // they resolve when the MSHR/ROB limits actually bind.
-        while let Some(&(LoadHandle::Ready(done), _)) = self.outstanding.front() {
-            if done <= self.now {
-                self.outstanding.pop_front();
-            } else {
-                break;
-            }
-        }
-        // MSHR limit: block until the oldest load returns.
-        while self.outstanding.len() >= self.config.mshrs as usize {
-            let (handle, _) = self.outstanding.pop_front().expect("nonempty");
-            self.now = self.now.max(resolve(handle));
-        }
-        // ROB limit: cannot run ahead of the oldest outstanding load by
-        // more than the ROB capacity.
-        while let Some(&(handle, issued_at_instr)) = self.outstanding.front() {
-            if self.instructions - issued_at_instr > self.config.rob_entries as u64 {
-                self.now = self.now.max(resolve(handle));
-                self.outstanding.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.now
     }
 
     /// Sends `op` through L1→L2→L3, returning what (if anything) must
@@ -242,20 +200,27 @@ impl CoreSim {
         !self.l2.contains(block << 6) && !self.l3.contains(block << 6)
     }
 
-    /// Records a load that must wait for memory.
-    pub fn track_load(&mut self, handle: LoadHandle) {
-        self.outstanding.push_back((handle, self.instructions));
-    }
-
-    /// Drains all outstanding loads (end of simulation), advancing
-    /// core time to the last completion.
-    pub fn drain<F>(&mut self, mut resolve: F)
-    where
-        F: FnMut(LoadHandle) -> Picos,
-    {
-        while let Some((handle, _)) = self.outstanding.pop_front() {
-            self.now = self.now.max(resolve(handle));
+    /// The whole cache pass of one op: the demand access, then every
+    /// prefetch it triggered that is not already cached, installed in
+    /// turn. Appends the op's memory traffic to `traffic` in issue
+    /// order: the access path's writebacks first, then for each needed
+    /// prefetch its install victim's writeback (if any) and its read.
+    pub fn filter(&mut self, op: &MemOp, traffic: &mut Vec<Traffic>) -> CacheOutcome {
+        let mut writebacks = std::mem::take(&mut self.scratch_writebacks);
+        let mut prefetches = std::mem::take(&mut self.scratch_prefetches);
+        let outcome = self.access_caches(op, &mut writebacks, &mut prefetches);
+        traffic.extend(writebacks.iter().map(|&block| Traffic::Writeback(block)));
+        for &pf in &prefetches {
+            if self.needs_prefetch(pf) {
+                if let Some(victim) = self.install_prefetch(pf) {
+                    traffic.push(Traffic::Writeback(victim));
+                }
+                traffic.push(Traffic::Prefetch(pf));
+            }
         }
+        self.scratch_writebacks = writebacks;
+        self.scratch_prefetches = prefetches;
+        outcome
     }
 
     /// Warms the L3 partition with `block` (64-byte block address),
@@ -270,17 +235,103 @@ impl CoreSim {
         self.l3
             .prewarm_blocks(blocks.into_iter().map(|(block, dirty)| (block << 6, dirty)));
     }
+}
 
-    /// Cleans up to `limit` least-recently-used dirty L3 blocks
-    /// (Hetero-DMR's write-mode LLC cleaning); returns their block
-    /// addresses.
-    pub fn clean_llc(&mut self, limit: usize) -> Vec<u64> {
-        self.l3.clean_lru_dirty(limit)
+/// One simulated core's timing side: its clock, retired instructions
+/// and the loads it waits on.
+#[derive(Debug)]
+pub(crate) struct CoreTiming {
+    config: CoreConfig,
+    /// Current core time.
+    pub(crate) now: Picos,
+    /// Retired instruction count.
+    pub(crate) instructions: u64,
+    /// Outstanding load misses: (handle, instruction index at issue).
+    outstanding: VecDeque<(LoadHandle, u64)>,
+    l3_latency_ps: Picos,
+    instr_fp_ps: f64,
+    /// Fractional instruction-time accumulator (sub-picosecond carry).
+    time_carry: f64,
+}
+
+impl CoreTiming {
+    /// A core at time 0 with nothing in flight.
+    pub(crate) fn new(config: CoreConfig) -> CoreTiming {
+        CoreTiming {
+            now: 0,
+            instructions: 0,
+            outstanding: VecDeque::new(),
+            l3_latency_ps: ns_to_ps(config.l3_latency_ns),
+            instr_fp_ps: config.instr_ps(),
+            time_carry: 0.0,
+            config,
+        }
     }
 
-    /// Outstanding load-miss count (for tests).
-    pub fn outstanding_loads(&self) -> usize {
-        self.outstanding.len()
+    /// The L3 latency this core pays on an LLC hit.
+    pub(crate) fn l3_latency_ps(&self) -> Picos {
+        self.l3_latency_ps
+    }
+
+    /// Advances core time over the `gap_instructions`-instruction
+    /// compute gap preceding a memory operation (and the operation
+    /// itself) and enforces ROB/MSHR limits against outstanding loads,
+    /// resolving queued completions through `resolve`. Returns the time
+    /// at which the memory operation issues.
+    pub(crate) fn advance_to_issue<F>(&mut self, gap_instructions: u32, mut resolve: F) -> Picos
+    where
+        F: FnMut(LoadHandle) -> Picos,
+    {
+        let instrs = gap_instructions as u64 + 1;
+        self.instructions += instrs;
+        let exact = self.instr_fp_ps * instrs as f64 + self.time_carry;
+        let whole = exact.floor();
+        self.time_carry = exact - whole;
+        self.now += whole as Picos;
+
+        // Retire loads whose completion is already known. Queued
+        // handles stay unresolved here — forcing them would flush the
+        // controller's read queue and destroy FR-FCFS reordering depth;
+        // they resolve when the MSHR/ROB limits actually bind.
+        while let Some(&(LoadHandle::Ready(done), _)) = self.outstanding.front() {
+            if done <= self.now {
+                self.outstanding.pop_front();
+            } else {
+                break;
+            }
+        }
+        // MSHR limit: block until the oldest load returns.
+        while self.outstanding.len() >= self.config.mshrs as usize {
+            let (handle, _) = self.outstanding.pop_front().expect("nonempty");
+            self.now = self.now.max(resolve(handle));
+        }
+        // ROB limit: cannot run ahead of the oldest outstanding load by
+        // more than the ROB capacity.
+        while let Some(&(handle, issued_at_instr)) = self.outstanding.front() {
+            if self.instructions - issued_at_instr > self.config.rob_entries as u64 {
+                self.now = self.now.max(resolve(handle));
+                self.outstanding.pop_front();
+            } else {
+                break;
+            }
+        }
+        self.now
+    }
+
+    /// Records a load that must wait for memory.
+    pub(crate) fn track_load(&mut self, handle: LoadHandle) {
+        self.outstanding.push_back((handle, self.instructions));
+    }
+
+    /// Drains all outstanding loads (end of simulation), advancing
+    /// core time to the last completion.
+    pub(crate) fn drain<F>(&mut self, mut resolve: F)
+    where
+        F: FnMut(LoadHandle) -> Picos,
+    {
+        while let Some((handle, _)) = self.outstanding.pop_front() {
+            self.now = self.now.max(resolve(handle));
+        }
     }
 }
 
@@ -290,6 +341,10 @@ mod tests {
 
     fn core() -> CoreSim {
         CoreSim::new(CoreConfig::default(), 2 * 1024 * 1024)
+    }
+
+    fn timing() -> CoreTiming {
+        CoreTiming::new(CoreConfig::default())
     }
 
     fn ready(handle: LoadHandle) -> Picos {
@@ -309,8 +364,8 @@ mod tests {
 
     #[test]
     fn compute_gap_advances_time() {
-        let mut c = core();
-        let t0 = c.advance_to_issue(&MemOp::load(0, 399), ready);
+        let mut c = timing();
+        let t0 = c.advance_to_issue(399, ready);
         // 400 instructions at 4-wide 3.1 GHz ≈ 100 cycles ≈ 32.3 ns.
         assert!((32_000..33_000).contains(&t0), "t0 {t0}");
         assert_eq!(c.instructions, 400);
@@ -330,40 +385,40 @@ mod tests {
 
     #[test]
     fn mshr_limit_stalls_core() {
-        let mut c = core();
+        let mut c = timing();
         let far_future = 1_000_000_000;
         for _ in 0..c.config.mshrs {
             c.track_load(LoadHandle::Ready(far_future));
         }
         // Next issue must wait for the oldest outstanding load.
-        let t = c.advance_to_issue(&MemOp::load(0, 0), ready);
+        let t = c.advance_to_issue(0, ready);
         assert!(t >= far_future);
     }
 
     #[test]
     fn rob_limit_stalls_run_ahead() {
-        let mut c = core();
+        let mut c = timing();
         let done_at = 500_000;
-        c.advance_to_issue(&MemOp::load(0, 0), ready);
+        c.advance_to_issue(0, ready);
         c.track_load(LoadHandle::Ready(done_at));
         // Run 300 instructions (> 224 ROB) past the outstanding load.
-        let t = c.advance_to_issue(&MemOp::load(64, 299), ready);
+        let t = c.advance_to_issue(299, ready);
         assert!(
             t >= done_at,
             "ROB should have stalled to {done_at}, got {t}"
         );
-        assert_eq!(c.outstanding_loads(), 0);
+        assert!(c.outstanding.is_empty());
     }
 
     #[test]
     fn under_rob_no_stall() {
-        let mut c = core();
+        let mut c = timing();
         let done_at = 500_000;
-        c.advance_to_issue(&MemOp::load(0, 0), ready);
+        c.advance_to_issue(0, ready);
         c.track_load(LoadHandle::Ready(done_at));
-        let t = c.advance_to_issue(&MemOp::load(64, 50), ready);
+        let t = c.advance_to_issue(50, ready);
         assert!(t < done_at, "51 instructions fit in the ROB window");
-        assert_eq!(c.outstanding_loads(), 1);
+        assert_eq!(c.outstanding.len(), 1);
     }
 
     #[test]
@@ -400,25 +455,57 @@ mod tests {
         assert_eq!(out.demand_miss, None);
     }
 
+    /// `filter` is `access_caches` plus the prefetch installs, with
+    /// the traffic in issue order: the access path's writebacks, then
+    /// each needed prefetch's install victim and read.
+    #[test]
+    fn filter_orders_writebacks_before_prefetches() {
+        let config = CoreConfig {
+            l1_bytes: 128,
+            l1_ways: 2,
+            l2_bytes: 256,
+            l2_ways: 2,
+            ..CoreConfig::default()
+        };
+        let (mut filtered, mut by_hand) = (CoreSim::new(config, 2048), CoreSim::new(config, 2048));
+        let (mut traffic, mut expected) = (Vec::new(), Vec::new());
+        let (mut writebacks, mut prefetches) = (Vec::new(), Vec::new());
+        let mut saw_prefetch = false;
+        for i in 0..256u64 {
+            let op = if i % 3 == 0 {
+                MemOp::store(i * 64, 0)
+            } else {
+                MemOp::load((i * 7 % 97) * 64, 0)
+            };
+            traffic.clear();
+            let out = filtered.filter(&op, &mut traffic);
+            expected.clear();
+            let want = by_hand.access_caches(&op, &mut writebacks, &mut prefetches);
+            expected.extend(writebacks.iter().map(|&b| Traffic::Writeback(b)));
+            for &pf in &prefetches {
+                if by_hand.needs_prefetch(pf) {
+                    expected.extend(by_hand.install_prefetch(pf).map(Traffic::Writeback));
+                    expected.push(Traffic::Prefetch(pf));
+                    saw_prefetch = true;
+                }
+            }
+            assert_eq!(out, want, "op {i}");
+            assert_eq!(traffic, expected, "op {i}");
+        }
+        assert!(saw_prefetch, "the stream must trigger prefetches");
+        assert_eq!(
+            (filtered.cache_hits, filtered.cache_misses),
+            (by_hand.cache_hits, by_hand.cache_misses)
+        );
+    }
+
     #[test]
     fn drain_advances_to_last_completion() {
-        let mut c = core();
+        let mut c = timing();
         c.track_load(LoadHandle::Ready(42_000));
         c.track_load(LoadHandle::Ready(77_000));
         c.drain(ready);
         assert_eq!(c.now, 77_000);
-        assert_eq!(c.outstanding_loads(), 0);
-    }
-
-    #[test]
-    fn clean_llc_returns_dirty_blocks() {
-        let mut c = core();
-        // Store misses allocate dirty lines in L1; push them down by
-        // streaming, then verify cleaning.
-        access(&mut c, &MemOp::store(0, 0));
-        // Put the dirty block into L3 by evicting through the levels:
-        // simpler — dirty L3 directly via the eviction cascade is
-        // already tested; here verify empty-clean is safe.
-        assert!(c.clean_llc(10).len() <= 10);
+        assert!(c.outstanding.is_empty());
     }
 }

@@ -25,6 +25,8 @@
 //!   design sets (spec vs margin timing, read/write-mode split, rank
 //!   restriction, write batch size, turnaround penalty),
 //! * [`node::NodeSim`] — the full node,
+//! * [`replay::CoreRecording`] — one core's cache pass, recorded once
+//!   and timed under any number of designs,
 //! * [`trace::AccessStream`] — the workload interface,
 //! * [`result::SimResult`] — measured outputs.
 
@@ -36,6 +38,7 @@ pub mod core;
 pub mod node;
 pub mod prefetch;
 pub mod reference;
+pub mod replay;
 pub mod result;
 pub mod trace;
 pub mod wbcache;
@@ -43,5 +46,6 @@ pub mod wbcache;
 pub use config::{ChannelMode, CoreConfig, HierarchyConfig, MemoryConfig};
 pub use controller::ResidencyStats;
 pub use node::{NodeSim, RunCursor};
+pub use replay::CoreRecording;
 pub use result::SimResult;
 pub use trace::{AccessStream, MemOp};

@@ -4,7 +4,8 @@ use crate::address::AddressMapping;
 use crate::cache::Cache;
 use crate::config::{ChannelMode, HierarchyConfig, L3_WAYS};
 use crate::controller::ChannelController;
-use crate::core::{CoreSim, LoadHandle};
+use crate::core::{CoreSim, CoreTiming, LoadHandle, Traffic};
+use crate::replay::{CoreRecording, CoreSource, Filtered, LiveCore, ReplayCore};
 use crate::result::SimResult;
 use crate::trace::AccessStream;
 use crate::wbcache::WritebackCache;
@@ -26,22 +27,17 @@ pub struct NodeSim {
     hierarchy: HierarchyConfig,
     modes: Vec<ChannelMode>,
     mapping: AddressMapping,
-    cores: Vec<CoreSim>,
+    cores: Vec<CoreTiming>,
+    /// Each core's caches, until [`begin`](Self::begin) hands them to
+    /// the run's live sources. Empty on a node built by
+    /// [`for_replay`](Self::for_replay).
+    caches: Vec<CoreSim>,
     controllers: Vec<ChannelController>,
     wbcaches: Vec<Option<WritebackCache>>,
     /// Mirror every write into the opposite half's channel (the naive
     /// channel-split DMR strawman of Section III-A: 100 % write
     /// bandwidth overhead).
     mirror_writes: bool,
-    /// Stores retired since the last cleaning write-mode entry (drives
-    /// the batch cadence of LLC-cleaning designs: one write mode per
-    /// `llc_clean_target` stores, the paper's 12 800-write batches).
-    stores_since_drain: u64,
-    /// Reusable per-op buffers for L3 writebacks and prefetch requests
-    /// (lent to `CoreSim::access_caches` so the hot loop is
-    /// allocation-free).
-    scratch_writebacks: Vec<u64>,
-    scratch_prefetches: Vec<u64>,
     metrics: NodeMetrics,
     /// Plain-integer tallies for the current window; flushed into
     /// `metrics` at window boundaries (no atomics in the step loop).
@@ -105,10 +101,11 @@ impl NodeTally {
     }
 }
 
-/// Resumable position inside a [`NodeSim`] run: the per-core streams
-/// plus the scheduler's view of each core's clock. Produced by
-/// [`NodeSim::begin`], advanced by [`NodeSim::run_steps`], consumed by
-/// [`NodeSim::finish`].
+/// Resumable position inside a [`NodeSim`] run: the per-core
+/// [`CoreSource`]s plus the scheduler's view of each core's clock.
+/// Produced by [`NodeSim::begin`] (live streams) or
+/// [`NodeSim::begin_replay`] (recorded cache passes), advanced by
+/// [`NodeSim::run_steps`], consumed by [`NodeSim::finish`].
 ///
 /// Splitting one run into several `run_steps` calls is *exactly*
 /// equivalent to one big call: the scheduler state lives entirely in
@@ -117,7 +114,7 @@ impl NodeTally {
 /// the property the time-parallel runner path relies on.
 #[derive(Debug)]
 pub struct RunCursor<S> {
-    streams: Vec<S>,
+    sources: Vec<S>,
     /// Per-core clock mirror; [`Picos::MAX`] marks an exhausted stream.
     nows: Vec<Picos>,
     remaining: usize,
@@ -171,8 +168,8 @@ impl NodeSim {
     }
 
     /// Builds a node whose cores start from prepared L3 partitions, one
-    /// per core in core order, such as clones of partitions warmed once
-    /// for several designs. Everything else starts as in
+    /// per core in core order, such as partitions warmed outside the
+    /// node. Everything else starts as in
     /// [`with_modes`](Self::with_modes), which calls this with
     /// [`empty_l3s`](Self::empty_l3s).
     ///
@@ -186,16 +183,39 @@ impl NodeSim {
         mirror_writes: bool,
         l3s: Vec<Cache>,
     ) -> NodeSim {
-        assert_eq!(
-            modes.len(),
-            hierarchy.memory.channels,
-            "need exactly one mode per channel"
-        );
         assert_eq!(l3s.len(), hierarchy.cores, "need exactly one L3 per core");
         assert!(
             l3s.iter()
                 .all(|l3| l3.capacity_bytes() == hierarchy.l3_partition_bytes()),
             "every L3 must have the hierarchy's partition size"
+        );
+        let caches = l3s
+            .into_iter()
+            .map(|l3| CoreSim::with_l3(hierarchy.core, l3))
+            .collect();
+        NodeSim {
+            caches,
+            ..NodeSim::for_replay(hierarchy, modes, mirror_writes)
+        }
+    }
+
+    /// Builds a node without caches: it times recorded cache passes
+    /// ([`begin_replay`](Self::begin_replay), [`replay`](Self::replay))
+    /// and cannot run access streams. Everything else starts as in
+    /// [`with_modes`](Self::with_modes).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one mode per channel is supplied.
+    pub fn for_replay(
+        hierarchy: HierarchyConfig,
+        modes: Vec<ChannelMode>,
+        mirror_writes: bool,
+    ) -> NodeSim {
+        assert_eq!(
+            modes.len(),
+            hierarchy.memory.channels,
+            "need exactly one mode per channel"
         );
         let software_ranks = modes[0]
             .software_ranks
@@ -205,9 +225,8 @@ impl NodeSim {
             software_ranks,
             hierarchy.memory.banks_per_rank,
         );
-        let cores = l3s
-            .into_iter()
-            .map(|l3| CoreSim::with_l3(hierarchy.core, l3))
+        let cores = (0..hierarchy.cores)
+            .map(|_| CoreTiming::new(hierarchy.core))
             .collect();
         let controllers = modes
             .iter()
@@ -222,12 +241,10 @@ impl NodeSim {
             modes,
             mapping,
             cores,
+            caches: Vec::new(),
             controllers,
             wbcaches,
             mirror_writes,
-            stores_since_drain: 0,
-            scratch_writebacks: Vec::new(),
-            scratch_prefetches: Vec::new(),
             metrics: NodeMetrics::default(),
             tally: NodeTally::default(),
             trace: None,
@@ -247,7 +264,7 @@ impl NodeSim {
     }
 
     /// Records mode-transition spans into `tracer`: every write-mode
-    /// entry (victim-cache drain + LLC cleaning + batched writes)
+    /// entry (victim-cache drain + batched writes)
     /// becomes a `write_drain.ch<N>` span on the simulation-picosecond
     /// clock, from entry until the channel resumes read mode. All
     /// timestamps are simulation time, so traces are as deterministic
@@ -269,13 +286,14 @@ impl NodeSim {
     ///
     /// # Panics
     ///
-    /// Panics for an out-of-range core index.
+    /// Panics for an out-of-range core index, or on a node built by
+    /// [`for_replay`](Self::for_replay).
     pub fn prewarm_core<I: IntoIterator<Item = (u64, bool)>>(
         &mut self,
         core_idx: usize,
         blocks: I,
     ) {
-        self.cores[core_idx].prewarm_l3_blocks(blocks);
+        self.caches[core_idx].prewarm_l3_blocks(blocks);
     }
 
     /// The L3 partition capacity in 64-byte blocks (how many warmup
@@ -289,30 +307,88 @@ impl NodeSim {
     ///
     /// # Panics
     ///
-    /// Panics unless exactly one stream per core is supplied.
+    /// As [`begin`](Self::begin).
     pub fn run<S: AccessStream>(&mut self, streams: Vec<S>) -> SimResult {
         let mut cursor = self.begin(streams);
         self.run_steps(&mut cursor, u64::MAX);
         self.finish(cursor)
     }
 
-    /// Opens a resumable run over one access stream per core. Advance
-    /// it with [`run_steps`](Self::run_steps), close it with
+    /// Times one recorded cache pass per core (see
+    /// [`CoreRecording::capture`]) to completion: exactly the result,
+    /// telemetry and trace of [`run`](Self::run) over the streams and
+    /// caches the recordings were captured from.
+    ///
+    /// # Panics
+    ///
+    /// As [`begin_replay`](Self::begin_replay).
+    pub fn replay(&mut self, recordings: &[CoreRecording]) -> SimResult {
+        let mut cursor = self.begin_replay(recordings);
+        self.run_steps(&mut cursor, u64::MAX);
+        self.finish(cursor)
+    }
+
+    /// Opens a resumable run over one access stream per core, each fed
+    /// through its core's caches as the run steps (the caches move into
+    /// the cursor, so a node runs streams once). Advance it with
+    /// [`run_steps`](Self::run_steps), close it with
     /// [`finish`](Self::finish).
     ///
     /// # Panics
     ///
-    /// Panics unless exactly one stream per core is supplied.
-    pub fn begin<S: AccessStream>(&mut self, streams: Vec<S>) -> RunCursor<S> {
+    /// Panics unless exactly one stream per core is supplied, or when
+    /// the node has no caches (built by [`for_replay`](Self::for_replay)
+    /// or already run).
+    pub fn begin<S: AccessStream>(&mut self, streams: Vec<S>) -> RunCursor<LiveCore<S>> {
         assert_eq!(
             streams.len(),
             self.cores.len(),
             "need exactly one access stream per core"
         );
+        assert_eq!(
+            self.caches.len(),
+            self.cores.len(),
+            "a node runs streams through its own caches, once"
+        );
+        let caches = std::mem::take(&mut self.caches);
+        self.begin_sources(
+            streams
+                .into_iter()
+                .zip(caches)
+                .map(|(s, c)| LiveCore::new(s, c))
+                .collect(),
+        )
+    }
+
+    /// Opens a resumable run over one recorded cache pass per core.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one recording per core is supplied.
+    pub fn begin_replay<'a>(
+        &mut self,
+        recordings: &'a [CoreRecording],
+    ) -> RunCursor<ReplayCore<'a>> {
+        self.begin_sources(recordings.iter().map(CoreRecording::replay).collect())
+    }
+
+    /// Opens a resumable run over one [`CoreSource`] per core: the one
+    /// entry point under [`begin`](Self::begin) and
+    /// [`begin_replay`](Self::begin_replay).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one source per core is supplied.
+    pub fn begin_sources<S: CoreSource>(&mut self, sources: Vec<S>) -> RunCursor<S> {
+        assert_eq!(
+            sources.len(),
+            self.cores.len(),
+            "need exactly one source per core"
+        );
         RunCursor {
             nows: self.cores.iter().map(|c| c.now).collect(),
-            remaining: streams.len(),
-            streams,
+            remaining: sources.len(),
+            sources,
             steps: 0,
         }
     }
@@ -330,7 +406,7 @@ impl NodeSim {
     /// against the cached second-minimum, which only one step in the
     /// old loop could ever change anyway. One scan therefore covers a
     /// whole burst of steps on the lagging core.
-    pub fn run_steps<S: AccessStream>(&mut self, cursor: &mut RunCursor<S>, budget: u64) -> u64 {
+    pub fn run_steps<S: CoreSource>(&mut self, cursor: &mut RunCursor<S>, budget: u64) -> u64 {
         let mut done = 0u64;
         'windows: while cursor.remaining > 0 && done < budget {
             // One scan: minimum and second-minimum (now, index), both
@@ -352,9 +428,9 @@ impl NodeSim {
             }
             let core_idx = min_idx;
             loop {
-                match cursor.streams[core_idx].next_op() {
+                match cursor.sources[core_idx].next_filtered() {
                     Some(op) => {
-                        self.step(core_idx, &op);
+                        self.step(core_idx, op);
                         let t = self.cores[core_idx].now;
                         cursor.nows[core_idx] = t;
                         done += 1;
@@ -389,42 +465,32 @@ impl NodeSim {
         }
     }
 
-    /// Processes one memory operation on one core.
-    fn step(&mut self, core_idx: usize, op: &crate::trace::MemOp) {
+    /// Times one filtered memory operation on one core.
+    fn step(&mut self, core_idx: usize, op: Filtered<'_>) {
         self.tally.ops += 1;
-        if op.is_write {
-            self.stores_since_drain += 1;
-        }
         let controllers = &mut self.controllers;
-        let issue_t = self.cores[core_idx].advance_to_issue(op, |handle| match handle {
+        let core = &mut self.cores[core_idx];
+        let issue_t = core.advance_to_issue(op.gap_instructions, |handle| match handle {
             LoadHandle::Ready(t) => t,
             LoadHandle::Queued { channel, token } => controllers[channel].resolve_read(token),
         });
-        // Lend the scratch buffers out for this op (putting them back
-        // afterwards keeps their capacity across ops).
-        let mut writebacks = std::mem::take(&mut self.scratch_writebacks);
-        let mut prefetches = std::mem::take(&mut self.scratch_prefetches);
-        let outcome = self.cores[core_idx].access_caches(op, &mut writebacks, &mut prefetches);
-        let l3_lat = self.cores[core_idx].l3_latency_ps();
+        let l3_lat = core.l3_latency_ps();
 
-        for &wb in &writebacks {
-            self.handle_writeback(wb);
-        }
-        for &pf in &prefetches {
-            if self.cores[core_idx].needs_prefetch(pf) {
-                if let Some(victim) = self.cores[core_idx].install_prefetch(pf) {
-                    self.handle_writeback(victim);
+        for &traffic in op.traffic {
+            match traffic {
+                Traffic::Writeback(block) => self.handle_writeback(block),
+                Traffic::Prefetch(block) => {
+                    let coord = self.mapping.map(block << 6);
+                    // Prefetch traffic consumes DRAM bandwidth but never
+                    // stalls the core.
+                    self.tally.prefetch_reads += 1;
+                    let _ =
+                        self.controllers[coord.channel].submit_read(coord, issue_t + l3_lat, false);
                 }
-                let coord = self.mapping.map(pf << 6);
-                // Prefetch traffic consumes DRAM bandwidth but never
-                // stalls the core.
-                self.tally.prefetch_reads += 1;
-                let _ = self.controllers[coord.channel].submit_read(coord, issue_t + l3_lat, false);
             }
         }
-        self.scratch_writebacks = writebacks;
-        self.scratch_prefetches = prefetches;
 
+        let outcome = op.cache;
         if let Some(block) = outcome.demand_miss {
             self.tally.demand_misses += 1;
             let coord = self.mapping.map(block << 6);
@@ -480,20 +546,10 @@ impl NodeSim {
         }
     }
 
-    /// Checks the write-mode triggers: pending writes (write queue
-    /// plus victim writeback cache) reaching the batch watermark, or —
-    /// for explicit-cleaning ablations — `llc_clean_target` stores
-    /// having accumulated since the last batch.
+    /// Checks the write-mode trigger: pending writes (write queue plus
+    /// victim writeback cache) reaching the batch watermark.
     fn maybe_enter_write_mode(&mut self, core_idx: usize) {
         let now = self.cores[core_idx].now;
-        let clean_target = self.modes[0].llc_clean_target;
-        if clean_target > 0 && self.stores_since_drain as usize >= clean_target {
-            self.stores_since_drain = 0;
-            for ch in 0..self.controllers.len() {
-                self.enter_write_mode(ch, now);
-            }
-            return;
-        }
         for ch in 0..self.controllers.len() {
             let pending = self.controllers[ch].pending_writes()
                 + self.wbcaches[ch].as_ref().map_or(0, WritebackCache::len);
@@ -503,51 +559,31 @@ impl NodeSim {
         }
     }
 
-    /// End-of-run drain: writes still pending must complete, but no
-    /// proactive LLC cleaning happens (the benchmark is over; cleaning
-    /// beyond the measured work would overcount write traffic).
+    /// End-of-run drain: writes still pending must complete.
     fn final_drain(&mut self, ch: usize, now: Picos) -> Picos {
         self.drain_channel(ch, now, false)
     }
 
     /// Performs a write-mode entry on channel `ch`: drain the victim
-    /// writeback cache, clean the LLC (Hetero-DMR), and batch-write.
-    /// Returns when the channel is back in read mode.
+    /// writeback cache and batch-write. Returns when the channel is
+    /// back in read mode.
     fn enter_write_mode(&mut self, ch: usize, now: Picos) -> Picos {
         self.drain_channel(ch, now, true)
     }
 
-    fn drain_channel(&mut self, ch: usize, now: Picos, clean_llc: bool) -> Picos {
+    /// Drains channel `ch`'s pending writes from `now`. `entry` marks a
+    /// write-mode entry (the Hetero-DMR cleaning point) as opposed to
+    /// the end-of-run drain; the span records it as `clean_llc`.
+    fn drain_channel(&mut self, ch: usize, now: Picos, entry: bool) -> Picos {
         self.tally.drains += 1;
         let pending_at_entry = self.controllers[ch].pending_writes()
             + self.wbcaches[ch].as_ref().map_or(0, WritebackCache::len);
-        // The drained victim-cache blocks and this channel's cleaned
-        // LLC blocks feed straight into the (order-insensitive) write
-        // queue the drain below serves.
+        // The drained victim-cache blocks feed straight into the
+        // (order-insensitive) write queue the drain below serves.
         if let Some(wb) = self.wbcaches[ch].as_mut() {
             let mapping = &self.mapping;
             let controller = &mut self.controllers[ch];
             wb.drain_with(|block| controller.enqueue_write(mapping.map(block << 6)));
-        }
-        if clean_llc && self.modes[ch].llc_clean_target > 0 {
-            let per_core = self.modes[ch].llc_clean_target / self.cores.len().max(1);
-            for core in &mut self.cores {
-                for block in core.clean_llc(per_core) {
-                    let coord = self.mapping.map(block << 6);
-                    if coord.channel == ch {
-                        self.controllers[ch].enqueue_write(coord);
-                    } else {
-                        // Cleaned blocks belonging to other channels
-                        // join those channels' write paths.
-                        let absorbed = self.wbcaches[coord.channel]
-                            .as_mut()
-                            .is_some_and(|wb| wb.offer(block));
-                        if !absorbed {
-                            self.controllers[coord.channel].enqueue_write(coord);
-                        }
-                    }
-                }
-            }
         }
         let resume = self.controllers[ch].drain_writes(now);
         if let Some(tracer) = &self.trace {
@@ -559,7 +595,7 @@ impl NodeSim {
                 Clock::SimPs,
                 now,
                 resume,
-                vec![kv("pending", pending_at_entry), kv("clean_llc", clean_llc)],
+                vec![kv("pending", pending_at_entry), kv("clean_llc", entry)],
             );
         }
         resume
@@ -573,8 +609,13 @@ impl NodeSim {
     ///
     /// Panics if the cursor still has unconsumed operations (run
     /// [`run_steps`](Self::run_steps) until it returns short first).
-    pub fn finish<S>(&mut self, cursor: RunCursor<S>) -> SimResult {
+    pub fn finish<S: CoreSource>(&mut self, cursor: RunCursor<S>) -> SimResult {
         assert!(cursor.done(), "finish called with operations remaining");
+        let (cache_hits, cache_misses) = cursor
+            .sources
+            .iter()
+            .map(CoreSource::cache_counts)
+            .fold((0, 0), |(h, m), (dh, dm)| (h + dh, m + dm));
         drop(cursor);
         self.tally.flush(&self.metrics);
         let now = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
@@ -606,12 +647,10 @@ impl NodeSim {
             channels: self.controllers.len(),
             modules_per_channel: self.hierarchy.memory.modules_per_channel,
             read_rate: self.modes[0].read_timing.data_rate,
+            cache_hits,
+            cache_misses,
             ..SimResult::default()
         };
-        for core in &self.cores {
-            result.cache_hits += core.cache_hits;
-            result.cache_misses += core.cache_misses;
-        }
         // Close the residency books at the run horizon (idempotent;
         // parked ranks get their self-refresh time here) and merge the
         // per-channel residencies.
