@@ -26,13 +26,6 @@ cargo clippy --offline --workspace \
 echo "== benches compile =="
 cargo bench --offline --workspace --no-run
 
-echo "== windowed differential (cursor API partition invariance) =="
-# Splitting a node run into windows must be byte-identical to the
-# single-shot run — SimResult and telemetry both. Runs the node-level
-# window suite explicitly so a cursor regression names itself here
-# rather than hiding inside the full test sweep above.
-cargo test --offline -q -p memsim --test differential windowed -- --nocapture
-
 echo "== LRU reference (flattened caches vs naive true LRU) =="
 # The struct-of-arrays caches, with their u32 recency and its
 # renormalization, must match a naive per-set LRU list op for op. Runs
@@ -49,11 +42,10 @@ cargo test --offline -q -p memsim --test prewarm_closed_form
 echo "== replay oracle (recorded cache pass vs live simulation) =="
 # A prime batch records each suite's cache pass once and times every
 # design from the recording; a one-design batch runs live. Every design
-# variant on both hierarchies, at one and three windows, must give the
-# same SimResults, metrics and trace events either way, NodeSim::replay
-# must equal NodeSim::run, and a replay with its writebacks dropped
-# must fail that comparison. Runs the suite by name so a replay
-# regression names itself here.
+# variant on both hierarchies must give the same SimResults, metrics
+# and trace events either way, NodeSim::replay must equal NodeSim::run,
+# and a replay with its writebacks dropped must fail that comparison.
+# Runs the suite by name so a replay regression names itself here.
 cargo test --offline -q -p hetero-dmr --test replay_equivalence
 
 echo "== scheduler reference (EASY backfill vs naive O(n²)) =="
@@ -68,12 +60,6 @@ echo "== batched stepping gate (controller vs frozen reference) =="
 # The indexed controller must sustain at least the naive reference's
 # ops/s on an identical op sequence (asserts >= 1x internally).
 cargo bench --offline -p memsim --bench stepping
-
-echo "== perfbench (builds against the workspace, runs its output checks) =="
-# The benchmark depends on the workspace crates by path, so removing an
-# API it calls fails here; its tests also check the benchmark's result
-# lines and digests on small rounds.
-cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== jobs-invariance (parallel vs serial experiments) =="
 # The full evaluation under the parallel runner must produce
@@ -222,5 +208,12 @@ diff -u "$DET_DIR/health1/health.incidents.jsonl" \
 "$EXP" report "$DET_DIR/health" --out "$DET_DIR/health/report.md"
 grep -q "## Health" "$DET_DIR/health/report.md"
 grep -q "0 breach(es)" "$DET_DIR/health/report.md"
+
+echo "== perfbench (builds against the workspace, runs its output checks) =="
+# The benchmark depends on the workspace crates by path, so removing an
+# API it calls fails here; its tests also check the benchmark's result
+# lines and digests on small rounds. It runs last, so a benchmark
+# check that fails does not hide the gates above.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

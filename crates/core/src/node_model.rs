@@ -24,8 +24,7 @@ use energy::{ResidencyBreakdown, ResidencyInput, ResidencyModel};
 use memsim::cache::Cache;
 use memsim::config::{HierarchyConfig, L3_WAYS};
 use memsim::core::CoreSim;
-use memsim::replay::CoreSource;
-use memsim::{CoreRecording, NodeSim, RunCursor, SimResult};
+use memsim::{CoreRecording, NodeSim, SimResult};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,18 +67,15 @@ impl UsageBucket {
     }
 }
 
-/// Simulation length, seeding, and window partitioning.
+/// Simulation length and seeding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Memory operations simulated per core.
     pub ops_per_core: usize,
     /// Base RNG seed (per-core streams derive from it).
     pub seed: u64,
-    /// Time windows each simulation is split into (1 = one straight
-    /// run). The cursor API guarantees any partition is byte-identical
-    /// to an unwindowed run; windows only set the granularity at which
-    /// per-window tallies flush into telemetry and at which the
-    /// time-parallel runner path could overlap work.
+    /// Ignored: every simulation runs as one loop. ROADMAP item 1
+    /// deletes this field.
     pub windows: u32,
 }
 
@@ -195,18 +191,14 @@ fn simulate(
         }
         node
     };
-    let total_ops = (hierarchy.cores * config.ops_per_core) as u64;
     let result = match recording {
         Some(recordings) => {
-            let mut node = observed(NodeSim::for_replay(*hierarchy, modes, mirror));
-            let cursor = node.begin_replay(recordings);
-            run_windowed(&mut node, cursor, total_ops, config.windows)
+            observed(NodeSim::for_replay(*hierarchy, modes, mirror)).replay(recordings)
         }
         None => {
             let l3s = warm_l3s(hierarchy, config, suite);
-            let mut node = observed(NodeSim::with_l3s(*hierarchy, modes, mirror, l3s));
-            let cursor = node.begin(core_streams(hierarchy, config, suite));
-            run_windowed(&mut node, cursor, total_ops, config.windows)
+            observed(NodeSim::with_l3s(*hierarchy, modes, mirror, l3s))
+                .run(core_streams(hierarchy, config, suite))
         }
     };
     if let (Some(t), Some(span)) = (trace, span) {
@@ -217,27 +209,6 @@ fn simulate(
         );
     }
     result
-}
-
-/// Executes an opened run of `total_ops` operations to completion,
-/// split into `windows` time windows. The cursor API makes any
-/// partition byte-identical to one unbounded window, so windowing
-/// changes *when* tallies flush into telemetry — once per window
-/// boundary instead of once per op — never *what* they total to. The
-/// final window's budget is unbounded, so an uneven op count still runs
-/// to completion.
-fn run_windowed<S: CoreSource>(
-    node: &mut NodeSim,
-    mut cursor: RunCursor<S>,
-    total_ops: u64,
-    windows: u32,
-) -> SimResult {
-    let budget = total_ops.div_ceil(u64::from(windows.max(1))).max(1);
-    for _ in 1..windows {
-        node.run_steps(&mut cursor, budget);
-    }
-    node.run_steps(&mut cursor, u64::MAX);
-    node.finish(cursor)
 }
 
 /// A shared-cache key: the content fingerprint of everything that
@@ -274,14 +245,7 @@ pub fn shared_cache_stats() -> (u64, u64) {
 fn cache_fingerprint(hierarchy: &HierarchyConfig, config: &EvalConfig) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = hierarchy.fingerprint();
-    // `windows` provably cannot change a run's outcome (the window
-    // differential tests pin that), but it stays in the fingerprint so
-    // the cache can never paper over a regression in that guarantee.
-    for w in [
-        config.ops_per_core as u64,
-        config.seed,
-        config.windows as u64,
-    ] {
+    for w in [config.ops_per_core as u64, config.seed] {
         h = (h ^ w).wrapping_mul(PRIME);
     }
     h
@@ -585,7 +549,7 @@ mod tests {
             EvalConfig {
                 ops_per_core: 6_000,
                 seed: 42,
-                windows: 1,
+                ..EvalConfig::default()
             },
         )
     }
@@ -722,7 +686,7 @@ mod tests {
                 EvalConfig {
                     ops_per_core: 2_000,
                     seed: 0x9817,
-                    windows: 1,
+                    ..EvalConfig::default()
                 },
             );
             shared_cache()
@@ -766,7 +730,7 @@ mod tests {
         let cfg = |seed| EvalConfig {
             ops_per_core: 3_000,
             seed,
-            windows: 1,
+            ..EvalConfig::default()
         };
         let a = NodeModel::new(HierarchyConfig::hierarchy1(), cfg(7));
         let b = NodeModel::new(HierarchyConfig::hierarchy1(), cfg(8));
@@ -812,7 +776,7 @@ mod tests {
                 EvalConfig {
                     ops_per_core: 2_000,
                     seed: 0xACE5,
-                    windows: 1,
+                    ..EvalConfig::default()
                 },
             );
             m.set_shared_cache(shared);
@@ -872,37 +836,6 @@ mod tests {
         );
     }
 
-    /// Satellite of the batched/windowed hot loop: window boundaries
-    /// flush per-window tally locals into the shared telemetry
-    /// handles, so a windowed run must end with *identical* counters —
-    /// and an identical `SimResult` — to the unwindowed run, not just
-    /// close ones.
-    #[test]
-    fn windowed_run_matches_unwindowed_bit_for_bit() {
-        let cfg = |windows| EvalConfig {
-            ops_per_core: 3_000,
-            seed: 0x51DE,
-            windows,
-        };
-        let run = |windows| {
-            let mut m = NodeModel::new(HierarchyConfig::hierarchy1(), cfg(windows));
-            m.set_shared_cache(false);
-            let r = telemetry::Registry::new();
-            m.set_metrics_scope(r.scope("node"));
-            let result = m.run(MemoryDesign::HeteroDmr { margin_mts: 800 }, Suite::Lulesh);
-            (result, r.snapshot())
-        };
-        let (plain_result, plain_metrics) = run(1);
-        for windows in [2, 5, 64] {
-            let (result, metrics) = run(windows);
-            assert_eq!(result, plain_result, "{windows} windows: SimResult drifted");
-            assert_eq!(
-                metrics, plain_metrics,
-                "{windows} windows: telemetry counters drifted"
-            );
-        }
-    }
-
     /// Section III-A1: each write batch pays two 1 µs frequency
     /// switches, so Hetero-DMR needs ~12 800-write batches to amortize
     /// them; 128-write batches must not be faster.
@@ -916,7 +849,7 @@ mod tests {
             let config = EvalConfig {
                 ops_per_core: 4_000,
                 seed: 100,
-                windows: 1,
+                ..EvalConfig::default()
             };
             let l3s = warm_l3s(&h, &config, Suite::Hpcg);
             let modes = vec![mode; h.memory.channels];
@@ -941,7 +874,7 @@ mod tests {
             EvalConfig {
                 ops_per_core: 2_000,
                 seed: 0xAB1A,
-                windows: 1,
+                ..EvalConfig::default()
             },
         );
         m.set_shared_cache(false);

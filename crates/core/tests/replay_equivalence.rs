@@ -7,10 +7,10 @@
 //! feeds back into them, the two must agree byte for byte: every
 //! `MemoryDesign` variant (the naive channel-split DMR with mirrored
 //! writes, the adaptive design and each DRAM generation included), on
-//! both hierarchies, at one and three windows, over seeds and small
-//! run lengths gives the same `SimResult`s, metrics snapshot and trace
-//! events from a multi-design batch (replay) as from one engine per
-//! pair (live), repeats in the batch included. Each result also equals
+//! both hierarchies, over seeds and small run lengths gives the same
+//! `SimResult`s, metrics snapshot and trace events from a multi-design
+//! batch (replay) as from one engine per pair (live), repeats in the
+//! batch included. Each result also equals
 //! a plain node run whose L3s were warmed block by block through
 //! `Cache::prewarm`, independent of the batch warm fill the engine
 //! uses.
@@ -203,9 +203,7 @@ fn node_run(
                     kept: Vec::new(),
                 })
                 .collect();
-            let mut cursor = node.begin_sources(sources);
-            node.run_steps(&mut cursor, u64::MAX);
-            node.finish(cursor)
+            node.run_sources(sources)
         }
     };
     (vec![result], registry.snapshot(), tracer.take())
@@ -219,9 +217,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Every design from a multi-design batch (replay) equals the same
-    /// design primed alone (live), on both hierarchies, at one and
-    /// three windows, with suites interleaved and pairs repeated in the
-    /// batch; and a plain node run from block-by-block warm L3s.
+    /// design primed alone (live), on both hierarchies, with suites
+    /// interleaved and pairs repeated in the batch; and a plain node run
+    /// from block-by-block warm L3s.
     #[test]
     fn primed_batch_replay_matches_live_runs(
         seed in any::<u64>(),
@@ -237,22 +235,20 @@ proptest! {
         let distinct = pairs.len();
         pairs.extend_from_within(3..8);
         for h in HierarchyConfig::both() {
-            for windows in [1, 3] {
-                let config = EvalConfig { ops_per_core: ops, seed, windows };
-                let (results, metrics, events) = batched(h, config, &pairs);
-                let live = alone(h, config, &pairs);
-                let at = format!("{} seed {seed} ops {ops} windows {windows}", h.name);
-                prop_assert!(!events.is_empty(), "{}: the batch traced its runs", at);
-                for (i, (&(d, s), r)) in pairs.iter().zip(&results).enumerate() {
-                    prop_assert_eq!(r, &live.0[i], "{}: {} on {}", at, d.name(), s.name());
-                    if windows == 1 && i < distinct {
-                        let plain = node_run(h, d, s, seed, ops, Source::Live).0;
-                        prop_assert_eq!(&plain[0], r, "{}: {} on {}: plain node", at, d.name(), s.name());
-                    }
+            let config = EvalConfig { ops_per_core: ops, seed, ..EvalConfig::default() };
+            let (results, metrics, events) = batched(h, config, &pairs);
+            let live = alone(h, config, &pairs);
+            let at = format!("{} seed {seed} ops {ops}", h.name);
+            prop_assert!(!events.is_empty(), "{}: the batch traced its runs", at);
+            for (i, (&(d, s), r)) in pairs.iter().zip(&results).enumerate() {
+                prop_assert_eq!(r, &live.0[i], "{}: {} on {}", at, d.name(), s.name());
+                if i < distinct {
+                    let plain = node_run(h, d, s, seed, ops, Source::Live).0;
+                    prop_assert_eq!(&plain[0], r, "{}: {} on {}: plain node", at, d.name(), s.name());
                 }
-                prop_assert_eq!(&metrics, &live.1, "{}: metrics", at);
-                prop_assert_eq!(&events, &live.2, "{}: trace events", at);
             }
+            prop_assert_eq!(&metrics, &live.1, "{}: metrics", at);
+            prop_assert_eq!(&events, &live.2, "{}: trace events", at);
         }
     }
 

@@ -23,7 +23,7 @@ pub(crate) fn model_scoped(ctx: &Ctx, h: HierarchyConfig, scope: &str) -> NodeMo
         EvalConfig {
             ops_per_core: ctx.ops_per_core,
             seed: ctx.seed,
-            windows: 1,
+            ..EvalConfig::default()
         },
     );
     if let Some(scope) = ctx.metrics_scope(scope) {

@@ -48,7 +48,7 @@
 //!
 //! Statistics accrue into plain per-controller locals (no atomics in
 //! the loop); [`ChannelController::stats`] folds the pending tallies
-//! in on read, and run/window/bind boundaries flush them to the
+//! in on read, and run end and telemetry bind flush them to the
 //! telemetry handles in one batch.
 
 use crate::address::DramCoord;
@@ -160,18 +160,17 @@ impl ControllerMetrics {
     }
 
     /// The per-read latency distribution (arrival → last data beat).
-    /// Pending (unflushed) window tallies are not yet visible here;
-    /// they are published by the next flush point (run end, window
-    /// boundary, or telemetry bind).
+    /// Pending (unflushed) tallies are not yet visible here; they are
+    /// published by the next flush point (run end or telemetry bind).
     pub fn read_latency_histogram(&self) -> &Histogram {
         &self.read_latency_ps
     }
 }
 
-/// Plain per-controller event tallies: the batched loop's counter
-/// window. Everything here is a local integer add; the flush points
-/// (run end, window boundary, telemetry bind) publish to the shared
-/// [`ControllerMetrics`] handles in one batch.
+/// Plain per-controller event tallies of the current run. Everything
+/// here is a local integer add; the flush points (run end, telemetry
+/// bind) publish to the shared [`ControllerMetrics`] handles in one
+/// batch.
 #[derive(Debug, Clone)]
 struct PendingTallies {
     reads: u64,
@@ -226,7 +225,7 @@ impl PendingTallies {
     }
 
     /// Publishes every pending tally into the shared handles and
-    /// resets the window.
+    /// resets them.
     fn flush(&mut self, metrics: &ControllerMetrics) {
         let add = |counter: &Counter, v: &mut u64| {
             if *v > 0 {
@@ -261,7 +260,7 @@ impl PendingTallies {
         }
     }
 
-    /// The aggregate view over this pending window alone.
+    /// The aggregate view over the pending tallies alone.
     fn stats(&self) -> ControllerStats {
         ControllerStats {
             reads: self.reads,
@@ -279,7 +278,7 @@ impl PendingTallies {
 }
 
 /// Aggregate controller statistics — a snapshot view over
-/// [`ControllerMetrics`] plus the pending window tallies, kept as a
+/// [`ControllerMetrics`] plus the pending tallies, kept as a
 /// plain value type for result assembly and comparisons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
@@ -570,7 +569,7 @@ impl ChannelController {
         &self.mode
     }
 
-    /// Statistics so far: the flushed handles plus the pending window,
+    /// Statistics so far: the flushed handles plus the pending tallies,
     /// so the view is exact at any point.
     pub fn stats(&self) -> ControllerStats {
         let p = self.pend.stats();
@@ -594,10 +593,9 @@ impl ChannelController {
         &self.metrics
     }
 
-    /// Publishes the pending window tallies into the metric handles.
-    /// Called at run and window boundaries; cheap when nothing is
-    /// pending.
-    pub fn flush_metrics(&mut self) {
+    /// Publishes the pending tallies into the metric handles. Called at
+    /// run end and telemetry bind; cheap when nothing is pending.
+    fn flush_metrics(&mut self) {
         self.pend.flush(&self.metrics);
     }
 
@@ -613,8 +611,8 @@ impl ChannelController {
     /// rows, credits the parked (read-rank-restricted) ranks with
     /// self-refresh time, stamps the bank count and horizon, and
     /// publishes the totals through the telemetry tap. Idempotent —
-    /// only the first call accrues. Also flushes the pending counter
-    /// window (this is the end-of-run boundary).
+    /// only the first call accrues. Also flushes the pending tallies
+    /// (this is the end of the run).
     pub fn finalize_residency(&mut self, end: Picos) -> ResidencyStats {
         self.flush_metrics();
         if !self.residency_final {
@@ -1482,7 +1480,7 @@ mod tests {
     #[test]
     fn stats_fold_pending_and_flush_is_idempotent() {
         // stats() must be exact before, between, and after flushes —
-        // the flushed handles and the pending window always partition
+        // the flushed handles and the pending tallies always partition
         // the event totals.
         let mut c = controller(ChannelMode::commercial_baseline());
         let t0 = read_now(&mut c, coord(0, 0, 3, 0), 0);

@@ -45,7 +45,7 @@ pub mod wbcache;
 
 pub use config::{ChannelMode, CoreConfig, HierarchyConfig, MemoryConfig};
 pub use controller::ResidencyStats;
-pub use node::{NodeSim, RunCursor};
+pub use node::NodeSim;
 pub use replay::CoreRecording;
 pub use result::SimResult;
 pub use trace::{AccessStream, MemOp};

@@ -5,7 +5,7 @@ use crate::cache::Cache;
 use crate::config::{ChannelMode, HierarchyConfig, L3_WAYS};
 use crate::controller::ChannelController;
 use crate::core::{CoreSim, CoreTiming, LoadHandle, Traffic};
-use crate::replay::{CoreRecording, CoreSource, Filtered, LiveCore, ReplayCore};
+use crate::replay::{CoreRecording, CoreSource, Filtered, LiveCore};
 use crate::result::SimResult;
 use crate::trace::AccessStream;
 use crate::wbcache::WritebackCache;
@@ -28,8 +28,8 @@ pub struct NodeSim {
     modes: Vec<ChannelMode>,
     mapping: AddressMapping,
     cores: Vec<CoreTiming>,
-    /// Each core's caches, until [`begin`](Self::begin) hands them to
-    /// the run's live sources. Empty on a node built by
+    /// Each core's caches, until [`run`](Self::run) hands them to the
+    /// run's live sources. Empty on a node built by
     /// [`for_replay`](Self::for_replay).
     caches: Vec<CoreSim>,
     controllers: Vec<ChannelController>,
@@ -39,8 +39,8 @@ pub struct NodeSim {
     /// bandwidth overhead).
     mirror_writes: bool,
     metrics: NodeMetrics,
-    /// Plain-integer tallies for the current window; flushed into
-    /// `metrics` at window boundaries (no atomics in the step loop).
+    /// Plain-integer tallies of the current run; flushed into `metrics`
+    /// once, at run end (no atomics in the step loop).
     tally: NodeTally,
     /// Causal trace sink (see [`NodeSim::attach_trace`]): write-drain
     /// batches become simulation-time spans.
@@ -73,9 +73,8 @@ impl NodeMetrics {
     }
 }
 
-/// The step loop's counter window: plain adds, published in one batch
-/// per window boundary ([`NodeSim::run_steps`] return, telemetry
-/// attach, or result assembly).
+/// The step loop's counters: plain adds, published in one batch at run
+/// end (after the final drains) or at telemetry attach.
 #[derive(Debug, Default)]
 struct NodeTally {
     ops: u64,
@@ -101,38 +100,6 @@ impl NodeTally {
     }
 }
 
-/// Resumable position inside a [`NodeSim`] run: the per-core
-/// [`CoreSource`]s plus the scheduler's view of each core's clock.
-/// Produced by [`NodeSim::begin`] (live streams) or
-/// [`NodeSim::begin_replay`] (recorded cache passes), advanced by
-/// [`NodeSim::run_steps`], consumed by [`NodeSim::finish`].
-///
-/// Splitting one run into several `run_steps` calls is *exactly*
-/// equivalent to one big call: the scheduler state lives entirely in
-/// this cursor and the node, so stdout/JSONL/trace bytes and
-/// `SimResult` stats are byte-identical for any window partition —
-/// the property the time-parallel runner path relies on.
-#[derive(Debug)]
-pub struct RunCursor<S> {
-    sources: Vec<S>,
-    /// Per-core clock mirror; [`Picos::MAX`] marks an exhausted stream.
-    nows: Vec<Picos>,
-    remaining: usize,
-    steps: u64,
-}
-
-impl<S> RunCursor<S> {
-    /// Whether every stream has been consumed.
-    pub fn done(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Total operations stepped through this cursor so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-}
-
 impl NodeSim {
     /// Builds a node with every core and channel in its initial state.
     pub fn new(hierarchy: HierarchyConfig, mode: ChannelMode) -> NodeSim {
@@ -154,24 +121,17 @@ impl NodeSim {
         modes: Vec<ChannelMode>,
         mirror_writes: bool,
     ) -> NodeSim {
-        let l3s = NodeSim::empty_l3s(&hierarchy);
-        NodeSim::with_l3s(hierarchy, modes, mirror_writes, l3s)
-    }
-
-    /// One empty L3 partition per core of `hierarchy`: the starting
-    /// point for warming caches outside a node (see
-    /// [`with_l3s`](Self::with_l3s)).
-    pub fn empty_l3s(hierarchy: &HierarchyConfig) -> Vec<Cache> {
-        (0..hierarchy.cores)
+        let l3s = (0..hierarchy.cores)
             .map(|_| Cache::new(hierarchy.l3_partition_bytes(), L3_WAYS))
-            .collect()
+            .collect();
+        NodeSim::with_l3s(hierarchy, modes, mirror_writes, l3s)
     }
 
     /// Builds a node whose cores start from prepared L3 partitions, one
     /// per core in core order, such as partitions warmed outside the
     /// node. Everything else starts as in
-    /// [`with_modes`](Self::with_modes), which calls this with
-    /// [`empty_l3s`](Self::empty_l3s).
+    /// [`with_modes`](Self::with_modes), which calls this with empty
+    /// partitions.
     ///
     /// # Panics
     ///
@@ -200,7 +160,7 @@ impl NodeSim {
     }
 
     /// Builds a node without caches: it times recorded cache passes
-    /// ([`begin_replay`](Self::begin_replay), [`replay`](Self::replay))
+    /// ([`replay`](Self::replay), [`run_sources`](Self::run_sources))
     /// and cannot run access streams. Everything else starts as in
     /// [`with_modes`](Self::with_modes).
     ///
@@ -303,43 +263,16 @@ impl NodeSim {
     }
 
     /// Runs one access stream per core to completion and reports the
-    /// merged results.
-    ///
-    /// # Panics
-    ///
-    /// As [`begin`](Self::begin).
-    pub fn run<S: AccessStream>(&mut self, streams: Vec<S>) -> SimResult {
-        let mut cursor = self.begin(streams);
-        self.run_steps(&mut cursor, u64::MAX);
-        self.finish(cursor)
-    }
-
-    /// Times one recorded cache pass per core (see
-    /// [`CoreRecording::capture`]) to completion: exactly the result,
-    /// telemetry and trace of [`run`](Self::run) over the streams and
-    /// caches the recordings were captured from.
-    ///
-    /// # Panics
-    ///
-    /// As [`begin_replay`](Self::begin_replay).
-    pub fn replay(&mut self, recordings: &[CoreRecording]) -> SimResult {
-        let mut cursor = self.begin_replay(recordings);
-        self.run_steps(&mut cursor, u64::MAX);
-        self.finish(cursor)
-    }
-
-    /// Opens a resumable run over one access stream per core, each fed
-    /// through its core's caches as the run steps (the caches move into
-    /// the cursor, so a node runs streams once). Advance it with
-    /// [`run_steps`](Self::run_steps), close it with
-    /// [`finish`](Self::finish).
+    /// merged results. Each stream is fed through its core's caches as
+    /// the run steps (the caches move into the run, so a node runs
+    /// streams once).
     ///
     /// # Panics
     ///
     /// Panics unless exactly one stream per core is supplied, or when
     /// the node has no caches (built by [`for_replay`](Self::for_replay)
     /// or already run).
-    pub fn begin<S: AccessStream>(&mut self, streams: Vec<S>) -> RunCursor<LiveCore<S>> {
+    pub fn run<S: AccessStream>(&mut self, streams: Vec<S>) -> SimResult {
         assert_eq!(
             streams.len(),
             self.cores.len(),
@@ -351,7 +284,7 @@ impl NodeSim {
             "a node runs streams through its own caches, once"
         );
         let caches = std::mem::take(&mut self.caches);
-        self.begin_sources(
+        self.run_sources(
             streams
                 .into_iter()
                 .zip(caches)
@@ -360,44 +293,21 @@ impl NodeSim {
         )
     }
 
-    /// Opens a resumable run over one recorded cache pass per core.
+    /// Times one recorded cache pass per core (see
+    /// [`CoreRecording::capture`]) to completion: exactly the result,
+    /// telemetry and trace of [`run`](Self::run) over the streams and
+    /// caches the recordings were captured from.
     ///
     /// # Panics
     ///
     /// Panics unless exactly one recording per core is supplied.
-    pub fn begin_replay<'a>(
-        &mut self,
-        recordings: &'a [CoreRecording],
-    ) -> RunCursor<ReplayCore<'a>> {
-        self.begin_sources(recordings.iter().map(CoreRecording::replay).collect())
+    pub fn replay(&mut self, recordings: &[CoreRecording]) -> SimResult {
+        self.run_sources(recordings.iter().map(CoreRecording::replay).collect())
     }
 
-    /// Opens a resumable run over one [`CoreSource`] per core: the one
-    /// entry point under [`begin`](Self::begin) and
-    /// [`begin_replay`](Self::begin_replay).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one source per core is supplied.
-    pub fn begin_sources<S: CoreSource>(&mut self, sources: Vec<S>) -> RunCursor<S> {
-        assert_eq!(
-            sources.len(),
-            self.cores.len(),
-            "need exactly one source per core"
-        );
-        RunCursor {
-            nows: self.cores.iter().map(|c| c.now).collect(),
-            remaining: sources.len(),
-            sources,
-            steps: 0,
-        }
-    }
-
-    /// Advances the run by at most `budget` operations (a *window*),
-    /// returning how many were executed (less than `budget` only when
-    /// every stream ran dry). Window boundaries flush the node's and
-    /// every controller's pending tallies in one batch — the only
-    /// point where the batched loop touches shared metric handles.
+    /// Times one [`CoreSource`] per core until every source runs dry,
+    /// then drains and assembles the result: the one run loop under
+    /// [`run`](Self::run) and [`replay`](Self::replay).
     ///
     /// The scheduler always steps the core that is furthest behind
     /// (ties to the lowest index), like the classic per-op
@@ -406,16 +316,27 @@ impl NodeSim {
     /// against the cached second-minimum, which only one step in the
     /// old loop could ever change anyway. One scan therefore covers a
     /// whole burst of steps on the lagging core.
-    pub fn run_steps<S: CoreSource>(&mut self, cursor: &mut RunCursor<S>, budget: u64) -> u64 {
-        let mut done = 0u64;
-        'windows: while cursor.remaining > 0 && done < budget {
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one source per core is supplied.
+    pub fn run_sources<S: CoreSource>(&mut self, mut sources: Vec<S>) -> SimResult {
+        assert_eq!(
+            sources.len(),
+            self.cores.len(),
+            "need exactly one source per core"
+        );
+        // Per-core clock mirror; `Picos::MAX` marks an exhausted source.
+        let mut nows: Vec<Picos> = self.cores.iter().map(|c| c.now).collect();
+        let mut remaining = sources.len();
+        while remaining > 0 {
             // One scan: minimum and second-minimum (now, index), both
             // with first-occurrence (lowest index) tie-breaks.
             let mut min_idx = usize::MAX;
             let mut min_now = Picos::MAX;
             let mut snd_idx = usize::MAX;
             let mut snd_now = Picos::MAX;
-            for (i, &t) in cursor.nows.iter().enumerate() {
+            for (i, &t) in nows.iter().enumerate() {
                 if t < min_now {
                     snd_now = min_now;
                     snd_idx = min_idx;
@@ -428,15 +349,11 @@ impl NodeSim {
             }
             let core_idx = min_idx;
             loop {
-                match cursor.sources[core_idx].next_filtered() {
+                match sources[core_idx].next_filtered() {
                     Some(op) => {
                         self.step(core_idx, op);
                         let t = self.cores[core_idx].now;
-                        cursor.nows[core_idx] = t;
-                        done += 1;
-                        if done >= budget {
-                            break 'windows;
-                        }
+                        nows[core_idx] = t;
                         // Still the argmin? (Strictly ahead of the
                         // runner-up, or tied with a lower index.)
                         if t > snd_now || (t == snd_now && core_idx > snd_idx) {
@@ -444,25 +361,18 @@ impl NodeSim {
                         }
                     }
                     None => {
-                        cursor.nows[core_idx] = Picos::MAX;
-                        cursor.remaining -= 1;
+                        nows[core_idx] = Picos::MAX;
+                        remaining -= 1;
                         break;
                     }
                 }
             }
         }
-        cursor.steps += done;
-        self.flush_window();
-        done
-    }
-
-    /// Publishes the current window's tallies (node and per-channel)
-    /// into the metric handles.
-    fn flush_window(&mut self) {
-        self.tally.flush(&self.metrics);
-        for ctrl in &mut self.controllers {
-            ctrl.flush_metrics();
-        }
+        let cache_counts = sources
+            .iter()
+            .map(CoreSource::cache_counts)
+            .fold((0, 0), |(h, m), (dh, dm)| (h + dh, m + dm));
+        self.finish(cache_counts)
     }
 
     /// Times one filtered memory operation on one core.
@@ -602,27 +512,18 @@ impl NodeSim {
     }
 
     /// Final drain of all pending writes and outstanding loads, then
-    /// result assembly. The drain's duration counts toward execution
-    /// time — the benchmark is not done until its writebacks are.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor still has unconsumed operations (run
-    /// [`run_steps`](Self::run_steps) until it returns short first).
-    pub fn finish<S: CoreSource>(&mut self, cursor: RunCursor<S>) -> SimResult {
-        assert!(cursor.done(), "finish called with operations remaining");
-        let (cache_hits, cache_misses) = cursor
-            .sources
-            .iter()
-            .map(CoreSource::cache_counts)
-            .fold((0, 0), |(h, m), (dh, dm)| (h + dh, m + dm));
-        drop(cursor);
-        self.tally.flush(&self.metrics);
+    /// result assembly from the sources' `(hits, misses)` totals. The
+    /// drain's duration counts toward execution time — the benchmark
+    /// is not done until its writebacks are. The run's tallies publish
+    /// here: the node's after the final drains (which it counts), each
+    /// controller's in [`ChannelController::finalize_residency`].
+    fn finish(&mut self, (cache_hits, cache_misses): (u64, u64)) -> SimResult {
         let now = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
         let mut drained_until = now;
         for ch in 0..self.controllers.len() {
             drained_until = drained_until.max(self.final_drain(ch, now));
         }
+        self.tally.flush(&self.metrics);
         let controllers = &mut self.controllers;
         for core in &mut self.cores {
             core.drain(|handle| match handle {
@@ -776,6 +677,36 @@ mod tests {
         assert_eq!(result.controller.writes, aggregate.writes);
         assert_eq!(result.controller.wb_cache_hits, aggregate.wb_cache_hits);
         assert_eq!(snap.counter("node.ops"), (h.cores * 2_000) as u64);
+    }
+
+    /// Every drain — write-mode entries during the run and the final
+    /// drain of each channel — counts once in `drains` and traces one
+    /// `write_drain.ch<N>` span.
+    #[test]
+    fn drains_count_every_traced_drain() {
+        use telemetry::Registry;
+
+        let r = Registry::new();
+        let tracer = Tracer::new();
+        let h = small(HierarchyConfig::hierarchy1());
+        // A low watermark, so the channels also drain mid-run.
+        let mut mode = ChannelMode::commercial_baseline();
+        mode.write_high_watermark = 64;
+        let mut node = NodeSim::new(h, mode);
+        node.attach_telemetry(&r.scope("node"));
+        node.attach_trace(&tracer);
+        let streams: Vec<_> = (0..h.cores)
+            .map(|i| stream(3_000 + i as u64, 3_000, 1 << 13).into_iter())
+            .collect();
+        let result = node.run(streams);
+        let spans = tracer
+            .take()
+            .iter()
+            .filter(|e| e.name.starts_with("write_drain.ch"))
+            .count() as u64;
+        assert_eq!(result.controller.write_mode_entries, spans);
+        assert!(spans > h.memory.channels as u64, "no drain mid-run");
+        assert_eq!(r.snapshot().counter("node.drains"), spans);
     }
 
     #[test]

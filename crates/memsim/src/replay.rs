@@ -91,8 +91,8 @@ const MISS: u8 = 4;
 /// One core's whole cache pass, recorded: every op's gap, load or
 /// store, demand-miss block or L3 hit, and traffic in issue order, plus
 /// the final hit and miss counts. Replays through
-/// [`NodeSim::begin_replay`](crate::NodeSim::begin_replay) under any
-/// number of memory designs.
+/// [`NodeSim::replay`](crate::NodeSim::replay) under any number of
+/// memory designs.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct CoreRecording {
     ops: Vec<RecordedOp>,

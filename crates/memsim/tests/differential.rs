@@ -222,117 +222,3 @@ fn bypass_cap_behaviour_matches() {
         assert_eq!(real.stats(), naive.stats());
     }
 }
-
-/// Node-level windowing differential: splitting one run into any
-/// sequence of `run_steps` windows — including boundaries that land
-/// mid-refresh-interval and mid-write-drain-cadence — must be
-/// byte-identical to the single-shot run, in both the `SimResult` and
-/// the telemetry registry the per-window tallies flush into.
-mod windowed {
-    use super::Rng;
-    use memsim::{ChannelMode, HierarchyConfig, MemOp, NodeSim, SimResult};
-    use telemetry::{Registry, Snapshot};
-
-    /// A write-heavy synthetic stream over a footprint big enough to
-    /// thrash the shrunken caches below, so the run exercises
-    /// writebacks, batched write drains, and refresh windows.
-    fn stream(seed: u64, ops: usize) -> Vec<MemOp> {
-        let mut rng = Rng(seed);
-        let footprint_blocks = 1u64 << 13;
-        let mut cursor = 0u64;
-        (0..ops)
-            .map(|_| {
-                let addr = if rng.chance(70) {
-                    cursor = (cursor + 1) % footprint_blocks;
-                    cursor * 64
-                } else {
-                    rng.below(footprint_blocks) * 64
-                };
-                let gap = 5 + rng.below(35) as u32;
-                if rng.chance(40) {
-                    MemOp::store(addr, gap)
-                } else {
-                    MemOp::load(addr, gap)
-                }
-            })
-            .collect()
-    }
-
-    /// Hierarchy1 with shrunken caches (as the unit tests use) so the
-    /// short streams generate real DRAM traffic.
-    fn small() -> HierarchyConfig {
-        let mut h = HierarchyConfig::hierarchy1();
-        h.core.l1_bytes = 4 * 1024;
-        h.core.l2_bytes = 16 * 1024;
-        h.cache_per_core_bytes = 48 * 1024;
-        h
-    }
-
-    const OPS_PER_CORE: usize = 4_000;
-
-    fn fresh_node(r: &Registry) -> (NodeSim, Vec<std::vec::IntoIter<MemOp>>) {
-        let h = small();
-        let mut node = NodeSim::new(h, ChannelMode::commercial_baseline());
-        node.attach_telemetry(&r.scope("node"));
-        let streams: Vec<_> = (0..h.cores)
-            .map(|i| stream(0xD1F7 + i as u64, OPS_PER_CORE).into_iter())
-            .collect();
-        (node, streams)
-    }
-
-    /// Runs the workload split at the given op-count boundaries
-    /// (`u64::MAX` always closes the run).
-    fn run_split(budgets: &[u64]) -> (SimResult, Snapshot) {
-        let r = Registry::new();
-        let (mut node, streams) = fresh_node(&r);
-        let mut cursor = node.begin(streams);
-        for &b in budgets {
-            node.run_steps(&mut cursor, b);
-        }
-        node.run_steps(&mut cursor, u64::MAX);
-        assert!(cursor.done());
-        let result = node.finish(cursor);
-        (result, r.snapshot())
-    }
-
-    #[test]
-    fn any_window_partition_is_byte_identical() {
-        let (reference, ref_snap) = run_split(&[]);
-        // The single-shot run must exercise the stateful machinery a
-        // window boundary could plausibly corrupt: refresh interval
-        // accounting and the write-drain cadence.
-        assert!(reference.controller.refreshes > 0, "no refreshes crossed");
-        assert!(
-            reference.controller.write_mode_entries > 0,
-            "no write drains crossed"
-        );
-
-        let total = (small().cores * OPS_PER_CORE) as u64;
-        let mut rng = Rng(0xBEEF);
-        for windows in [1usize, 2, 7, 64] {
-            // Random uneven budgets averaging total/windows: boundaries
-            // land at arbitrary points of the refresh interval and the
-            // drain cadence, not at friendly multiples.
-            let budgets: Vec<u64> = (1..windows)
-                .map(|_| 1 + rng.below((2 * total) / windows as u64))
-                .collect();
-            let (result, snap) = run_split(&budgets);
-            assert_eq!(result, reference, "{windows} windows: SimResult drifted");
-            assert_eq!(snap, ref_snap, "{windows} windows: telemetry drifted");
-        }
-    }
-
-    /// Degenerate budgets — zero-op windows and single-op windows —
-    /// must be no-ops and exact single steps respectively.
-    #[test]
-    fn degenerate_budgets_are_sound() {
-        let (reference, ref_snap) = run_split(&[]);
-        let (zeros, zeros_snap) = run_split(&[0, 0, 0, 1_000, 0, 0]);
-        assert_eq!(zeros, reference);
-        assert_eq!(zeros_snap, ref_snap);
-        let singles: Vec<u64> = vec![1; 500];
-        let (stepped, stepped_snap) = run_split(&singles);
-        assert_eq!(stepped, reference);
-        assert_eq!(stepped_snap, ref_snap);
-    }
-}

@@ -65,7 +65,7 @@ fn main() {
         EvalConfig {
             ops_per_core: 8_000,
             seed: 1,
-            windows: 1,
+            ..EvalConfig::default()
         },
     );
     let hdmr = model.normalized(

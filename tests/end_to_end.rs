@@ -20,7 +20,7 @@ fn small_model() -> NodeModel {
         EvalConfig {
             ops_per_core: 5_000,
             seed: 0xE2E,
-            windows: 1,
+            ..EvalConfig::default()
         },
     )
 }
@@ -178,7 +178,7 @@ fn energy_story_holds_end_to_end() {
             EvalConfig {
                 ops_per_core: 4_000,
                 seed: 0xD1A2,
-                windows: 1,
+                ..EvalConfig::default()
             },
         );
         let pairs = Suite::ALL.map(|s| [(base, s), (hdmr, s)]);

@@ -99,7 +99,7 @@ fn node_model_cache_is_coherent_with_fresh_runs() {
         EvalConfig {
             ops_per_core: 2_000,
             seed: 3,
-            windows: 1,
+            ..EvalConfig::default()
         },
     );
     let first = m.run(MemoryDesign::Fmr, Suite::Npb);
@@ -111,7 +111,7 @@ fn node_model_cache_is_coherent_with_fresh_runs() {
         EvalConfig {
             ops_per_core: 2_000,
             seed: 3,
-            windows: 1,
+            ..EvalConfig::default()
         },
     );
     assert_eq!(m2.run(MemoryDesign::Fmr, Suite::Npb), first);
@@ -145,7 +145,7 @@ proptest! {
         let weights = [w0, w1, 1.0 - total];
         let m = NodeModel::new(
             HierarchyConfig::hierarchy1(),
-            EvalConfig { ops_per_core: 1_500, seed: 9, windows: 1 },
+            EvalConfig { ops_per_core: 1_500, seed: 9, ..EvalConfig::default() },
         );
         let design = MemoryDesign::HeteroDmr { margin_mts: 800 };
         let per_bucket: Vec<f64> = UsageBucket::ALL
