@@ -209,6 +209,12 @@ diff -u "$DET_DIR/health1/health.incidents.jsonl" \
 grep -q "## Health" "$DET_DIR/health/report.md"
 grep -q "0 breach(es)" "$DET_DIR/health/report.md"
 
+echo "== rustdoc intra-doc links =="
+# Every [`Item`] link in first-party docs must resolve, so a rename or a
+# deletion cannot leave a doc pointing at nothing.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --offline --no-deps --workspace --exclude rand --exclude proptest
+
 echo "== perfbench (builds against the workspace, runs its output checks) =="
 # The benchmark depends on the workspace crates by path, so removing an
 # API it calls fails here; its tests also check the benchmark's result

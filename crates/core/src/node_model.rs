@@ -9,7 +9,7 @@
 //! HPC benchmark suites" and "[0~100%]" bars do.
 //!
 //! Results are memoized twice: per engine (a plain map) and process
-//! wide ([`shared_cache`]), keyed by a content fingerprint of the
+//! wide (`shared_cache`), keyed by a content fingerprint of the
 //! hierarchy and eval config plus the exact design and suite, so
 //! trials, variants, and figures that evaluate the same configuration
 //! share one simulation. A shared entry carries everything the miss
@@ -361,7 +361,7 @@ impl NodeModel {
     /// Runs every not-yet-memoized `(design, suite)` pair on the
     /// worker pool and fills the cache, so subsequent [`run`] calls
     /// are recalls. Misses are grouped by suite: a suite with two or
-    /// more designs to run has its cache pass [`record`]ed once, and
+    /// more designs to run has its cache pass `record`ed once, and
     /// each of its designs is timed from that recording; a suite with
     /// one design runs it live, so nothing is recorded that only one
     /// design reads. Each simulation is single-threaded, seeded purely

@@ -16,8 +16,7 @@
 use crate::faults::PermanentFaultTracker;
 use crate::governor::{EpochGovernor, GovernorState};
 use crate::replication::{ReplicationAction, ReplicationManager};
-use dram::channel::{Channel, ChannelConfig};
-use dram::module::ModuleId;
+use dram::channel::{Channel, ChannelConfig, ModuleId};
 use dram::Picos;
 use ecc::bamboo::{BlockCodec, DetectOutcome, EccBlock, BLOCK_DATA_BYTES};
 use ecc::inject::{inject, ErrorModel};
@@ -145,6 +144,10 @@ pub struct ProtocolStats {
     /// (Section III-E).
     pub remaps: u64,
 }
+
+/// The slot holding the original blocks; the other slot is the Free
+/// Module that holds the copies.
+const ORIGINALS: ModuleId = ModuleId(0);
 
 /// One channel under the Hetero-DMR protocol.
 #[derive(Debug)]
@@ -316,23 +319,12 @@ impl HeteroDmrChannel {
     }
 
     /// Transitions into unsafely fast read mode (Figure 8b): originals
-    /// precharged and put into self-refresh, channel clocked up.
-    /// Returns when the channel is usable.
+    /// put into self-refresh, channel clocked up. Returns when the
+    /// channel is usable.
     fn enter_read_mode(&mut self, now: Picos) -> Picos {
-        let timing = *match self.channel.state_at(now) {
-            dram::channel::FrequencyState::Safe => &self.channel.config().safe_timing,
-            _ => &self.channel.config().fast_timing,
-        };
-        let originals = self
-            .channel
-            .module_mut(ModuleId(0))
-            .expect("module 0 exists");
-        if !originals.in_self_refresh() {
-            let done = originals.precharge_all(now, &timing);
-            originals
-                .enter_self_refresh(done)
-                .expect("precharged module accepts self-refresh");
-        }
+        self.channel
+            .enter_self_refresh(ORIGINALS)
+            .expect("originals are out of self-refresh outside read mode");
         let ready = self
             .channel
             .begin_speed_up(now)
@@ -350,22 +342,18 @@ impl HeteroDmrChannel {
         ready
     }
 
-    /// Leaves read mode: channel back to spec, originals out of
-    /// self-refresh. Returns when both are ready.
+    /// Leaves read mode: channel back to spec, then originals out of
+    /// self-refresh. Returns when both are ready (the transition's end
+    /// plus tXS).
     fn leave_read_mode(&mut self, now: Picos) -> Picos {
         let until = self
             .channel
             .begin_slow_down(now)
             .expect("fast channel can slow down");
-        let timing = self.channel.config().safe_timing;
-        let originals = self
+        let safe_at = self
             .channel
-            .module_mut(ModuleId(0))
-            .expect("module 0 exists");
-        let ready = originals
-            .exit_self_refresh(until, &timing)
+            .exit_self_refresh(ORIGINALS, until)
             .expect("originals were in self-refresh");
-        let safe_at = ready.max(until);
         if let Some(tracer) = &self.trace {
             tracer.instant(
                 "mode.read_exit",
@@ -694,6 +682,14 @@ mod tests {
         let (mut ch, t) = replicated();
         let err = ch.write(3, &data(1), t).unwrap_err();
         assert!(matches!(err, ProtocolError::WrongMode { .. }));
+    }
+
+    #[test]
+    fn write_mode_entry_costs_one_transition_plus_safe_txs() {
+        let (mut ch, t) = replicated();
+        let w = ch.begin_write_mode(t).unwrap();
+        let t_xs = dram::timing::MemorySetting::Specified.timing().t_xs_ps();
+        assert_eq!(w, t + dram::channel::FREQUENCY_TRANSITION_PS + t_xs);
     }
 
     #[test]

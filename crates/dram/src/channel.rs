@@ -1,28 +1,34 @@
-//! A memory channel with runtime frequency scaling and broadcast
-//! writes.
+//! A memory channel's runtime frequency scaling and the self-refresh
+//! state of its module slots.
 //!
-//! The channel is where the paper's two key hardware mechanisms live:
+//! The channel holds the two device-level mechanisms the Hetero-DMR
+//! protocol needs:
 //!
 //! * **Frequency transitions** (Figures 9 and 10): scaling the
 //!   channel's CK_c/CK_t clock up or down takes ~1 µs end-to-end
 //!   (precharge, change clock, re-synchronize / DLL relock). The
-//!   channel models this as an opaque, exclusive transition window
-//!   during which no commands may issue.
-//! * **Broadcast writes** (Section III-A, reusing FMR's design): the
-//!   bus interconnection topology lets a single write transaction carry
-//!   identical command, address, and data to multiple ranks, so the
-//!   copy at the same location `i` of a Free Module is updated for free.
+//!   channel models this as an opaque, exclusive transition window.
+//! * **Self-refresh** (Section III-A2): the modules holding *original*
+//!   blocks are parked in self-refresh while the channel runs unsafely
+//!   fast. In self-refresh the devices refresh from their internal,
+//!   in-spec clocks and ignore the overclocked external bus, so no
+//!   command misinterpretation can corrupt them. Leaving self-refresh
+//!   costs tXS at the safe setting.
+//!
+//! Command-level timing (queueing, bank state, refresh, broadcast
+//! writes) is simulated by `memsim`'s channel controller.
 
-use crate::command::Command;
 use crate::error::DramError;
-use crate::module::{Module, ModuleId};
-use crate::organization::ModuleOrganization;
 use crate::timing::TimingParams;
 use crate::{Picos, PS_PER_US};
 
 /// End-to-end cost of one channel frequency transition (the paper's
 /// measured ~1 µs, Section III-A1).
 pub const FREQUENCY_TRANSITION_PS: Picos = PS_PER_US;
+
+/// Identifier of a module within a channel (slot index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ModuleId(pub usize);
 
 /// The channel's clock state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,96 +52,45 @@ pub enum FrequencyState {
 /// Static configuration of a channel.
 #[derive(Debug, Clone)]
 pub struct ChannelConfig {
-    /// Organization of every module in the channel (the paper populates
-    /// channels homogeneously: 2 modules/channel, 2 ranks/module).
-    pub organization: ModuleOrganization,
     /// Number of module slots.
     pub modules: usize,
-    /// Timing used in the safe state.
+    /// Timing used in the safe state; self-refresh exit costs its tXS.
     pub safe_timing: TimingParams,
-    /// Timing used in the unsafely fast state.
-    pub fast_timing: TimingParams,
 }
 
 impl ChannelConfig {
-    /// The paper's performance-experiment channel: two dual-rank
-    /// 9-chips/rank 3200 MT/s modules, safe at Table II row 1 and fast
-    /// at Table II row 4 (4000 MT/s + latency margins).
+    /// The paper's performance-experiment channel: two 3200 MT/s
+    /// modules, safe at Table II row 1.
     pub fn paper_default() -> ChannelConfig {
         ChannelConfig {
-            organization: ModuleOrganization::ddr4_3200_9cpr_dual_rank(),
             modules: 2,
             safe_timing: crate::timing::MemorySetting::Specified.timing(),
-            fast_timing: crate::timing::MemorySetting::FreqLatMargin.timing(),
         }
     }
 }
 
-/// A memory channel: module slots sharing one command/data bus and one
-/// clock, with the Hetero-DMR frequency-scaling protocol.
+/// A memory channel: module slots sharing one clock, with the
+/// Hetero-DMR frequency-scaling protocol.
 #[derive(Debug, Clone)]
 pub struct Channel {
     config: ChannelConfig,
-    modules: Vec<Module>,
+    /// Per-slot self-refresh flag.
+    self_refresh: Vec<bool>,
     state: FrequencyState,
     /// Number of completed frequency transitions (both directions).
     transitions: u64,
-    /// Number of broadcast write transactions.
-    broadcast_writes: u64,
 }
 
 impl Channel {
-    /// Creates a channel in the safe state with all slots populated.
+    /// Creates a channel in the safe state with every slot out of
+    /// self-refresh.
     pub fn new(config: ChannelConfig) -> Channel {
-        let modules = (0..config.modules)
-            .map(|i| Module::new(ModuleId(i), config.organization))
-            .collect();
         Channel {
+            self_refresh: vec![false; config.modules],
             config,
-            modules,
             state: FrequencyState::Safe,
             transitions: 0,
-            broadcast_writes: 0,
         }
-    }
-
-    /// The channel's static configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.config
-    }
-
-    /// Number of populated module slots.
-    pub fn module_count(&self) -> usize {
-        self.modules.len()
-    }
-
-    /// Immutable module access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] for an invalid slot.
-    pub fn module(&self, id: ModuleId) -> Result<&Module, DramError> {
-        self.modules.get(id.0).ok_or(DramError::AddressOutOfRange {
-            component: "module",
-            index: id.0,
-            count: self.modules.len(),
-        })
-    }
-
-    /// Mutable module access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] for an invalid slot.
-    pub fn module_mut(&mut self, id: ModuleId) -> Result<&mut Module, DramError> {
-        let count = self.modules.len();
-        self.modules
-            .get_mut(id.0)
-            .ok_or(DramError::AddressOutOfRange {
-                component: "module",
-                index: id.0,
-                count,
-            })
     }
 
     /// Completed frequency transitions so far.
@@ -143,51 +98,23 @@ impl Channel {
         self.transitions
     }
 
-    /// Broadcast write transactions issued so far.
-    pub fn broadcast_writes(&self) -> u64 {
-        self.broadcast_writes
-    }
-
     /// The clock state as of `now`, resolving any transition that has
     /// already completed.
     pub fn state_at(&mut self, now: Picos) -> FrequencyState {
         match self.state {
             FrequencyState::SpeedingUp { until } if now >= until => {
-                self.finish_transition(FrequencyState::UnsafelyFast, until);
+                self.finish_transition(FrequencyState::UnsafelyFast);
             }
             FrequencyState::SlowingDown { until } if now >= until => {
-                self.finish_transition(FrequencyState::Safe, until);
+                self.finish_transition(FrequencyState::Safe);
             }
             _ => {}
         }
         self.state
     }
 
-    /// The timing parameters in force at `now`.
-    ///
-    /// During a transition the channel is unusable; this returns the
-    /// *destination* timing so callers can plan the next command, but
-    /// [`Channel::usable_at`] gates actual issue.
-    pub fn timing_at(&mut self, now: Picos) -> TimingParams {
-        match self.state_at(now) {
-            FrequencyState::Safe | FrequencyState::SlowingDown { .. } => self.config.safe_timing,
-            FrequencyState::UnsafelyFast | FrequencyState::SpeedingUp { .. } => {
-                self.config.fast_timing
-            }
-        }
-    }
-
-    /// Earliest time commands may issue, given any in-flight transition.
-    pub fn usable_at(&mut self, now: Picos) -> Picos {
-        match self.state_at(now) {
-            FrequencyState::Safe | FrequencyState::UnsafelyFast => now,
-            FrequencyState::SpeedingUp { until } | FrequencyState::SlowingDown { until } => until,
-        }
-    }
-
-    /// Begins the safe→fast transition of Figure 10: precharge all
-    /// non-self-refresh modules, raise the clock, re-synchronize.
-    /// Returns the completion time (`now + 1 µs`).
+    /// Begins the safe→fast transition of Figure 10. Returns the
+    /// completion time (`now + 1 µs`).
     ///
     /// # Errors
     ///
@@ -197,18 +124,11 @@ impl Channel {
     pub fn begin_speed_up(&mut self, now: Picos) -> Result<Picos, DramError> {
         match self.state_at(now) {
             FrequencyState::Safe => {
-                let timing = self.config.safe_timing;
-                for module in &mut self.modules {
-                    if !module.in_self_refresh() {
-                        module.precharge_all(now, &timing);
-                    }
-                }
                 let until = now + FREQUENCY_TRANSITION_PS;
                 self.state = FrequencyState::SpeedingUp { until };
                 Ok(until)
             }
             FrequencyState::UnsafelyFast => Err(DramError::StateViolation {
-                command: Command::SelfRefreshEnter,
                 reason: "channel is already unsafely fast",
             }),
             _ => Err(DramError::TransitionInProgress),
@@ -226,71 +146,70 @@ impl Channel {
     pub fn begin_slow_down(&mut self, now: Picos) -> Result<Picos, DramError> {
         match self.state_at(now) {
             FrequencyState::UnsafelyFast => {
-                let timing = self.config.fast_timing;
-                for module in &mut self.modules {
-                    if !module.in_self_refresh() {
-                        module.precharge_all(now, &timing);
-                    }
-                }
                 let until = now + FREQUENCY_TRANSITION_PS;
                 self.state = FrequencyState::SlowingDown { until };
                 Ok(until)
             }
             FrequencyState::Safe => Err(DramError::StateViolation {
-                command: Command::SelfRefreshExit,
                 reason: "channel is already safe",
             }),
             _ => Err(DramError::TransitionInProgress),
         }
     }
 
-    /// Issues a write broadcast to the same `(rank, bank, row)` of
-    /// several modules in **one** bus transaction — the FMR mechanism
-    /// Hetero-DMR reuses to update copies with zero write-bandwidth
-    /// overhead. All targets receive identical address and data fields.
+    /// Whether slot `id` is in self-refresh (`false` for a slot the
+    /// channel does not have).
+    pub fn in_self_refresh(&self, id: ModuleId) -> bool {
+        self.self_refresh.get(id.0).copied().unwrap_or(false)
+    }
+
+    /// Puts slot `id` into self-refresh.
     ///
     /// # Errors
     ///
-    /// Fails if the channel is mid-transition, any target is in
-    /// self-refresh, or any target rejects the write.
-    pub fn broadcast_write(
-        &mut self,
-        targets: &[ModuleId],
-        rank: usize,
-        bank: usize,
-        row: u64,
-        now: Picos,
-    ) -> Result<crate::bank::CommandOutcome, DramError> {
-        let usable = self.usable_at(now);
-        if now < usable {
-            return Err(DramError::TimingViolation {
-                command: Command::Write,
-                issued_at: now,
-                allowed_at: usable,
+    /// Returns [`DramError::AddressOutOfRange`] for an invalid slot and
+    /// [`DramError::StateViolation`] if it is already in self-refresh.
+    pub fn enter_self_refresh(&mut self, id: ModuleId) -> Result<(), DramError> {
+        let flag = self.slot_mut(id)?;
+        if *flag {
+            return Err(DramError::StateViolation {
+                reason: "already in self-refresh",
             });
         }
-        let timing = self.timing_at(now);
-        let mut outcome = None;
-        for &id in targets {
-            let module = self.module_mut(id)?;
-            let out = module.issue(Command::Write, rank, bank, row, now, &timing)?;
-            outcome = Some(out);
-        }
-        self.broadcast_writes += 1;
-        outcome.ok_or(DramError::StateViolation {
-            command: Command::Write,
-            reason: "broadcast write needs at least one target",
-        })
+        *flag = true;
+        Ok(())
     }
 
-    fn finish_transition(&mut self, new_state: FrequencyState, at: Picos) {
+    /// Takes slot `id` out of self-refresh at `now`. The module accepts
+    /// commands again after the safe setting's tXS, which the returned
+    /// time reflects.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DramError::AddressOutOfRange`] for an invalid slot and
+    /// [`DramError::StateViolation`] if it is not in self-refresh.
+    pub fn exit_self_refresh(&mut self, id: ModuleId, now: Picos) -> Result<Picos, DramError> {
+        let t_xs = self.config.safe_timing.t_xs_ps();
+        let flag = self.slot_mut(id)?;
+        if !*flag {
+            return Err(DramError::StateViolation {
+                reason: "not in self-refresh",
+            });
+        }
+        *flag = false;
+        Ok(now + t_xs)
+    }
+
+    fn slot_mut(&mut self, id: ModuleId) -> Result<&mut bool, DramError> {
+        let count = self.self_refresh.len();
+        self.self_refresh
+            .get_mut(id.0)
+            .ok_or(DramError::AddressOutOfRange { index: id.0, count })
+    }
+
+    fn finish_transition(&mut self, new_state: FrequencyState) {
         self.state = new_state;
         self.transitions += 1;
-        for module in &mut self.modules {
-            if !module.in_self_refresh() {
-                module.reset_after_transition(at);
-            }
-        }
     }
 }
 
@@ -305,9 +224,10 @@ mod tests {
     #[test]
     fn starts_safe_with_two_modules() {
         let mut ch = channel();
-        assert_eq!(ch.module_count(), 2);
+        assert_eq!(ch.self_refresh.len(), 2);
         assert_eq!(ch.state_at(0), FrequencyState::Safe);
-        assert_eq!(ch.timing_at(0).data_rate.mts(), 3200);
+        assert!(!ch.in_self_refresh(ModuleId(0)));
+        assert!(!ch.in_self_refresh(ModuleId(1)));
     }
 
     #[test]
@@ -320,7 +240,6 @@ mod tests {
             FrequencyState::SpeedingUp { .. }
         ));
         assert_eq!(ch.state_at(until), FrequencyState::UnsafelyFast);
-        assert_eq!(ch.timing_at(until).data_rate.mts(), 4000);
         assert_eq!(ch.transitions(), 1);
     }
 
@@ -357,62 +276,60 @@ mod tests {
     }
 
     #[test]
-    fn channel_unusable_during_transition() {
-        let mut ch = channel();
-        let until = ch.begin_speed_up(0).unwrap();
-        assert_eq!(ch.usable_at(500), until);
-        assert_eq!(ch.usable_at(until + 7), until + 7);
-    }
-
-    #[test]
-    fn broadcast_write_updates_all_targets_in_one_transaction() {
-        let mut ch = channel();
-        let timing = ch.timing_at(0);
-        // Open row 3 on bank 0 of rank 0 in both modules.
-        for id in [ModuleId(0), ModuleId(1)] {
-            ch.module_mut(id)
-                .unwrap()
-                .issue(Command::Activate, 0, 0, 3, 0, &timing)
-                .unwrap();
-        }
-        let now = timing.t_rcd_ps();
-        ch.broadcast_write(&[ModuleId(0), ModuleId(1)], 0, 0, 3, now)
-            .unwrap();
-        assert_eq!(ch.broadcast_writes(), 1);
-        // Both modules saw exactly one write — same address, one bus
-        // transaction.
-        assert_eq!(ch.module(ModuleId(0)).unwrap().writes(), 1);
-        assert_eq!(ch.module(ModuleId(1)).unwrap().writes(), 1);
-    }
-
-    #[test]
-    fn broadcast_write_blocked_mid_transition() {
-        let mut ch = channel();
-        ch.begin_speed_up(0).unwrap();
-        let err = ch
-            .broadcast_write(&[ModuleId(0)], 0, 0, 0, 500)
-            .unwrap_err();
-        assert!(matches!(err, DramError::TimingViolation { .. }));
-    }
-
-    #[test]
     fn self_refresh_module_survives_transition_untouched() {
         let mut ch = channel();
-        // Put module 0 (originals) in self-refresh, then speed up.
-        ch.module_mut(ModuleId(0))
-            .unwrap()
-            .enter_self_refresh(0)
-            .unwrap();
+        // Park module 0 (originals) in self-refresh, then speed up.
+        ch.enter_self_refresh(ModuleId(0)).unwrap();
         let up = ch.begin_speed_up(10).unwrap();
         assert_eq!(ch.state_at(up), FrequencyState::UnsafelyFast);
-        assert!(ch.module(ModuleId(0)).unwrap().in_self_refresh());
-        // The self-refreshed module still rejects bus commands.
-        let timing = ch.timing_at(up);
-        let err = ch
-            .module_mut(ModuleId(0))
-            .unwrap()
-            .issue(Command::Activate, 0, 0, 0, up, &timing)
-            .unwrap_err();
-        assert!(matches!(err, DramError::StateViolation { .. }));
+        assert!(ch.in_self_refresh(ModuleId(0)));
+        assert!(!ch.in_self_refresh(ModuleId(1)));
+    }
+
+    #[test]
+    fn self_refresh_exit_applies_safe_txs() {
+        let mut ch = channel();
+        ch.enter_self_refresh(ModuleId(0)).unwrap();
+        let ready = ch.exit_self_refresh(ModuleId(0), 2_001_000).unwrap();
+        assert_eq!(
+            ready,
+            2_001_000 + ChannelConfig::paper_default().safe_timing.t_xs_ps()
+        );
+        assert!(!ch.in_self_refresh(ModuleId(0)));
+    }
+
+    #[test]
+    fn double_entry_rejected() {
+        let mut ch = channel();
+        ch.enter_self_refresh(ModuleId(0)).unwrap();
+        assert!(matches!(
+            ch.enter_self_refresh(ModuleId(0)),
+            Err(DramError::StateViolation { .. })
+        ));
+        assert!(ch.in_self_refresh(ModuleId(0)));
+    }
+
+    #[test]
+    fn exit_without_entry_rejected() {
+        let mut ch = channel();
+        assert!(matches!(
+            ch.exit_self_refresh(ModuleId(1), 5),
+            Err(DramError::StateViolation { .. })
+        ));
+    }
+
+    #[test]
+    fn out_of_range_slot_is_an_error() {
+        let mut ch = channel();
+        let out_of_range = DramError::AddressOutOfRange { index: 2, count: 2 };
+        assert!(!ch.in_self_refresh(ModuleId(2)));
+        assert_eq!(
+            ch.enter_self_refresh(ModuleId(2)).unwrap_err(),
+            out_of_range
+        );
+        assert_eq!(
+            ch.exit_self_refresh(ModuleId(2), 0).unwrap_err(),
+            out_of_range
+        );
     }
 }

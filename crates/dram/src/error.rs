@@ -1,42 +1,26 @@
 //! Error types for the DRAM substrate.
 
-use crate::command::Command;
-use crate::Picos;
 use std::error::Error;
 use std::fmt;
 
 /// An illegal operation against the DRAM device model.
 ///
-/// These errors indicate a *simulator* bug (the controller issued a
-/// command the device state machine forbids), not a modelled memory
+/// These errors indicate a *simulator* bug (the protocol asked the
+/// channel for a transition its state forbids), not a modelled memory
 /// error; modelled data errors live in the `ecc` and `margin` crates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DramError {
-    /// A command was issued before its earliest legal time.
-    TimingViolation {
-        /// The offending command.
-        command: Command,
-        /// When it was issued.
-        issued_at: Picos,
-        /// The earliest legal issue time.
-        allowed_at: Picos,
-    },
-    /// A command was issued in a bank state that forbids it
-    /// (e.g. a column read to an idle bank).
+    /// An operation the channel or module state forbids (e.g. entering
+    /// self-refresh twice).
     StateViolation {
-        /// The offending command.
-        command: Command,
         /// Human-readable description of the state conflict.
         reason: &'static str,
     },
-    /// An operation addressed a component that does not exist
-    /// (module, rank, or bank index out of range).
+    /// An operation addressed a module slot that does not exist.
     AddressOutOfRange {
-        /// What kind of component was addressed.
-        component: &'static str,
-        /// The offending index.
+        /// The offending slot index.
         index: usize,
-        /// Number of components present.
+        /// Number of slots present.
         count: usize,
     },
     /// A frequency transition was requested while another one is
@@ -47,25 +31,10 @@ pub enum DramError {
 impl fmt::Display for DramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DramError::TimingViolation {
-                command,
-                issued_at,
-                allowed_at,
-            } => write!(
-                f,
-                "timing violation: {command} issued at {issued_at} ps but allowed at {allowed_at} ps"
-            ),
-            DramError::StateViolation { command, reason } => {
-                write!(f, "state violation issuing {command}: {reason}")
+            DramError::StateViolation { reason } => write!(f, "state violation: {reason}"),
+            DramError::AddressOutOfRange { index, count } => {
+                write!(f, "module index {index} out of range (have {count})")
             }
-            DramError::AddressOutOfRange {
-                component,
-                index,
-                count,
-            } => write!(
-                f,
-                "{component} index {index} out of range (have {count})"
-            ),
             DramError::TransitionInProgress => {
                 write!(f, "frequency transition already in progress")
             }
@@ -81,15 +50,18 @@ mod tests {
 
     #[test]
     fn display_mentions_specifics() {
-        let err = DramError::TimingViolation {
-            command: Command::Read,
-            issued_at: 10,
-            allowed_at: 20,
+        let err = DramError::AddressOutOfRange {
+            index: 10,
+            count: 2,
         };
         let text = err.to_string();
-        assert!(text.contains("RD"));
+        assert!(text.contains("module"));
         assert!(text.contains("10"));
-        assert!(text.contains("20"));
+        assert!(text.contains('2'));
+        let err = DramError::StateViolation {
+            reason: "not in self-refresh",
+        };
+        assert!(err.to_string().contains("not in self-refresh"));
     }
 
     #[test]

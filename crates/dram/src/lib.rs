@@ -1,19 +1,18 @@
 //! DDR4 device-level substrate for the Hetero-DMR reproduction.
 //!
-//! This crate models the pieces of a DDR4 memory system that the paper's
-//! architecture manipulates directly:
+//! This crate holds the device facts the rest of the workspace reads:
 //!
 //! * [`rate`] — data rates in MT/s and the derived clock period,
 //! * [`timing`] — JEDEC-style timing parameter sets, including the four
 //!   memory settings of Table II of the paper,
-//! * [`command`] — the DDR command vocabulary,
-//! * [`bank`] — per-bank state machines with timing-legality tracking,
-//! * [`rank`] — rank-level constraints (tRRD/tFAW) and activity counters,
 //! * [`organization`] — physical module organization (chips/rank, ranks,
 //!   density, ECC chips),
-//! * [`module`] — a DIMM with self-refresh state,
-//! * [`channel`] — a memory channel with the runtime frequency-scaling
-//!   protocol of Figures 9 and 10 of the paper and broadcast writes.
+//! * [`channel`] — a memory channel's runtime frequency-scaling
+//!   protocol (Figures 9 and 10 of the paper) and the per-slot
+//!   self-refresh state that parks the modules holding originals.
+//!
+//! Command-level timing (bank state, queueing, refresh, broadcast
+//! writes) is simulated in one place, `memsim`'s channel controller.
 //!
 //! All times are integer **picoseconds** ([`Picos`]) so that frequency
 //! changes at runtime never lose precision.
@@ -30,21 +29,14 @@
 //! assert_eq!(spec.data_rate.clock_period_ps(), 625);
 //! ```
 
-pub mod bank;
 pub mod channel;
-pub mod command;
 pub mod error;
-pub mod module;
 pub mod organization;
-pub mod rank;
 pub mod rate;
 pub mod timing;
 
-pub use bank::{Bank, BankState};
-pub use channel::{Channel, ChannelConfig, FrequencyState};
-pub use command::Command;
+pub use channel::{Channel, ChannelConfig, FrequencyState, ModuleId};
 pub use error::DramError;
-pub use module::{Module, ModuleId};
 pub use organization::ModuleOrganization;
 pub use rate::DataRate;
 pub use timing::{MemorySetting, TimingParams};

@@ -1,83 +1,12 @@
-//! Property tests for the DDR4 device state machines: any command the
-//! model *offers* (via `earliest_issue`) must be accepted when issued
-//! at or after that time, and the channel frequency protocol must be
-//! well-formed under arbitrary interleavings.
+//! Property test for the channel frequency protocol: any interleaving
+//! of speed-up and slow-down requests must leave the channel in a
+//! well-formed state.
 
-use dram::bank::Bank;
 use dram::channel::{Channel, ChannelConfig, FrequencyState, FREQUENCY_TRANSITION_PS};
-use dram::command::Command;
-use dram::module::{Module, ModuleId};
-use dram::organization::ModuleOrganization;
-use dram::rank::Rank;
-use dram::timing::{MemorySetting, TimingParams};
 use proptest::prelude::*;
-
-fn timing() -> TimingParams {
-    MemorySetting::Specified.timing()
-}
-
-fn arbitrary_command() -> impl Strategy<Value = (Command, u64)> {
-    (
-        prop_oneof![
-            Just(Command::Activate),
-            Just(Command::Read),
-            Just(Command::Write),
-            Just(Command::ReadAp),
-            Just(Command::WriteAp),
-            Just(Command::Precharge),
-            Just(Command::Refresh),
-        ],
-        0u64..8,
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// A bank never lies: whenever `earliest_issue` offers a time,
-    /// issuing the command at that time succeeds; and the bank's
-    /// responses never travel backwards in time.
-    #[test]
-    fn bank_offers_are_always_honoured(cmds in proptest::collection::vec(arbitrary_command(), 1..60)) {
-        let t = timing();
-        let mut bank = Bank::new();
-        let mut clock = 0u64;
-        for (cmd, row) in cmds {
-            if let Some(at) = bank.earliest_issue(cmd, row) {
-                let when = at.max(clock);
-                let outcome = bank.issue(cmd, row, when, &t);
-                prop_assert!(outcome.is_ok(), "{cmd} offered at {at} but rejected: {outcome:?}");
-                let out = outcome.unwrap();
-                prop_assert!(out.done_at >= when, "completion precedes issue");
-                if let Some((start, end)) = out.bus_occupancy {
-                    prop_assert!(start >= when && end > start);
-                }
-                clock = when;
-            }
-        }
-    }
-
-    /// Rank-level scheduling with the same contract, including
-    /// tRRD/tFAW interactions across banks.
-    #[test]
-    fn rank_offers_are_always_honoured(cmds in proptest::collection::vec((arbitrary_command(), 0usize..16), 1..60)) {
-        let t = timing();
-        let mut rank = Rank::new();
-        let mut clock = 0u64;
-        for ((cmd, row), bank) in cmds {
-            if cmd == Command::Refresh && !rank.all_banks_idle() {
-                continue;
-            }
-            if let Some(at) = rank.earliest_issue(cmd, bank, row) {
-                let when = at.max(clock);
-                let outcome = rank.issue(cmd, bank, row, when, &t);
-                prop_assert!(outcome.is_ok(), "{cmd} to bank {bank} offered at {at}: {outcome:?}");
-                clock = when;
-            }
-        }
-        // Counters stay consistent.
-        prop_assert!(rank.row_hits() <= rank.reads() + rank.writes());
-    }
 
     /// The channel frequency protocol: any sequence of up/down
     /// requests leaves the channel in a well-defined state, every
@@ -110,23 +39,5 @@ proptest! {
         }
         let _ = channel.state_at(now);
         prop_assert_eq!(channel.transitions(), expected_transitions);
-    }
-
-    /// Self-refresh accounting: total time only grows, and equals the
-    /// sum of the entered intervals.
-    #[test]
-    fn self_refresh_time_accounting(intervals in proptest::collection::vec((1u64..1_000_000, 1u64..1_000_000), 1..20)) {
-        let t = timing();
-        let mut module = Module::new(ModuleId(0), ModuleOrganization::ddr4_3200_9cpr_dual_rank());
-        let mut now = 0u64;
-        let mut expected = 0u64;
-        for (inside, outside) in intervals {
-            module.enter_self_refresh(now).unwrap();
-            now += inside;
-            module.exit_self_refresh(now, &t).unwrap();
-            expected += inside;
-            prop_assert_eq!(module.self_refresh_time(), expected);
-            now += outside;
-        }
     }
 }

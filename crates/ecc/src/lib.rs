@@ -10,8 +10,6 @@
 //! * [`bamboo`] — the Bamboo-ECC-style 64-byte block codec with
 //!   address incorporation used by Hetero-DMR (Section III-B of the
 //!   paper),
-//! * [`erasure`] — known-position (chipkill-style) decoding: a dead
-//!   device's positions are known, doubling the correction budget,
 //! * [`mod@inject`] — the out-of-spec error taxonomy (bit flips through
 //!   full-block and wrong-address errors),
 //! * [`sdc`] — the silent-data-corruption budget arithmetic behind the
@@ -39,7 +37,6 @@
 //! ```
 
 pub mod bamboo;
-pub mod erasure;
 pub mod gf256;
 pub mod inject;
 pub mod rs;
@@ -47,7 +44,6 @@ pub mod sdc;
 pub mod tally;
 
 pub use bamboo::{BlockCodec, DetectOutcome, EccBlock, BLOCK_DATA_BYTES, BLOCK_ECC_BYTES};
-pub use erasure::ErasureDecoder;
 pub use inject::{inject, ErrorModel, Injection};
 pub use rs::{ReedSolomon, RsError};
 pub use tally::ErrorTally;

@@ -7,7 +7,8 @@
 //! placement draws its jobs once from a counter-seeded
 //! [`SyntheticJobs`] stream, routes each job to one member and steps it
 //! through that member's event loop as it arrives, and per-cluster
-//! results fold into O(1)-memory [`StreamSummary`]s — so the 10 M-job
+//! results fold into O(1)-memory
+//! [`StreamSummary`](scheduler::stats::StreamSummary)s — so the 10 M-job
 //! default runs in flat RSS. The two placements run concurrently on the
 //! worker pool and merge in placement order, so the output is
 //! byte-identical at any `--jobs` value.

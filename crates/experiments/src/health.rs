@@ -3,9 +3,10 @@
 //! Drives the closed-loop [`AdaptiveGovernor`] through two disturbance
 //! scenarios — a slowly degrading module and a machine-room cooling
 //! failure — while its series tap streams per-epoch CE/UE/bin rollups
-//! into a [`SeriesStore`]. The detector suite then walks the windows
-//! and the breaches fold into a causal [`IncidentLedger`] with the
-//! governor's own trace spans linked into each incident.
+//! into a [`SeriesStore`](telemetry::series::SeriesStore). The
+//! detector suite then walks the windows and the breaches fold into a
+//! causal [`IncidentLedger`] with the governor's own trace spans linked
+//! into each incident.
 //!
 //! The headline: on the slow-degradation module the CUSUM change-point
 //! detector opens an incident **epochs before** the governor's

@@ -71,7 +71,7 @@ const UNTRACKED_TOKEN: u64 = u64::MAX;
 const ROW_NONE: u64 = u64::MAX;
 
 /// The controller's live metric handles. The hot loop never touches
-/// these directly — events accrue into [`PendingTallies`] and reach
+/// these directly — events accrue into `PendingTallies` and reach
 /// the handles in one batch per flush point.
 ///
 /// Handles start *detached* (visible only through

@@ -11,8 +11,9 @@
 //!
 //! The simulator is request-granular rather than cycle-granular: every
 //! DRAM command's *timing* is modelled from [`dram::TimingParams`]
-//! (tRCD/tRP/tRAS/CL/burst/tFAW/…, quantized to the clock), while the
-//! out-of-order core is approximated by a ROB/MSHR-limited
+//! (tRCD, tRP, tRAS, CL, CWL, tWR, tWTR, tRTP, tRFC, tREFI and the
+//! burst, quantized to the clock; tRRD and tFAW are not enforced),
+//! while the out-of-order core is approximated by a ROB/MSHR-limited
 //! memory-level-parallelism model. That is the level of detail the
 //! paper's evaluation actually exercises — its experiments vary data
 //! rate and the four latency parameters and measure relative

@@ -1,10 +1,9 @@
 //! Anomaly detectors and the causal incident ledger — the alerting
 //! layer of the health plane.
 //!
-//! Detectors consume a [`SeriesSnapshot`](crate::series::SeriesSnapshot)
-//! window by window in sim-time order and flag breaching windows;
-//! consecutive breaches group into [`Incident`]s with an
-//! open/ack/resolve lifecycle. All detector state is integer
+//! Detectors consume a [`SeriesSnapshot`] window by window in
+//! sim-time order and flag breaching windows; consecutive breaches
+//! group into [`Incident`]s with an open/ack/resolve lifecycle. All detector state is integer
 //! fixed-point (milli units, [`STAT_SCALE`]), so a verdict is a pure
 //! function of the series — byte-identical across `--jobs` values and
 //! window batching, exactly like the snapshots the series are built

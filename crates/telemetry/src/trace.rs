@@ -130,8 +130,8 @@ struct TraceBuf {
 
 /// A shareable recorder of [`TraceEvent`]s (cheap `Arc` clone).
 ///
-/// Spans follow stack discipline within one tracer: [`begin`]
-/// (Tracer::begin) pushes, [`end`](Tracer::end) pops, and every event
+/// Spans follow stack discipline within one tracer:
+/// [`begin`](Tracer::begin) pushes, [`end`](Tracer::end) pops, and every event
 /// recorded in between is parented to the innermost open span.
 /// Tracers are thread-safe, but deterministic traces require that
 /// concurrent workers use *private* tracers merged via

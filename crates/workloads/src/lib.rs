@@ -18,14 +18,12 @@
 
 pub mod jobs;
 pub mod phases;
-pub mod recorded;
 pub mod suite;
 pub mod trace;
 pub mod utilization;
 
 pub use jobs::{JobSpec, JobStream, SyntheticJobs};
 pub use phases::PhaseSchedule;
-pub use recorded::{read_trace, write_trace};
 pub use suite::{Suite, SuiteParams};
 pub use trace::TraceGen;
 pub use utilization::{Cluster, UtilizationModel};
