@@ -215,6 +215,11 @@ echo "== rustdoc intra-doc links =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
     cargo doc --offline --no-deps --workspace --exclude rand --exclude proptest
 
+echo "== tracked Rust lines =="
+# One command gives each change's net-lines figure; it prints before
+# the perfbench step so a failing benchmark check cannot hide it.
+git ls-files '*.rs' | xargs cat | wc -l
+
 echo "== perfbench (builds against the workspace, runs its output checks) =="
 # The benchmark depends on the workspace crates by path, so removing an
 # API it calls fails here; its tests also check the benchmark's result

@@ -79,10 +79,11 @@ pub struct EvalConfig {
     pub windows: u32,
 }
 
+/// The default run length and seed, which `experiments` also runs at.
 impl Default for EvalConfig {
     fn default() -> EvalConfig {
         EvalConfig {
-            ops_per_core: 20_000,
+            ops_per_core: 40_000,
             seed: 0xD1A2,
             windows: 1,
         }

@@ -60,11 +60,6 @@ impl DataRate {
         self.0
     }
 
-    /// The clock frequency in MHz (half the data rate, DDR signalling).
-    pub fn clock_mhz(self) -> f64 {
-        self.0 as f64 / 2.0
-    }
-
     /// The clock period in picoseconds, rounded to the nearest ps.
     ///
     /// For every standard DDR4 rate this is exact

@@ -1,7 +1,8 @@
 //! Shared experiment context: seeding, simulation length, CSV output,
 //! the observation handle behind `--metrics`/`--trace`/`--series`, and
-//! the per-task output buffer the parallel runner collects.
+//! the per-task output buffer that [`crate::scenarios::run`] collects.
 
+use hetero_dmr::EvalConfig;
 use std::fs;
 use std::io::Write;
 use telemetry::series::SeriesStore;
@@ -9,7 +10,7 @@ use telemetry::trace::Tracer;
 use telemetry::{escape_csv, Obs, Registry, Scope};
 
 /// Appends a formatted line to the context's output buffer (the
-/// parallel-safe replacement for `println!`): the runner prints every
+/// parallel-safe replacement for `println!`): the binary prints every
 /// buffer in canonical target order after all tasks join, so output is
 /// byte-identical for any `--jobs` value.
 macro_rules! say {
@@ -58,7 +59,7 @@ pub struct Ctx {
     /// tracer and a series store, each present exactly when its
     /// directory is. Task contexts get a [`fork`](Obs::fork)
     /// ([`Ctx::for_task`]), so concurrent targets never interleave;
-    /// the runner collects the snapshots in canonical target order.
+    /// [`crate::scenarios::run`] returns the snapshots in input order.
     pub obs: Obs,
     /// Buffered human-readable output (see [`say!`]).
     pub out: String,
@@ -66,9 +67,10 @@ pub struct Ctx {
 
 impl Default for Ctx {
     fn default() -> Ctx {
+        let eval = EvalConfig::default();
         Ctx {
-            seed: 0xD1A2,
-            ops_per_core: 40_000,
+            seed: eval.seed,
+            ops_per_core: eval.ops_per_core,
             trials: 50_000,
             trace_jobs: 58_000,
             fleet_jobs: None,

@@ -6,13 +6,13 @@
 //!
 //! `<target>` is `all` or one of the names listed by `--list`. Targets
 //! run as isolated tasks on a fixed-size worker pool (`--jobs`, default
-//! one worker per CPU); every RNG stream is derived from
-//! `(seed, target)` counters rather than thread identity, so stdout and
-//! the `--metrics` JSONL export are byte-identical for any `--jobs`
-//! value. Output goes to stdout (the same rows/series the paper
-//! reports); `--csv` adds per-experiment CSV files and `--metrics` adds
-//! a deterministic JSONL snapshot of every simulator-internal metric
-//! plus a run manifest (see README § Observability).
+//! one worker per CPU); every RNG stream is derived from the seed by
+//! counters rather than thread identity, so stdout and the `--metrics`
+//! JSONL export are byte-identical for any `--jobs` value. Output goes
+//! to stdout (the same rows/series the paper reports); `--csv` adds
+//! per-experiment CSV files and `--metrics` adds a deterministic JSONL
+//! snapshot of every simulator-internal metric plus a run manifest
+//! (see README § Observability).
 
 mod adaptive;
 mod characterization;
@@ -28,8 +28,7 @@ mod system_figures;
 mod tables;
 
 use context::Ctx;
-use runner::{RunOutcome, RunStatus, Runner};
-use scenarios::TARGETS;
+use scenarios::{Outcome, TARGETS};
 use telemetry::trace::TraceGroup;
 use telemetry::ObsSnapshot;
 
@@ -187,7 +186,8 @@ fn main() {
     }
 
     let start = std::time::Instant::now();
-    let outcomes = Runner::new(jobs).run(scenarios::build(&ctx, &names));
+    runner::set_jobs(jobs);
+    let outcomes = scenarios::run(&ctx, &names);
 
     // Print buffered outputs in canonical order; failures go to stderr
     // after each target's partial output so the run context survives.
@@ -195,7 +195,7 @@ fn main() {
     for o in &outcomes {
         println!("\n================ {} ================", o.name);
         print!("{}", o.out);
-        if let RunStatus::Failed { panic } = &o.status {
+        if let Some(panic) = &o.panic {
             eprintln!("target '{}' panicked: {panic}", o.name);
             failed += 1;
         }
@@ -270,7 +270,7 @@ fn write_metrics(
     ctx: &Ctx,
     target: &str,
     merged: &ObsSnapshot,
-    outcomes: &[RunOutcome],
+    outcomes: &[Outcome],
     wall_ms: u64,
 ) -> std::io::Result<()> {
     let (Some(dir), Some(metrics)) = (&ctx.metrics_dir, &merged.metrics) else {
@@ -323,7 +323,7 @@ fn write_metrics(
 /// records the same spans as the simulation it stands in for, so it
 /// does not matter which target pays for it). Wall-clock timings are
 /// quarantined in `timing.jsonl`.
-fn write_trace(ctx: &Ctx, target: &str, outcomes: &[RunOutcome]) -> std::io::Result<()> {
+fn write_trace(ctx: &Ctx, target: &str, outcomes: &[Outcome]) -> std::io::Result<()> {
     let Some(dir) = &ctx.trace_dir else {
         return Ok(());
     };

@@ -632,7 +632,7 @@ fn render_queue_delays(md: &mut String, snapshot: &Snapshot) {
 
 /// A unicode sparkline of per-window sums, normalized to the series
 /// peak (at most `cap` windows, oldest first).
-fn sparkline(windows: &[(u64, telemetry::series::WindowAgg)], cap: usize) -> String {
+fn sparkline(windows: &[(u64, telemetry::HistogramSnapshot)], cap: usize) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let peak = windows.iter().map(|(_, w)| w.sum).max().unwrap_or(0).max(1);
     windows

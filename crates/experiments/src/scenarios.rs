@@ -1,16 +1,17 @@
-//! Maps target names onto [`runner::Scenario`]s.
+//! Maps target names onto their implementations and runs them.
 //!
-//! Every figure/table is one scenario: a closure over a private
-//! [`Ctx`] (own output buffer, own forked `Obs`) built from the
-//! command-line template, so the runner can execute any subset on any
-//! number of worker threads and still print/merge results in canonical
-//! order with byte-identical output.
+//! Every figure/table is one task over a private [`Ctx`] (own output
+//! buffer, own forked `Obs`) built from the command-line template, so
+//! [`run`] can execute any subset on any number of worker threads and
+//! still hand back results in input order with byte-identical output.
 
 use crate::context::Ctx;
 use crate::{
     adaptive, characterization, extras, fleet, health, node_figures, power, system_figures, tables,
 };
-use runner::Scenario;
+use hdmr_experiments::scenario::isolate;
+use std::time::Instant;
+use telemetry::ObsSnapshot;
 
 /// Every runnable target, in canonical (paper) order. Output and
 /// merged metrics always follow this order regardless of `--jobs`.
@@ -77,24 +78,44 @@ pub fn is_target(name: &str) -> bool {
     target_fn(name).is_some()
 }
 
-/// Builds one scenario per name from the command-line template
-/// context. Callers must have validated the names via [`is_target`].
-pub fn build(template: &Ctx, names: &[&str]) -> Vec<Scenario> {
-    names
-        .iter()
-        .map(|name| {
-            let f = target_fn(name).unwrap_or_else(|| panic!("unknown target '{name}'"));
-            let mut ctx = template.for_task();
-            Scenario::builder(*name)
-                .derived_seed(template.seed)
-                .observe(ctx.obs.clone())
-                .task(move |tc| {
-                    f(&mut ctx);
-                    tc.out = std::mem::take(&mut ctx.out);
-                })
-                .build()
-        })
-        .collect()
+/// What one target produced, whether it finished or panicked.
+pub struct Outcome {
+    pub name: String,
+    /// The target's buffered report; partial when it panicked.
+    pub out: String,
+    /// The panic message, when the target failed.
+    pub panic: Option<String>,
+    /// What the target's forked `Obs` recorded (partial on failure).
+    /// Deterministic: trace timestamps come from simulation clocks or
+    /// the tracer's tick counter, never from wall time.
+    pub obs: ObsSnapshot,
+    /// Wall-clock duration. Non-deterministic by nature — report it on
+    /// diagnostic channels only, never in byte-compared output.
+    pub wall_ms: u128,
+}
+
+/// Runs each named target on the worker pool, each over its own
+/// [`Ctx::for_task`] copy of `template`, and returns the outcomes in
+/// input order. A target that panics keeps the output it buffered
+/// before the panic; the other targets are unaffected. With a tracer
+/// attached, each target runs inside a `task.<name>` span on the
+/// tracer's tick clock, closed with `status=completed|failed`.
+/// Callers must have validated the names via [`is_target`].
+pub fn run(template: &Ctx, names: &[&str]) -> Vec<Outcome> {
+    runner::parallel_map(names.to_vec(), |_, name| {
+        let f = target_fn(name).unwrap_or_else(|| panic!("unknown target '{name}'"));
+        let mut ctx = template.for_task();
+        let tracer = ctx.obs.tracer().cloned();
+        let started = Instant::now();
+        let panic = isolate(name, tracer.as_ref(), || f(&mut ctx));
+        Outcome {
+            name: name.to_string(),
+            out: ctx.out,
+            panic,
+            obs: ctx.obs.take(),
+            wall_ms: started.elapsed().as_millis(),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -111,23 +132,40 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_carry_name_and_derived_seed() {
-        let ctx = Ctx::default();
-        let s = build(&ctx, &["fig1", "fig12"]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].name(), "fig1");
-        assert_eq!(s[1].name(), "fig12");
-        assert_eq!(s[0].seed(), runner::seed::target_seed(ctx.seed, "fig1"));
-        assert_ne!(s[0].seed(), s[1].seed(), "per-target streams differ");
-    }
-
-    #[test]
     fn table1_scenario_produces_the_table() {
         let mut ctx = Ctx::default();
         ctx.quick();
-        let outcomes = runner::Runner::new(1).run(build(&ctx, &["table1"]));
+        let outcomes = run(&ctx, &["table1"]);
         assert_eq!(outcomes.len(), 1);
-        assert!(!outcomes[0].is_failed());
+        assert!(outcomes[0].panic.is_none());
         assert!(outcomes[0].out.contains("DRAM type"));
+    }
+
+    /// `D/fig1.csv` is a directory, so fig1 panics writing its CSV
+    /// after printing its table; table1, in the same batch, completes.
+    #[test]
+    fn panicking_target_is_isolated() {
+        let dir = std::env::temp_dir().join(format!("hdmr_isolated_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("fig1.csv")).unwrap();
+        let mut ctx = Ctx::default();
+        ctx.quick();
+        ctx.csv_dir = Some(dir.to_string_lossy().into_owned());
+        ctx.enable_trace(String::new());
+        let outcomes = run(&ctx, &["fig1", "table1"]);
+        let _ = std::fs::remove_dir_all(&dir);
+        let (fig1, table1) = (&outcomes[0], &outcomes[1]);
+        assert!(fig1.panic.as_deref().unwrap().contains("cannot write"));
+        assert!(fig1.out.starts_with("Cluster"), "partial output survives");
+        assert!(table1.panic.is_none());
+        assert!(table1.out.contains("DRAM type"));
+        for (o, status) in [(fig1, "failed"), (table1, "completed")] {
+            let trace = o.obs.trace.as_ref().expect("trace captured");
+            telemetry::trace::check_nesting(trace).unwrap();
+            assert_eq!(trace[0].name, format!("task.{}", o.name));
+            assert!(trace[0]
+                .args
+                .iter()
+                .any(|(k, v)| k == "status" && v == status));
+        }
     }
 }

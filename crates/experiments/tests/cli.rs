@@ -128,6 +128,46 @@ fn unwritable_output_dirs_exit_1() {
     let _ = std::fs::remove_file(&file);
 }
 
+/// A target that panics fails the run with exit 1 but keeps what it
+/// printed before the panic, and its trace span closes as failed.
+/// `D/fig1.csv` is a directory, so fig1 panics when it writes its CSV,
+/// after printing its table.
+#[test]
+fn failing_target_keeps_its_partial_output_and_closes_its_span() {
+    let dir = tmp_dir("failing_target");
+    let (csv, trace) = (dir.join("csv"), dir.join("trace"));
+    std::fs::create_dir_all(csv.join("fig1.csv")).unwrap();
+    let out = run(&[
+        "fig1",
+        "--quick",
+        "--csv",
+        csv.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let section = stdout
+        .split("================ fig1 ================\n")
+        .nth(1)
+        .expect("fig1 section");
+    assert!(
+        section.starts_with("Cluster"),
+        "partial output lost:\n{stdout}"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("target 'fig1' panicked"), "{err}");
+    let text = std::fs::read_to_string(trace.join("fig1.trace.json")).unwrap();
+    let events = telemetry::trace::parse_chrome_trace(&text).unwrap();
+    telemetry::trace::check_well_nested(&events).unwrap();
+    let task = events.iter().find(|e| e.name == "task.fig1").unwrap();
+    assert!(task
+        .args
+        .iter()
+        .any(|(k, v)| k == "status" && v == "failed"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn fig5_metrics_snapshot_is_deterministic() {
     let dirs = [tmp_dir("det_a"), tmp_dir("det_b")];

@@ -95,14 +95,6 @@ impl MeasuredModule {
     pub fn normalized_margin(&self) -> f64 {
         self.measured_margin_mts as f64 / self.spec.organization.specified_rate.mts() as f64
     }
-
-    /// The highest *measured-safe* data rate.
-    pub fn safe_rate(&self) -> DataRate {
-        self.spec
-            .organization
-            .specified_rate
-            .plus_margin(self.measured_margin_mts)
-    }
 }
 
 /// The full study population.

@@ -162,21 +162,6 @@ pub fn run_stress_test<R: Rng + ?Sized>(
     }
 }
 
-/// [`run_stress_test`] with run and CE/UE accounting on `meter`.
-pub fn run_stress_test_metered<R: Rng + ?Sized>(
-    rng: &mut R,
-    profile: &ErrorProfile,
-    condition: TestCondition,
-    config: &StressConfig,
-    meter: &StressMeter,
-) -> StressOutcome {
-    let outcome = run_stress_test(rng, profile, condition, config);
-    meter.stress_runs.inc();
-    meter.ce_observed.add(outcome.corrected);
-    meter.ue_observed.add(outcome.uncorrected);
-    outcome
-}
-
 /// Poisson sampler: Knuth's algorithm for small λ, normal
 /// approximation beyond.
 pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {

@@ -681,11 +681,6 @@ impl ChannelController {
         self.write_queue_len
     }
 
-    /// Whether the write queue has reached its drain threshold.
-    pub fn wants_write_mode(&self) -> bool {
-        self.write_queue_len >= self.mode.write_high_watermark
-    }
-
     fn bank_index(&self, rank: usize, bank: usize) -> usize {
         rank * self.mem.banks_per_rank + bank
     }

@@ -104,11 +104,6 @@ impl SimResult {
         bytes as f64 / secs / peak
     }
 
-    /// Mean DRAM read latency in nanoseconds.
-    pub fn mean_read_latency_ns(&self) -> f64 {
-        self.controller.mean_read_latency_ps() / 1000.0
-    }
-
     /// Overall cache hit rate across demand accesses.
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;

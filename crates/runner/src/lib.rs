@@ -1,6 +1,4 @@
-//! Deterministic parallel experiment engine.
-//!
-//! Three layers, each usable on its own:
+//! Deterministic parallel execution: the worker pool and the seeds.
 //!
 //! - [`seed`] — counter-based RNG stream derivation: a task's seed is
 //!   a pure function of `(root_seed, target_id, iteration)`, never of
@@ -8,28 +6,17 @@
 //! - [`pool`] — a bounded scoped-thread worker pool with
 //!   order-preserving [`parallel_map`] and chunking-independent
 //!   integer reductions ([`parallel_count`], [`parallel_tally`]).
-//! - [`Scenario`]/[`Runner`] — named, seeded experiment tasks with
-//!   buffered output, one per-task `telemetry::ObsSnapshot`, and panic
-//!   isolation; outcomes come back in input order.
 //!
 //! ```
-//! use runner::{Runner, Scenario};
+//! use runner::{parallel_map, seed::iteration_seed};
 //!
-//! let scenarios: Vec<Scenario> = (0..4)
-//!     .map(|i| {
-//!         Scenario::builder(format!("shard{i}"))
-//!             .derived_seed(42)
-//!             .task(move |ctx| ctx.say(format!("seed {:#x}", ctx.seed)))
-//!             .build()
-//!     })
-//!     .collect();
-//! let outcomes = Runner::new(1).run(scenarios);
-//! assert!(outcomes.iter().all(|o| !o.is_failed()));
+//! runner::set_jobs(2);
+//! let seeds = parallel_map((0..4u64).collect(), |_, i| iteration_seed(42, i));
+//! // Input order, whatever worker ran each item.
+//! assert_eq!(seeds[3], iteration_seed(42, 3));
 //! ```
 
 pub mod pool;
-mod scenario;
 pub mod seed;
 
 pub use pool::{jobs, parallel_count, parallel_map, parallel_tally, set_jobs};
-pub use scenario::{RunOutcome, RunStatus, Runner, Scenario, ScenarioBuilder, TaskCtx};

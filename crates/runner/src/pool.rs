@@ -90,7 +90,8 @@ impl Drop for Permits {
 /// # Panics
 ///
 /// Propagates the first panic raised by `f` (after joining every
-/// worker). Use [`crate::Runner`] for per-task panic isolation.
+/// worker). Callers that need per-task panic isolation catch the
+/// unwind inside `f`.
 pub fn parallel_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,

@@ -46,11 +46,6 @@ pub fn task_seed(root: u64, target: &str, iteration: u64) -> u64 {
     )
 }
 
-/// The seed for target `target` itself (iteration 0's stream parent).
-pub fn target_seed(root: u64, target: &str) -> u64 {
-    task_seed(root, target, 0)
-}
-
 /// A per-iteration stream seed when there is no named target — inner
 /// Monte Carlo trials inside an already-seeded task.
 pub fn iteration_seed(root: u64, iteration: u64) -> u64 {
@@ -75,7 +70,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, task_seed(0xD1A2, "fig11", 0), "pure function");
-        assert_eq!(target_seed(7, "x"), task_seed(7, "x", 0));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! list of integer triples, so the writers stay tiny and
 //! dependency-free.
 
+use crate::json::{self, Json};
 use crate::metric::HistogramSnapshot;
 use crate::registry::{MetricValue, Snapshot};
 use std::fmt::Write as _;
@@ -46,23 +47,44 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-fn histogram_json(name: &str, h: &HistogramSnapshot) -> String {
-    let mut line = format!(
-        "{{\"name\":\"{}\",\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-        escape_json(name),
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
+/// Writes a distribution's `"count","sum","min","max","buckets"` JSON
+/// members: the shared body of a histogram metric line and a series
+/// window line.
+pub(crate) fn write_sketch(out: &mut String, h: &HistogramSnapshot) {
+    let _ = write!(
+        out,
+        "\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
+        h.count, h.sum, h.min, h.max,
     );
     for (i, (lo, hi, n)) in h.buckets.iter().enumerate() {
         if i > 0 {
-            line.push(',');
+            out.push(',');
         }
-        let _ = write!(line, "{{\"lo\":{lo},\"hi\":{hi},\"count\":{n}}}");
+        let _ = write!(out, "{{\"lo\":{lo},\"hi\":{hi},\"count\":{n}}}");
     }
-    line.push_str("]}");
-    line
+    out.push(']');
+}
+
+/// Reads back the members [`write_sketch`] writes; the error is the
+/// first missing or malformed key.
+pub(crate) fn read_sketch(doc: &Json) -> Result<HistogramSnapshot, String> {
+    let num = |obj: &Json, key: &str| {
+        obj.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| key.to_string())
+    };
+    let mut h = HistogramSnapshot {
+        count: num(doc, "count")?,
+        sum: num(doc, "sum")?,
+        min: num(doc, "min")?,
+        max: num(doc, "max")?,
+        buckets: Vec::new(),
+    };
+    for b in doc.get("buckets").and_then(Json::as_arr).ok_or("buckets")? {
+        h.buckets
+            .push((num(b, "lo")?, num(b, "hi")?, num(b, "count")?));
+    }
+    Ok(h)
 }
 
 /// One JSON object per metric, one per line, sorted by name (the
@@ -87,8 +109,13 @@ pub fn format_jsonl(snapshot: &Snapshot) -> String {
                 );
             }
             MetricValue::Histogram(h) => {
-                out.push_str(&histogram_json(&entry.name, h));
-                out.push('\n');
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{}\",\"type\":\"histogram\",",
+                    escape_json(&entry.name)
+                );
+                write_sketch(&mut out, h);
+                out.push_str("}\n");
             }
         }
     }
@@ -139,7 +166,6 @@ pub fn parse_csv_line(line: &str) -> Vec<String> {
 /// metric types and structural errors are reported with the offending
 /// line number.
 pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
-    use crate::json::{self, Json};
     let mut entries = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -167,34 +193,9 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
                     .and_then(Json::as_i64)
                     .ok_or_else(|| at("gauge needs an integer value"))?,
             ),
-            "histogram" => {
-                let num = |key: &str| {
-                    doc.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| at(&format!("histogram needs '{key}'")))
-                };
-                let buckets = doc
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| at("histogram needs buckets"))?
-                    .iter()
-                    .map(|b| {
-                        let part = |key: &str| {
-                            b.get(key)
-                                .and_then(Json::as_u64)
-                                .ok_or_else(|| at(&format!("bucket needs '{key}'")))
-                        };
-                        Ok((part("lo")?, part("hi")?, part("count")?))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                MetricValue::Histogram(HistogramSnapshot {
-                    count: num("count")?,
-                    sum: num("sum")?,
-                    min: num("min")?,
-                    max: num("max")?,
-                    buckets,
-                })
-            }
+            "histogram" => MetricValue::Histogram(
+                read_sketch(&doc).map_err(|key| at(&format!("histogram needs '{key}'")))?,
+            ),
             other => return Err(at(&format!("unknown metric type '{other}'"))),
         };
         entries.push(crate::registry::SnapshotEntry { name, value });

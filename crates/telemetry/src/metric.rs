@@ -209,23 +209,10 @@ impl Histogram {
         }
     }
 
-    /// Upper bound of the bucket at which the cumulative count first
-    /// reaches `q` (0.0..=1.0) of the total — a log₂-resolution
-    /// quantile estimate.
+    /// A log₂-resolution quantile estimate (see
+    /// [`HistogramSnapshot::approx_quantile`]).
     pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (idx, bucket) in self.0.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= target {
-                return Some(bucket_bounds(idx).1);
-            }
-        }
-        Some(u64::MAX)
+        self.snapshot().approx_quantile(q)
     }
 
     /// Fold a snapshot's contents back into this live histogram —
@@ -327,8 +314,9 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`]: only non-empty buckets
-/// are materialized, as `(lo, hi, count)` with inclusive bounds.
+/// A point-in-time copy of a [`Histogram`], and the rollup of one
+/// series window: only non-empty buckets are materialized, as
+/// `(lo, hi, count)` with inclusive bounds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
@@ -339,6 +327,62 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Folds one sample in.
+    pub fn record(&mut self, value: u64) {
+        if self.count == 0 {
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        let (lo, hi) = bucket_bounds(bucket_index(value));
+        match self.buckets.binary_search_by_key(&lo, |&(l, _, _)| l) {
+            Ok(idx) => self.buckets[idx].2 += 1,
+            Err(idx) => self.buckets.insert(idx, (lo, hi, 1)),
+        }
+    }
+
+    /// Folds another snapshot in, exactly: the sorted bucket
+    /// lists merge-join, counts and sums add, the min/max envelope
+    /// widens.
+    pub fn merge_from(&mut self, other: &HistogramSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = other.clone();
+            return;
+        }
+        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
+        let (mut a, mut b) = (
+            self.buckets.iter().peekable(),
+            other.buckets.iter().peekable(),
+        );
+        while let (Some(&&(alo, ahi, an)), Some(&&(blo, bhi, bn))) = (a.peek(), b.peek()) {
+            if alo == blo {
+                merged.push((alo, ahi, an + bn));
+                a.next();
+                b.next();
+            } else if alo < blo {
+                merged.push((alo, ahi, an));
+                a.next();
+            } else {
+                merged.push((blo, bhi, bn));
+                b.next();
+            }
+        }
+        merged.extend(a.copied());
+        merged.extend(b.copied());
+        self.buckets = merged;
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -348,10 +392,8 @@ impl HistogramSnapshot {
     }
 
     /// Upper bound of the bucket at which the cumulative count first
-    /// reaches `q` (0.0..=1.0) of the total — the snapshot twin of
-    /// [`Histogram::approx_quantile`], for quantiles over parsed or
-    /// merged snapshots (report tables work on these, never on live
-    /// handles).
+    /// reaches `q` (0.0..=1.0) of the total — a log₂-resolution
+    /// quantile estimate.
     pub fn approx_quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;

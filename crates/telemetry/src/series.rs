@@ -4,9 +4,9 @@
 //! A [`Series`] buckets samples by *when they happened on a
 //! deterministic simulation clock* (picoseconds, epochs, schedule
 //! milliseconds — the recorder picks the clock and the window width),
-//! keeping one [`WindowAgg`] per non-empty window: count, sum,
-//! min/max, and the same log₂ bucket sketch [`crate::Histogram`] uses,
-//! so every window supports an approximate quantile. Unlike a
+//! keeping one [`HistogramSnapshot`] per non-empty window: count, sum,
+//! min/max, and the log₂ bucket sketch of [`crate::Histogram`], so
+//! every window supports an approximate quantile. Unlike a
 //! histogram, a series answers *when* — "CE rate through time" rather
 //! than "CE rate overall" — which is what the detector suite in
 //! [`crate::monitor`] consumes.
@@ -28,113 +28,17 @@
 //! sorted by `(series name, window start)` — deterministic for a fixed
 //! seed — and [`parse_series_jsonl`] reads it back exactly.
 
-use crate::export::escape_json;
+use crate::export::{escape_json, read_sketch, write_sketch};
 use crate::json::{self, Json};
-use crate::metric::{bucket_bounds, bucket_index};
+use crate::metric::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-/// The rollup of one sim-time window: count/sum/min/max plus the
-/// non-empty log₂ sketch buckets as `(lo, hi, count)` with inclusive
-/// bounds (the [`crate::HistogramSnapshot`] representation).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WindowAgg {
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub buckets: Vec<(u64, u64, u64)>,
-}
-
-impl WindowAgg {
-    /// Folds one sample in.
-    pub fn record(&mut self, value: u64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(value);
-        let (lo, hi) = bucket_bounds(bucket_index(value));
-        match self.buckets.binary_search_by_key(&lo, |&(l, _, _)| l) {
-            Ok(idx) => self.buckets[idx].2 += 1,
-            Err(idx) => self.buckets.insert(idx, (lo, hi, 1)),
-        }
-    }
-
-    /// Folds another window's rollup in, exactly: the sorted bucket
-    /// lists merge-join, counts and sums add, the min/max envelope
-    /// widens.
-    pub fn merge_from(&mut self, other: &WindowAgg) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        while let (Some(&&(alo, ahi, an)), Some(&&(blo, bhi, bn))) = (a.peek(), b.peek()) {
-            if alo == blo {
-                merged.push((alo, ahi, an + bn));
-                a.next();
-                b.next();
-            } else if alo < blo {
-                merged.push((alo, ahi, an));
-                a.next();
-            } else {
-                merged.push((blo, bhi, bn));
-                b.next();
-            }
-        }
-        merged.extend(a.copied());
-        merged.extend(b.copied());
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Mean sample value in the window (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Log₂-resolution quantile: the upper bound of the sketch bucket
-    /// at which the cumulative count first reaches `q` of the total.
-    pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for &(_, hi, n) in &self.buckets {
-            cumulative += n;
-            if cumulative >= target {
-                return Some(hi);
-            }
-        }
-        Some(u64::MAX)
-    }
-}
-
 #[derive(Debug)]
 struct SeriesInner {
     width: u64,
-    windows: BTreeMap<u64, WindowAgg>,
+    windows: BTreeMap<u64, HistogramSnapshot>,
 }
 
 /// A shareable handle to one named time series (cheap `Arc` clone).
@@ -274,7 +178,7 @@ impl SeriesStore {
 pub struct SeriesEntry {
     pub name: String,
     pub width: u64,
-    pub windows: Vec<(u64, WindowAgg)>,
+    pub windows: Vec<(u64, HistogramSnapshot)>,
 }
 
 impl SeriesEntry {
@@ -299,7 +203,7 @@ impl SeriesSnapshot {
     /// # Panics
     /// If the same series name appears with different window widths.
     pub fn merged(parts: &[SeriesSnapshot]) -> SeriesSnapshot {
-        let mut acc: BTreeMap<String, (u64, BTreeMap<u64, WindowAgg>)> = BTreeMap::new();
+        let mut acc: BTreeMap<String, (u64, BTreeMap<u64, HistogramSnapshot>)> = BTreeMap::new();
         for part in parts {
             for entry in &part.entries {
                 let slot = acc
@@ -358,22 +262,13 @@ impl SeriesSnapshot {
             for (start, w) in &entry.windows {
                 let _ = write!(
                     out,
-                    "{{\"series\":\"{}\",\"width\":{},\"start\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
+                    "{{\"series\":\"{}\",\"width\":{},\"start\":{},",
                     escape_json(&entry.name),
                     entry.width,
                     start,
-                    w.count,
-                    w.sum,
-                    w.min,
-                    w.max,
                 );
-                for (i, (lo, hi, n)) in w.buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{{\"lo\":{lo},\"hi\":{hi},\"count\":{n}}}");
-                }
-                out.push_str("]}\n");
+                write_sketch(&mut out, w);
+                out.push_str("}\n");
             }
         }
         out
@@ -404,22 +299,7 @@ pub fn parse_series_jsonl(text: &str) -> Result<SeriesSnapshot, String> {
             .get("start")
             .and_then(Json::as_u64)
             .ok_or_else(|| ctx("start"))?;
-        let field = |key: &str| doc.get(key).and_then(Json::as_u64).ok_or_else(|| ctx(key));
-        let mut agg = WindowAgg {
-            count: field("count")?,
-            sum: field("sum")?,
-            min: field("min")?,
-            max: field("max")?,
-            buckets: Vec::new(),
-        };
-        for b in doc
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ctx("buckets"))?
-        {
-            let get = |key: &str| b.get(key).and_then(Json::as_u64).ok_or_else(|| ctx(key));
-            agg.buckets.push((get("lo")?, get("hi")?, get("count")?));
-        }
+        let agg = read_sketch(&doc).map_err(|key| ctx(&key))?;
         parts.entries.push(SeriesEntry {
             name,
             width,
@@ -454,14 +334,14 @@ mod tests {
 
     #[test]
     fn window_sketch_supports_quantiles() {
-        let mut w = WindowAgg::default();
+        let mut w = HistogramSnapshot::default();
         for v in [1u64, 2, 3, 4, 100, 200] {
             w.record(v);
         }
         assert_eq!(w.buckets.iter().map(|b| b.2).sum::<u64>(), 6);
         assert!(w.approx_quantile(0.5).unwrap() <= 7);
         assert_eq!(w.approx_quantile(1.0), Some(255));
-        assert_eq!(WindowAgg::default().approx_quantile(0.5), None);
+        assert_eq!(HistogramSnapshot::default().approx_quantile(0.5), None);
         assert!((w.mean() - 310.0 / 6.0).abs() < 1e-12);
     }
 

@@ -24,52 +24,17 @@
 //! * [`scheduler`] — the Grizzly-scale cluster simulator with the
 //!   margin-aware job scheduler,
 //! * [`energy`] — the CPU+DRAM energy-per-instruction model,
-//! * [`runner`] — the deterministic parallel experiment engine
-//!   (counter-based RNG streams, fixed-size worker pool, per-task
-//!   panic isolation),
+//! * [`runner`] — deterministic parallel execution (counter-based RNG
+//!   streams and a fixed-size, order-preserving worker pool),
 //! * [`telemetry`] — counters/gauges/histograms, mergeable snapshots,
 //!   JSONL export and run manifests.
 //!
 //! The most commonly combined types are re-exported at the crate root:
-//! [`Scenario`]/[`Runner`] (experiment orchestration),
 //! [`MemoryConfig`] (validated memory-shape builder),
 //! [`ModulePopulation`] (the characterization study),
 //! [`ClusterSim`] (the HPC cluster simulator), [`SchedulerConfig`]
 //! (validated scheduling policy + speedup table), [`Federation`]
 //! (fleet-scale federated scheduling), and [`Registry`] (telemetry).
-//!
-//! # Quickstart: deterministic parallel experiments
-//!
-//! Wrap any per-seed computation in [`Scenario`]s and hand them to a
-//! [`Runner`]. Results come back in input order with per-task output,
-//! telemetry, and panic isolation — and because every RNG stream is
-//! derived from `(seed, scenario name)` counters rather than thread
-//! identity, the outcome is byte-identical for **any** worker count:
-//!
-//! ```
-//! use hetero_dmr_repro::{ModulePopulation, Runner, Scenario};
-//!
-//! let scenarios: Vec<Scenario> = ["brand-study", "rank-study"]
-//!     .into_iter()
-//!     .map(|name| {
-//!         Scenario::builder(name)
-//!             .derived_seed(0xD1A2) // root seed -> per-task stream
-//!             .task(|ctx| {
-//!                 let pop = ModulePopulation::paper_study(ctx.seed);
-//!                 ctx.say(format!("{} modules", pop.modules().len()));
-//!             })
-//!             .build()
-//!     })
-//!     .collect();
-//!
-//! // `Runner::new(n)` pins the worker count (0 = one per CPU); the
-//! // output below is identical for every choice.
-//! let outcomes = Runner::new(2).run(scenarios);
-//! assert_eq!(outcomes.len(), 2);
-//! assert!(outcomes.iter().all(|o| !o.is_failed()));
-//! assert_eq!(outcomes[0].name, "brand-study");
-//! assert_eq!(outcomes[0].out, "119 modules\n");
-//! ```
 //!
 //! Memory shapes are built (and validated) with the
 //! [`MemoryConfig`] builder:
@@ -122,7 +87,6 @@ pub use workloads;
 
 pub use margin::population::ModulePopulation;
 pub use memsim::config::MemoryConfig;
-pub use runner::{RunOutcome, RunStatus, Runner, Scenario, ScenarioBuilder, TaskCtx};
 pub use scheduler::Cluster as ClusterSim;
 pub use scheduler::{Federation, PlacementPolicy, SchedulerConfig, StreamSummary};
 pub use telemetry::{Registry, Snapshot};
