@@ -215,6 +215,12 @@ echo "== rustdoc intra-doc links =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
     cargo doc --offline --no-deps --workspace --exclude rand --exclude proptest
 
+echo "== perfbench builds =="
+# The benchmark depends on the workspace crates by path. Building it
+# here, apart from its tests, makes a deleted API it still calls fail
+# under this step's name rather than inside the perfbench test step.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tracked Rust lines =="
 # One command gives each change's net-lines figure; it prints before
 # the perfbench step so a failing benchmark check cannot hide it.

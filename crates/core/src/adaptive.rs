@@ -161,7 +161,7 @@ pub struct AdaptiveGovernor {
 
 /// Health-plane rollups of the closed loop's per-epoch telemetry
 /// (see [`AdaptiveGovernor::attach_series`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct GovernorSeries {
     /// Corrected errors observed, per epoch window.
     ce: Series,

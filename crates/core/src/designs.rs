@@ -173,7 +173,6 @@ impl MemoryDesign {
                     // Section III-E exists to build (100× a
                     // conventional 128-write batch).
                     .write_high_watermark(12_800)
-                    .write_batch(usize::MAX)
                     .read_ranks(Some(2))
                     .broadcast_copies(1)
                     .software_ranks(Some(2))

@@ -35,21 +35,6 @@ pub struct EpochGovernor {
     epoch_rolls: Counter,
 }
 
-impl Clone for EpochGovernor {
-    /// Clones fork the counters so each governor tallies its own
-    /// errors (Monte-Carlo runs clone a template governor per trial).
-    fn clone(&self) -> EpochGovernor {
-        EpochGovernor {
-            threshold: self.threshold,
-            epoch_start: self.epoch_start,
-            errors_this_epoch: self.errors_this_epoch,
-            errors: self.errors.fork(),
-            fallbacks: self.fallbacks.fork(),
-            epoch_rolls: self.epoch_rolls.fork(),
-        }
-    }
-}
-
 impl Default for EpochGovernor {
     fn default() -> Self {
         EpochGovernor::new(ecc::sdc::default_epoch_threshold())
@@ -266,29 +251,6 @@ mod tests {
         // Zero-count records are state queries.
         assert_eq!(bulk.record_errors(EPOCH_PS, 0), GovernorState::Exploiting);
         assert_eq!(bulk.errors_this_epoch(), 0);
-    }
-
-    #[test]
-    fn clone_forks_the_lifetime_counters() {
-        // Monte-Carlo runs clone a template governor per trial; the
-        // clone must inherit the totals recorded so far but tally its
-        // own errors afterwards (documented on the Clone impl).
-        let mut template = EpochGovernor::new(2);
-        template.record_error(0);
-        let mut a = template.clone();
-        let mut b = template.clone();
-        a.record_error(1); // exhausts a's budget (2 errors total)
-        a.record_error(2);
-        b.record_error(3);
-        assert_eq!(template.total_errors(), 1);
-        assert_eq!(a.total_errors(), 3);
-        assert_eq!(b.total_errors(), 2);
-        assert_eq!(a.fallbacks(), 1);
-        assert_eq!(b.fallbacks(), 1, "b inherited 1 error, then hit 2");
-        assert_eq!(template.fallbacks(), 0);
-        // Per-epoch tallies are plain fields and also independent.
-        assert_eq!(template.errors_this_epoch(), 1);
-        assert_eq!(a.errors_this_epoch(), 3);
     }
 
     #[test]

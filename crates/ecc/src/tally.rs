@@ -44,17 +44,6 @@ impl ErrorTally {
         self.sdc = rebind("sdc", &self.sdc);
     }
 
-    /// Detached deep copy (same counts, independent futures).
-    pub fn fork(&self) -> ErrorTally {
-        ErrorTally {
-            injected: self.injected.fork(),
-            injected_guaranteed: self.injected_guaranteed.fork(),
-            ce: self.ce.fork(),
-            ue: self.ue.fork(),
-            sdc: self.sdc.fork(),
-        }
-    }
-
     /// Records one injected error of class `model`.
     pub fn note_injected(&self, model: ErrorModel) {
         self.injected.inc();
@@ -130,15 +119,5 @@ mod tests {
         assert_eq!(snap.counter("ecc.injected"), 1);
         assert_eq!(snap.counter("ecc.ce"), 2);
         assert_eq!(snap.counter("ecc.injected_guaranteed"), 1);
-    }
-
-    #[test]
-    fn fork_detaches() {
-        let t = ErrorTally::default();
-        t.note_ue();
-        let f = t.fork();
-        f.note_ue();
-        assert_eq!(t.ue(), 1);
-        assert_eq!(f.ue(), 2);
     }
 }

@@ -84,7 +84,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("report") {
         std::process::exit(report::run(&args[1..]));
     }
-    let mut target = String::from("all");
+    let mut target = None;
     let mut jobs = 0usize; // 0 = one worker per CPU
     let mut ctx = Ctx::default();
     // Applied after every flag is read, so an explicit `--ops` wins
@@ -156,7 +156,14 @@ fn main() {
                     .unwrap_or_else(|| usage_error("--series needs a directory"));
                 ctx.enable_series(dir.clone());
             }
-            other if !other.starts_with('-') => target = other.to_string(),
+            other if !other.starts_with('-') => {
+                if target.is_some() {
+                    usage_error(&format!(
+                        "extra argument '{other}': experiments runs one target"
+                    ));
+                }
+                target = Some(other.to_string());
+            }
             other => {
                 eprintln!("unknown flag {other} (run with --help for usage)");
                 std::process::exit(2);
@@ -168,6 +175,7 @@ fn main() {
         ctx.ops_per_core = n;
     }
 
+    let target = target.unwrap_or_else(|| String::from("all"));
     let names: Vec<&str> = if target == "all" {
         TARGETS.to_vec()
     } else if scenarios::is_target(&target) {
@@ -283,7 +291,7 @@ fn write_metrics(
         telemetry::format_jsonl(&sim),
     )?;
     let (cache_hits, cache_misses) = hetero_dmr::shared_cache_stats();
-    // Job spans the scheduler tracer dropped past its traced_job_cap,
+    // Job spans the scheduler tracer dropped past `TRACED_JOB_CAP`,
     // summed across every metered schedule in the run — the manifest
     // records how much of each trace the cap truncated.
     let trace_dropped_jobs: u64 = sim

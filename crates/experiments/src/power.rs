@@ -14,7 +14,7 @@ use crate::node_figures::{model, model_scoped};
 use dram::organization::ModuleOrganization;
 use energy::{CpuPowerParams, DatasheetCurrents, ResidencyBreakdown, ResidencyModel};
 use hetero_dmr::{DramGeneration, MemoryDesign, NodeModel};
-use memsim::config::HierarchyConfig;
+use memsim::config::{HierarchyConfig, MemoryConfig};
 use memsim::SimResult;
 use telemetry::slug;
 use workloads::Suite;
@@ -53,10 +53,15 @@ fn mrdimm(generation: DramGeneration) -> bool {
 /// bank-level parallelism is held constant across the sweep.
 fn hierarchy_for(mrdimm: bool) -> HierarchyConfig {
     if mrdimm {
-        HierarchyConfig::builder("Hierarchy1-MRDIMM")
-            .modules_per_channel(1)
-            .ranks_per_module(4)
-            .build()
+        HierarchyConfig {
+            name: "Hierarchy1-MRDIMM",
+            memory: MemoryConfig::builder()
+                .modules_per_channel(1)
+                .ranks_per_module(4)
+                .build()
+                .expect("the quad-rank MRDIMM shape is valid"),
+            ..HierarchyConfig::hierarchy1()
+        }
     } else {
         HierarchyConfig::hierarchy1()
     }

@@ -69,6 +69,7 @@ fn malformed_arguments_exit_2() {
         (&["fig5", "--quick", "--jobs", "x"], "--jobs"),
         (&["fig5", "--quick", "--ops", "0"], "--ops"),
         (&["fleet", "--quick", "--fleet-jobs", "0"], "--fleet-jobs"),
+        (&["fig1", "table1"], "table1"),
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -125,14 +125,8 @@ pub struct ChannelMode {
     /// controllers drain small batches often; Hetero-DMR accumulates
     /// ~12 800 writes per switch (its LLC cleaning exists to build
     /// such batches) so the 2 × 1 µs frequency transitions amortize.
+    /// Every write-mode entry drains everything pending.
     pub write_high_watermark: usize,
-    /// Maximum writes drained per write-mode entry (`usize::MAX` to
-    /// drain everything pending; used by the batch-size ablation).
-    pub write_batch: usize,
-    /// Whether the per-channel 128 KB 64-way victim writeback cache is
-    /// present (it is, in every evaluated design, including the
-    /// baseline — Section IV-A adds it to the baseline for fairness).
-    pub writeback_cache: bool,
     /// When `Some(n)`, reads are served by only the top `n` ranks of
     /// the channel (the unsafely fast Free Module under Hetero-DMR).
     pub read_ranks: Option<usize>,
@@ -154,8 +148,8 @@ pub struct ChannelMode {
 
 impl ChannelMode {
     /// The Commercial Baseline: everything at manufacturer
-    /// specification, conventional 128-entry write batches, writeback
-    /// cache present.
+    /// specification, with the 12 800-write drain watermark every
+    /// evaluated design shares.
     pub fn commercial_baseline() -> ChannelMode {
         let spec = MemorySetting::Specified.timing();
         ChannelMode {
@@ -165,11 +159,9 @@ impl ChannelMode {
             // All evaluated designs share the same bulk drain cadence
             // so that write-scheduling transients do not confound the
             // variables the paper studies (data rate, latencies, rank
-            // restriction, transition cost); the batch-size ablation
-            // sweeps this knob explicitly.
+            // restriction, transition cost); a node-model test sweeps
+            // this knob to check Section III-A1's amortization.
             write_high_watermark: 12_800,
-            write_batch: usize::MAX,
-            writeback_cache: true,
             read_ranks: None,
             broadcast_copies: 0,
             fmr_read_choice: false,
@@ -258,18 +250,6 @@ impl ChannelModeBuilder {
         self
     }
 
-    /// Maximum writes drained per write-mode entry.
-    pub fn write_batch(mut self, writes: usize) -> Self {
-        self.mode.write_batch = writes;
-        self
-    }
-
-    /// Whether the per-channel victim writeback cache is present.
-    pub fn writeback_cache(mut self, present: bool) -> Self {
-        self.mode.writeback_cache = present;
-        self
-    }
-
     /// Restrict reads to the top `n` ranks (`None` = all ranks).
     pub fn read_ranks(mut self, ranks: Option<usize>) -> Self {
         self.mode.read_ranks = ranks;
@@ -306,9 +286,6 @@ impl ChannelModeBuilder {
         if m.write_high_watermark == 0 {
             return Err(ConfigError::ZeroField("write_high_watermark"));
         }
-        if m.write_batch == 0 {
-            return Err(ConfigError::ZeroField("write_batch"));
-        }
         if m.read_ranks == Some(0) {
             return Err(ConfigError::EmptyRankSet("read_ranks"));
         }
@@ -330,14 +307,10 @@ pub struct MemoryConfig {
     pub ranks_per_module: usize,
     /// Banks per rank (16).
     pub banks_per_rank: usize,
-    /// Read-queue capacity per channel (256).
-    pub read_queue: usize,
-    /// Write-queue capacity per channel (128).
-    pub write_queue: usize,
 }
 
 /// The paper's per-channel shape with a single channel: two dual-rank
-/// modules, 16 banks/rank, 256/128-entry read/write queues.
+/// modules, 16 banks/rank.
 impl Default for MemoryConfig {
     fn default() -> MemoryConfig {
         MemoryConfig {
@@ -345,8 +318,6 @@ impl Default for MemoryConfig {
             modules_per_channel: 2,
             ranks_per_module: 2,
             banks_per_rank: 16,
-            read_queue: 256,
-            write_queue: 128,
         }
     }
 }
@@ -402,18 +373,6 @@ impl MemoryConfigBuilder {
         self
     }
 
-    /// Read-queue capacity per channel.
-    pub fn read_queue(mut self, entries: usize) -> Self {
-        self.config.read_queue = entries;
-        self
-    }
-
-    /// Write-queue capacity per channel.
-    pub fn write_queue(mut self, entries: usize) -> Self {
-        self.config.write_queue = entries;
-        self
-    }
-
     /// Validates the shape: every count ≥ 1 and channels a power of
     /// two (the XOR channel mapping needs one).
     pub fn build(self) -> Result<MemoryConfig, ConfigError> {
@@ -423,8 +382,6 @@ impl MemoryConfigBuilder {
             (c.modules_per_channel, "modules_per_channel"),
             (c.ranks_per_module, "ranks_per_module"),
             (c.banks_per_rank, "banks_per_rank"),
-            (c.read_queue, "read_queue"),
-            (c.write_queue, "write_queue"),
         ] {
             if value == 0 {
                 return Err(ConfigError::ZeroField(field));
@@ -518,8 +475,6 @@ impl HierarchyConfig {
             m.modules_per_channel,
             m.ranks_per_module,
             m.banks_per_rank,
-            m.read_queue,
-            m.write_queue,
         ] {
             mix(field as u64);
         }
@@ -614,7 +569,6 @@ mod tests {
         assert_eq!(m.write_timing, m.read_timing);
         assert_eq!(m.turnaround_penalty_ps, 0);
         assert_eq!(m.broadcast_copies, 0);
-        assert!(m.writeback_cache);
         assert!(m.read_ranks.is_none());
     }
 
@@ -641,8 +595,8 @@ mod tests {
             Err(ConfigError::ChannelsNotPowerOfTwo(6))
         );
         assert_eq!(
-            MemoryConfig::builder().read_queue(0).build(),
-            Err(ConfigError::ZeroField("read_queue"))
+            MemoryConfig::builder().banks_per_rank(0).build(),
+            Err(ConfigError::ZeroField("banks_per_rank"))
         );
     }
 
@@ -671,8 +625,8 @@ mod tests {
             })
         );
         assert_eq!(
-            ChannelMode::builder().write_batch(0).build(),
-            Err(ConfigError::ZeroField("write_batch"))
+            ChannelMode::builder().write_high_watermark(0).build(),
+            Err(ConfigError::ZeroField("write_high_watermark"))
         );
         assert_eq!(
             ChannelMode::builder().read_ranks(Some(0)).build(),
@@ -704,153 +658,5 @@ mod tests {
         assert_eq!(fast.t_rcd_ns, 11.5);
         assert_eq!(safe.data_rate.mts(), 3200);
         assert_eq!(safe.t_rcd_ns, 13.75);
-    }
-}
-
-/// Builder for custom [`HierarchyConfig`]s beyond the two Table III
-/// presets — cache-sensitivity sweeps, wider nodes, more channels.
-///
-/// ```
-/// use memsim::config::HierarchyConfig;
-///
-/// let custom = HierarchyConfig::builder("wide")
-///     .cores(32)
-///     .channels(8)
-///     .cache_per_core_mb(3.0)
-///     .build();
-/// assert_eq!(custom.cores, 32);
-/// assert_eq!(custom.memory.channels, 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HierarchyBuilder {
-    name: &'static str,
-    cores: usize,
-    cache_per_core_bytes: usize,
-    channels: usize,
-    modules_per_channel: usize,
-    ranks_per_module: usize,
-    core: CoreConfig,
-}
-
-impl HierarchyConfig {
-    /// Starts a builder from Hierarchy1's defaults.
-    pub fn builder(name: &'static str) -> HierarchyBuilder {
-        let base = HierarchyConfig::hierarchy1();
-        HierarchyBuilder {
-            name,
-            cores: base.cores,
-            cache_per_core_bytes: base.cache_per_core_bytes,
-            channels: base.memory.channels,
-            modules_per_channel: base.memory.modules_per_channel,
-            ranks_per_module: base.memory.ranks_per_module,
-            core: base.core,
-        }
-    }
-}
-
-impl HierarchyBuilder {
-    /// Sets the core count.
-    pub fn cores(&mut self, cores: usize) -> &mut HierarchyBuilder {
-        self.cores = cores;
-        self
-    }
-
-    /// Sets the combined L2+L3 budget per core, in megabytes.
-    pub fn cache_per_core_mb(&mut self, mb: f64) -> &mut HierarchyBuilder {
-        self.cache_per_core_bytes = (mb * 1024.0 * 1024.0) as usize;
-        self
-    }
-
-    /// Sets the channel count (must be a power of two for the XOR
-    /// address mapping).
-    pub fn channels(&mut self, channels: usize) -> &mut HierarchyBuilder {
-        self.channels = channels;
-        self
-    }
-
-    /// Sets modules per channel.
-    pub fn modules_per_channel(&mut self, modules: usize) -> &mut HierarchyBuilder {
-        self.modules_per_channel = modules;
-        self
-    }
-
-    /// Sets ranks per module.
-    pub fn ranks_per_module(&mut self, ranks: usize) -> &mut HierarchyBuilder {
-        self.ranks_per_module = ranks;
-        self
-    }
-
-    /// Overrides the core microarchitecture.
-    pub fn core(&mut self, core: CoreConfig) -> &mut HierarchyBuilder {
-        self.core = core;
-        self
-    }
-
-    /// Builds the hierarchy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if cores or channels are zero, or the L2+L3 budget does
-    /// not exceed the L2 (leaving no L3 partition).
-    pub fn build(&self) -> HierarchyConfig {
-        assert!(self.cores > 0, "a node needs cores");
-        assert!(self.channels > 0, "a node needs channels");
-        assert!(
-            self.cache_per_core_bytes > self.core.l2_bytes,
-            "cache budget must exceed the private L2"
-        );
-        HierarchyConfig {
-            name: self.name,
-            cores: self.cores,
-            cache_per_core_bytes: self.cache_per_core_bytes,
-            memory: MemoryConfig::builder()
-                .channels(self.channels)
-                .modules_per_channel(self.modules_per_channel)
-                .ranks_per_module(self.ranks_per_module)
-                .build()
-                .unwrap_or_else(|e| panic!("invalid memory shape: {e}")),
-            core: self.core,
-        }
-    }
-}
-
-#[cfg(test)]
-mod builder_tests {
-    use super::*;
-
-    #[test]
-    fn builder_defaults_match_hierarchy1() {
-        let built = HierarchyConfig::builder("Hierarchy1").build();
-        let preset = HierarchyConfig::hierarchy1();
-        assert_eq!(built, preset);
-    }
-
-    #[test]
-    fn builder_overrides_apply() {
-        let h = HierarchyConfig::builder("big")
-            .cores(64)
-            .channels(8)
-            .modules_per_channel(2)
-            .ranks_per_module(2)
-            .cache_per_core_mb(2.0)
-            .build();
-        assert_eq!(h.cores, 64);
-        assert_eq!(h.memory.channels, 8);
-        assert_eq!(h.cache_per_core_bytes, 2 * 1024 * 1024);
-        assert!(h.l3_partition_bytes() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed the private L2")]
-    fn builder_rejects_cacheless_nodes() {
-        let _ = HierarchyConfig::builder("bad")
-            .cache_per_core_mb(0.5)
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "needs cores")]
-    fn builder_rejects_zero_cores() {
-        let _ = HierarchyConfig::builder("bad").cores(0).build();
     }
 }

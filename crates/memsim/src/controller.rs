@@ -37,12 +37,9 @@
 //!   candidate), and the fused sweep recomputes them for free,
 //! * completions live in a token→slot slab (`Vec` + free list) rather
 //!   than a `HashMap`,
-//! * pending writes live in a sorted `Vec` keyed `(rank·bank, row,
-//!   column)` with an unsorted append tail and a drain cursor:
-//!   enqueue is a push, a drain sorts the live region once
-//!   (duplicates land adjacent, reproducing the retired `BTreeMap`'s
-//!   multiplicity groups in the same key order) and pops the oldest
-//!   key in `O(1)` by advancing the cursor, and
+//! * pending writes live in a plain `Vec` keyed `(rank·bank, row,
+//!   column)`: enqueue is a push, and a drain sorts the queue once,
+//!   issues every entry in key order and leaves it empty, and
 //! * refresh catch-up is computed in closed form instead of walking
 //!   one tREFI at a time.
 //!
@@ -61,6 +58,10 @@ use telemetry::{bucket_index, Counter, Histogram, Scope, BUCKETS};
 /// before age wins — Table IV's "FR-FCFS scheduling policy with bank
 /// fairness".
 const MAX_BYPASS: u32 = 64;
+
+/// Queued untracked (prefetch) reads past which new ones are dropped,
+/// as real prefetchers throttle under queue pressure.
+const MAX_QUEUED_PREFETCHES: usize = 192;
 
 /// Token handed out for untracked (fire-and-forget) reads. Callers
 /// never resolve these, so no completion slot is consumed.
@@ -136,29 +137,6 @@ impl ControllerMetrics {
         self.read_latency_ps = hist;
     }
 
-    /// Detached deep copy: same current values, independent future
-    /// updates. Backing for `ChannelController: Clone` — a cloned
-    /// controller must not alias its twin's metrics.
-    fn fork(&self) -> Self {
-        ControllerMetrics {
-            reads: self.reads.fork(),
-            writes: self.writes.fork(),
-            activates: self.activates.fork(),
-            row_hits: self.row_hits.fork(),
-            wb_cache_hits: self.wb_cache_hits.fork(),
-            write_mode_entries: self.write_mode_entries.fork(),
-            bus_busy_ps: self.bus_busy_ps.fork(),
-            read_latency_sum_ps: self.read_latency_sum_ps.fork(),
-            refreshes: self.refreshes.fork(),
-            broadcast_extra_cells: self.broadcast_extra_cells.fork(),
-            read_latency_ps: self.read_latency_ps.fork(),
-            residency_active_bank_ps: self.residency_active_bank_ps.fork(),
-            residency_refresh_bank_ps: self.residency_refresh_bank_ps.fork(),
-            residency_self_refresh_bank_ps: self.residency_self_refresh_bank_ps.fork(),
-            residency_write_mode_ps: self.residency_write_mode_ps.fork(),
-        }
-    }
-
     /// The per-read latency distribution (arrival → last data beat).
     /// Pending (unflushed) tallies are not yet visible here; they are
     /// published by the next flush point (run end or telemetry bind).
@@ -171,7 +149,7 @@ impl ControllerMetrics {
 /// here is a local integer add; the flush points (run end, telemetry
 /// bind) publish to the shared [`ControllerMetrics`] handles in one
 /// batch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PendingTallies {
     reads: u64,
     writes: u64,
@@ -305,15 +283,6 @@ pub struct ControllerStats {
 }
 
 impl ControllerStats {
-    /// Mean read latency in picoseconds (0 if no reads).
-    pub fn mean_read_latency_ps(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_latency_sum_ps as f64 / self.reads as f64
-        }
-    }
-
     /// Row-buffer hit rate over all column accesses.
     pub fn row_hit_rate(&self) -> f64 {
         let total = self.reads + self.writes;
@@ -427,7 +396,7 @@ enum Completion {
 
 /// Pending-write sort key: `(rank·bank, row, column)` — rank and bank
 /// packed into one word (both are far below 2³²), ordering identical
-/// to the old `(rank, bank, row, column)` `BTreeMap` key.
+/// to the reference controller's `(rank, bank, row, column)` sort.
 type WriteKey = (u64, u64, u64);
 
 /// One channel's memory controller.
@@ -441,15 +410,8 @@ pub struct ChannelController {
     write_mode_until: Picos,
     /// Per-rank next scheduled refresh.
     next_refresh: Vec<Picos>,
-    /// Pending writes: `[write_cursor..sorted_len)` is sorted by key,
-    /// `[sorted_len..]` is the unsorted append tail. A drain compacts
-    /// and re-sorts the live region once, then pops groups of equal
-    /// keys (the old `BTreeMap` multiplicity) by advancing the cursor.
+    /// Pending writes in arrival order; a drain sorts and empties it.
     write_queue: Vec<WriteKey>,
-    write_cursor: usize,
-    /// Length of the sorted prefix of `write_queue` (cursor included).
-    write_sorted_len: usize,
-    write_queue_len: usize,
     /// Struct-of-arrays read queue awaiting FR-FCFS scheduling; the
     /// four parallel `Vec`s share slot indexes and `swap_remove`
     /// together. `rq_token` doubles as the tracked flag
@@ -472,9 +434,6 @@ pub struct ChannelController {
     /// states) and inside write drains (which run with the read queue
     /// empty); submissions update it in `O(1)` with one bank probe.
     best_hit: Option<(Picos, u32)>,
-    /// First bank index a read can be served from (read-rank
-    /// restriction); every queued `rq_bank` is ≥ this by construction.
-    read_bank_start: usize,
     /// Queued untracked (prefetch) reads, for the drop threshold.
     untracked_queued: usize,
     /// Completion slab for tracked reads; tokens are slot indexes.
@@ -492,48 +451,12 @@ pub struct ChannelController {
     metrics: ControllerMetrics,
 }
 
-impl Clone for ChannelController {
-    /// Clones fork the metric handles: the copy starts from the same
-    /// counts but records independently (aliasing would double-count).
-    fn clone(&self) -> ChannelController {
-        ChannelController {
-            mode: self.mode,
-            mem: self.mem,
-            banks: self.banks.clone(),
-            bus_free_at: self.bus_free_at,
-            write_mode_until: self.write_mode_until,
-            next_refresh: self.next_refresh.clone(),
-            write_queue: self.write_queue.clone(),
-            write_cursor: self.write_cursor,
-            write_sorted_len: self.write_sorted_len,
-            write_queue_len: self.write_queue_len,
-            rq_arrival: self.rq_arrival.clone(),
-            rq_row: self.rq_row.clone(),
-            rq_bank: self.rq_bank.clone(),
-            rq_bypasses: self.rq_bypasses.clone(),
-            rq_token: self.rq_token.clone(),
-            oldest: self.oldest,
-            best_hit: self.best_hit,
-            read_bank_start: self.read_bank_start,
-            untracked_queued: self.untracked_queued,
-            completions: self.completions.clone(),
-            free_slots: self.free_slots.clone(),
-            page_timeout_ps: self.page_timeout_ps,
-            residency: self.residency,
-            residency_final: self.residency_final,
-            pend: self.pend.clone(),
-            metrics: self.metrics.fork(),
-        }
-    }
-}
-
 impl ChannelController {
     /// Creates a controller for one channel.
     pub fn new(mode: ChannelMode, mem: MemoryConfig, page_timeout_ps: Picos) -> ChannelController {
         let ranks = mem.ranks_per_channel();
         let refi = mode.read_timing.t_refi_ps();
         let bank_count = ranks * mem.banks_per_rank;
-        let read_bank_start = (ranks - mode.read_ranks.unwrap_or(ranks)) * mem.banks_per_rank;
         ChannelController {
             mode,
             mem,
@@ -542,9 +465,6 @@ impl ChannelController {
             write_mode_until: 0,
             next_refresh: (0..ranks).map(|r| refi + r as Picos * 100_000).collect(),
             write_queue: Vec::new(),
-            write_cursor: 0,
-            write_sorted_len: 0,
-            write_queue_len: 0,
             rq_arrival: Vec::new(),
             rq_row: Vec::new(),
             rq_bank: Vec::new(),
@@ -552,7 +472,6 @@ impl ChannelController {
             rq_token: Vec::new(),
             oldest: None,
             best_hit: None,
-            read_bank_start,
             untracked_queued: 0,
             completions: Vec::new(),
             free_slots: Vec::new(),
@@ -678,7 +597,7 @@ impl ChannelController {
 
     /// Pending (queued, not yet drained) writes.
     pub fn pending_writes(&self) -> usize {
-        self.write_queue_len
+        self.write_queue.len()
     }
 
     fn bank_index(&self, rank: usize, bank: usize) -> usize {
@@ -757,7 +676,7 @@ impl ChannelController {
                 }
             }
         } else {
-            if self.untracked_queued >= 192 {
+            if self.untracked_queued >= MAX_QUEUED_PREFETCHES {
                 return UNTRACKED_TOKEN;
             }
             self.untracked_queued += 1;
@@ -1052,12 +971,11 @@ impl ChannelController {
     pub fn enqueue_write(&mut self, coord: DramCoord) {
         let rank_bank = ((coord.rank as u64) << 32) | coord.bank as u64;
         self.write_queue.push((rank_bank, coord.row, coord.column));
-        self.write_queue_len += 1;
     }
 
-    /// Enters write mode at `now`, draining all pending writes (up to
-    /// the batch limit). Returns the time the channel is back in read
-    /// mode.
+    /// Enters write mode at `now` and drains every pending write,
+    /// leaving the queue empty. Returns the time the channel is back
+    /// in read mode.
     ///
     /// The sequence models Hetero-DMR's Figure 8a: (optional frequency
     /// transition down), batched writes at the write-mode timing,
@@ -1066,7 +984,7 @@ impl ChannelController {
         // Reads already queued were issued before the drain decision.
         self.process_reads();
         let t = self.mode.write_timing;
-        if self.write_queue_len == 0 {
+        if self.write_queue.is_empty() {
             return now;
         }
         self.pend.write_mode_entries += 1;
@@ -1076,74 +994,41 @@ impl ChannelController {
         let start = entered + t.t_wtr_ps() + self.mode.turnaround_penalty_ps;
         self.bus_free_at = start;
 
-        // Bring the queue into drain form: compact out the consumed
-        // prefix, then sort the live region (the previously sorted
-        // remainder plus the unsorted tail). Equal keys land adjacent,
-        // so popping runs off the front reproduces the old sorted
-        // `(key, multiplicity)` iteration exactly.
-        if self.write_cursor > 0 {
-            let consumed = self.write_cursor;
-            self.write_queue.drain(..consumed);
-            self.write_cursor = 0;
-            self.write_sorted_len = self.write_sorted_len.saturating_sub(consumed);
-        }
-        if self.write_sorted_len < self.write_queue.len() {
-            self.write_queue.sort_unstable();
-        }
-
         // FR-FCFS freely reorders the drained batch for row locality:
-        // the queue iterates grouped by bank and row, so most writes
-        // issue as row hits. Anything beyond the batch stays queued.
-        let batch = self.write_queue_len.min(self.mode.write_batch.max(1));
+        // the sorted queue iterates grouped by bank and row, so most
+        // writes issue as row hits.
+        let mut queue = std::mem::take(&mut self.write_queue);
+        queue.sort_unstable();
         let mut clock = start;
-        let mut left = batch as u64;
-        while left > 0 {
-            let key = self.write_queue[self.write_cursor];
-            // Multiplicity: how many identical keys follow (they are
-            // adjacent after the sort).
-            let mut count = 1u64;
-            while self.write_cursor + (count as usize) < self.write_queue.len()
-                && self.write_queue[self.write_cursor + count as usize] == key
-            {
-                count += 1;
-            }
-            let take = count.min(left);
-            self.write_cursor += take as usize;
-            left -= take;
-            let (rank_bank, row, _column) = key;
+        for &(rank_bank, row, _column) in &queue {
             let rank = (rank_bank >> 32) as usize;
             let bank = (rank_bank & 0xFFFF_FFFF) as usize;
-            for _ in 0..take {
-                self.apply_refresh(rank, start);
-                // Writes pipeline: each issues as soon as its bank and
-                // the data bus allow (the bus serializes bursts; banks
-                // overlap).
-                let (end, hit) =
-                    self.column_access(self.bank_index(rank, bank), row, start, &t, false);
-                self.pend.writes += 1;
-                self.pend.row_hits += hit as u64;
-                if self.mode.broadcast_copies > 0 {
-                    self.pend.broadcast_extra_cells += self.mode.broadcast_copies as u64;
-                    // The broadcast transaction also lands in the copy
-                    // rank(s): no extra bus time, but the copy bank's
-                    // row buffer now holds the written row and the
-                    // bank is busy through write recovery.
-                    let total = self.mem.ranks_per_channel();
-                    let copy_rank = match self.mode.read_ranks {
-                        Some(n) if n > 0 => total - n + rank % n,
-                        _ => (rank + total / 2) % total,
-                    };
-                    if copy_rank != rank {
-                        self.shadow_write(self.bank_index(copy_rank, bank), row, end, &t);
-                    }
+            self.apply_refresh(rank, start);
+            // Writes pipeline: each issues as soon as its bank and the
+            // data bus allow (the bus serializes bursts; banks overlap).
+            let (end, hit) = self.column_access(self.bank_index(rank, bank), row, start, &t, false);
+            self.pend.writes += 1;
+            self.pend.row_hits += hit as u64;
+            if self.mode.broadcast_copies > 0 {
+                self.pend.broadcast_extra_cells += self.mode.broadcast_copies as u64;
+                // The broadcast transaction also lands in the copy
+                // rank(s): no extra bus time, but the copy bank's row
+                // buffer now holds the written row and the bank is
+                // busy through write recovery.
+                let total = self.mem.ranks_per_channel();
+                let copy_rank = match self.mode.read_ranks {
+                    Some(n) if n > 0 => total - n + rank % n,
+                    _ => (rank + total / 2) % total,
+                };
+                if copy_rank != rank {
+                    self.shadow_write(self.bank_index(copy_rank, bank), row, end, &t);
                 }
-                clock = clock.max(end);
             }
+            clock = clock.max(end);
         }
-        self.write_queue_len -= batch;
-        // Everything from the cursor on is sorted; future enqueues
-        // append an unsorted tail after it.
-        self.write_sorted_len = self.write_queue.len();
+        // Keep the allocation for the next batch.
+        queue.clear();
+        self.write_queue = queue;
 
         // Transition back to read mode.
         let resume = clock + t.t_wtr_ps() + self.mode.turnaround_penalty_ps;
@@ -1300,49 +1185,6 @@ mod tests {
             (1_900_000..=2_100_000).contains(&delta),
             "two 1 us transitions expected, delta {delta}"
         );
-    }
-
-    #[test]
-    fn write_batch_limit_leaves_remainder_queued() {
-        let mut mode = ChannelMode::commercial_baseline();
-        mode.write_batch = 10;
-        let mut c = controller(mode);
-        for i in 0..25 {
-            c.enqueue_write(coord(0, 0, 1, i));
-        }
-        c.drain_writes(0);
-        assert_eq!(c.stats().writes, 10);
-        assert_eq!(c.pending_writes(), 15);
-    }
-
-    #[test]
-    fn partial_drain_keeps_sorted_remainder_and_new_tail_ordered() {
-        // A batch-limited drain leaves a sorted remainder; fresh
-        // enqueues append an unsorted tail. The next drain must serve
-        // the union in full key order (the old BTreeMap guarantee) —
-        // checked against the frozen scan-and-sort referee.
-        let mut mode = ChannelMode::commercial_baseline();
-        mode.write_batch = 4;
-        let h = HierarchyConfig::hierarchy1();
-        let mut c = controller(mode);
-        let mut r =
-            crate::reference::ReferenceController::new(mode, h.memory, h.core.page_timeout_ps());
-        for col in [9u64, 1, 7, 3, 5, 8, 2] {
-            c.enqueue_write(coord(0, 0, 1, col));
-            r.enqueue_write(coord(0, 0, 1, col));
-        }
-        assert_eq!(c.drain_writes(0), r.drain_writes(0)); // serves 1,2,3,5
-        assert_eq!(c.pending_writes(), 3);
-        c.enqueue_write(coord(0, 0, 1, 0)); // unsorted tail, lowest key
-        r.enqueue_write(coord(0, 0, 1, 0));
-        assert_eq!(
-            c.drain_writes(10_000_000),
-            r.drain_writes(10_000_000),
-            "second drain must serve remainder + tail in key order"
-        );
-        assert_eq!(c.pending_writes(), 0);
-        assert_eq!(c.stats().writes, 8);
-        assert_eq!(c.stats(), r.stats());
     }
 
     #[test]

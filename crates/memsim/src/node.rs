@@ -33,7 +33,10 @@ pub struct NodeSim {
     /// [`for_replay`](Self::for_replay).
     caches: Vec<CoreSim>,
     controllers: Vec<ChannelController>,
-    wbcaches: Vec<Option<WritebackCache>>,
+    /// Each channel's 128 KB 64-way victim writeback cache. Every
+    /// evaluated design has one, the baseline included (Section IV-A
+    /// adds it there for fairness).
+    wbcaches: Vec<WritebackCache>,
     /// Mirror every write into the opposite half's channel (the naive
     /// channel-split DMR strawman of Section III-A: 100 % write
     /// bandwidth overhead).
@@ -194,7 +197,7 @@ impl NodeSim {
             .collect();
         let wbcaches = modes
             .iter()
-            .map(|m| m.writeback_cache.then(WritebackCache::paper_default))
+            .map(|_| WritebackCache::paper_default())
             .collect();
         NodeSim {
             hierarchy,
@@ -405,10 +408,7 @@ impl NodeSim {
             self.tally.demand_misses += 1;
             let coord = self.mapping.map(block << 6);
             let arrival = issue_t + l3_lat;
-            let served_by_wb = self.wbcaches[coord.channel]
-                .as_mut()
-                .is_some_and(|wb| wb.read_hit(block));
-            if served_by_wb {
+            if self.wbcaches[coord.channel].read_hit(block) {
                 self.controllers[coord.channel].note_wb_cache_hit();
                 if outcome.is_load {
                     self.cores[core_idx].track_load(LoadHandle::Ready(arrival + WB_CACHE_HIT_PS));
@@ -448,10 +448,7 @@ impl NodeSim {
     }
 
     fn push_write(&mut self, channel: usize, block: u64, coord: crate::address::DramCoord) {
-        let absorbed = self.wbcaches[channel]
-            .as_mut()
-            .is_some_and(|wb| wb.offer(block));
-        if !absorbed {
+        if !self.wbcaches[channel].offer(block) {
             self.controllers[channel].enqueue_write(coord);
         }
     }
@@ -461,8 +458,7 @@ impl NodeSim {
     fn maybe_enter_write_mode(&mut self, core_idx: usize) {
         let now = self.cores[core_idx].now;
         for ch in 0..self.controllers.len() {
-            let pending = self.controllers[ch].pending_writes()
-                + self.wbcaches[ch].as_ref().map_or(0, WritebackCache::len);
+            let pending = self.controllers[ch].pending_writes() + self.wbcaches[ch].len();
             if pending >= self.modes[ch].write_high_watermark {
                 self.enter_write_mode(ch, now);
             }
@@ -486,15 +482,12 @@ impl NodeSim {
     /// the end-of-run drain; the span records it as `clean_llc`.
     fn drain_channel(&mut self, ch: usize, now: Picos, entry: bool) -> Picos {
         self.tally.drains += 1;
-        let pending_at_entry = self.controllers[ch].pending_writes()
-            + self.wbcaches[ch].as_ref().map_or(0, WritebackCache::len);
+        let pending_at_entry = self.controllers[ch].pending_writes() + self.wbcaches[ch].len();
         // The drained victim-cache blocks feed straight into the
         // (order-insensitive) write queue the drain below serves.
-        if let Some(wb) = self.wbcaches[ch].as_mut() {
-            let mapping = &self.mapping;
-            let controller = &mut self.controllers[ch];
-            wb.drain_with(|block| controller.enqueue_write(mapping.map(block << 6)));
-        }
+        let mapping = &self.mapping;
+        let controller = &mut self.controllers[ch];
+        self.wbcaches[ch].drain_with(|block| controller.enqueue_write(mapping.map(block << 6)));
         let resume = self.controllers[ch].drain_writes(now);
         if let Some(tracer) = &self.trace {
             // The span covers write mode: read mode is re-entered at

@@ -335,7 +335,7 @@ impl ReferenceController {
         self.write_queue.push(coord);
     }
 
-    /// Enters write mode at `now`, draining pending writes (batched).
+    /// Enters write mode at `now`, draining every pending write.
     pub fn drain_writes(&mut self, now: Picos) -> Picos {
         self.process_reads();
         let t = self.mode.write_timing;
@@ -349,9 +349,8 @@ impl ReferenceController {
         let start = now.max(self.bus_free_at) + t.t_wtr_ps() + self.mode.turnaround_penalty_ps;
         self.bus_free_at = start;
 
-        let batch = queue.len().min(self.mode.write_batch.max(1));
         let mut clock = start;
-        for coord in queue.drain(..batch) {
+        for coord in queue.drain(..) {
             self.apply_refresh(coord.rank, start);
             let (end, hit) = self.column_access(
                 self.bank_index(coord.rank, coord.bank),

@@ -3,8 +3,8 @@
 //! frozen naive [`ReferenceController`] — same per-read latencies,
 //! same statistics, same pending-write depth — on randomized op
 //! sequences covering every channel mode the designs use (rank
-//! restriction, FMR read choice, broadcast copies, write batching,
-//! turnaround penalties).
+//! restriction, FMR read choice, broadcast copies, turnaround
+//! penalties). Every drain must leave both write queues empty.
 //!
 //! Token *values* are an implementation detail (the reference hands
 //! out sequence numbers, the real controller slab slots), so the
@@ -42,7 +42,7 @@ impl Rng {
 
 /// A randomized but *valid* channel mode: knob combinations drawn from
 /// the space the memory designs actually inhabit, plus adversarial
-/// corners (tiny write batches, broadcast without rank restriction).
+/// corners (broadcast without rank restriction).
 fn random_mode(rng: &mut Rng) -> ChannelMode {
     let settings = [
         MemorySetting::Specified,
@@ -61,12 +61,17 @@ fn random_mode(rng: &mut Rng) -> ChannelMode {
     mode.fmr_read_choice = rng.chance(30);
     mode.broadcast_copies = rng.below(3) as u32;
     mode.turnaround_penalty_ps = if rng.chance(50) { 1_000_000 } else { 0 };
-    mode.write_batch = if rng.chance(30) {
-        1 + rng.below(63) as usize
-    } else {
-        usize::MAX
-    };
     mode
+}
+
+/// A drain serves everything pending: neither queue keeps a write.
+fn assert_drained(real: &ChannelController, naive: &ReferenceController, seed: u64) {
+    assert_eq!(real.pending_writes(), 0, "drain left writes (seed {seed})");
+    assert_eq!(
+        naive.pending_writes(),
+        0,
+        "reference drain left writes (seed {seed})"
+    );
 }
 
 /// Drives one op sequence through both controllers, comparing every
@@ -124,13 +129,14 @@ fn run_sequence(seed: u64) {
                 real.enqueue_write(coord);
                 naive.enqueue_write(coord);
             }
-            // Drain a write batch; resume times must agree.
+            // Drain every pending write; resume times must agree.
             _ => {
                 assert_eq!(
                     real.drain_writes(now),
                     naive.drain_writes(now),
                     "write-drain resume diverged (seed {seed})"
                 );
+                assert_drained(&real, &naive, seed);
             }
         }
         assert_eq!(
@@ -150,14 +156,13 @@ fn run_sequence(seed: u64) {
     }
     real.process_reads();
     naive.process_reads();
-    while naive.pending_writes() > 0 {
-        now += 1_000_000;
-        assert_eq!(
-            real.drain_writes(now),
-            naive.drain_writes(now),
-            "final drain diverged (seed {seed})"
-        );
-    }
+    now += 1_000_000;
+    assert_eq!(
+        real.drain_writes(now),
+        naive.drain_writes(now),
+        "final drain diverged (seed {seed})"
+    );
+    assert_drained(&real, &naive, seed);
     assert_eq!(
         real.stats(),
         naive.stats(),

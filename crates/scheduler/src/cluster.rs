@@ -95,8 +95,7 @@ struct ClusterMetrics {
     /// unless an allocator bug invents a margin group (see
     /// [`ClusterMetrics::note_start`]).
     unknown_group_starts: Counter,
-    /// Job spans the tracer declined past the configured
-    /// `traced_job_cap` — the cap used to truncate silently; now the
+    /// Job spans the tracer declined past [`TRACED_JOB_CAP`], so the
     /// run manifest can say how much of the schedule the trace covers.
     trace_dropped_jobs: Counter,
     /// Indexed like [`GROUPS`]: 800, 600, 0.
@@ -139,12 +138,10 @@ impl ClusterMetrics {
     }
 }
 
-/// Default per-run cap on individually traced job spans: enough to
-/// read a schedule's shape in a trace viewer without ballooning the
-/// file on multi-thousand-job traces. Override per run via
-/// [`SchedulerConfigBuilder::traced_job_cap`](crate::SchedulerConfig);
-/// the `schedule` root span's args record the traced, dropped, and
-/// true job counts.
+/// Per-run cap on individually traced job spans: enough to read a
+/// schedule's shape in a trace viewer without ballooning the file on
+/// multi-thousand-job traces. The `schedule` root span's args record
+/// the traced, dropped, and true job counts.
 pub const TRACED_JOB_CAP: usize = 256;
 
 /// Causal tracing for one scheduling run: job spans on the schedule
@@ -152,7 +149,6 @@ pub const TRACED_JOB_CAP: usize = 256;
 struct ClusterTrace {
     tracer: Tracer,
     root: SpanId,
-    cap: usize,
     traced: usize,
     dropped: usize,
 }
@@ -164,7 +160,7 @@ fn sched_us(seconds: f64) -> u64 {
 
 impl ClusterTrace {
     fn note_start(&mut self, outcome: &JobOutcome, min_group: u32, backfilled: bool) {
-        if self.traced >= self.cap {
+        if self.traced >= TRACED_JOB_CAP {
             self.dropped += 1;
             return;
         }
@@ -361,7 +357,6 @@ impl<K: Sink> Stepper<K> {
             trace: obs.tracer().map(|tracer| ClusterTrace {
                 tracer: tracer.clone(),
                 root: tracer.begin("schedule", "sched", Clock::SchedUs, 0),
-                cap: config.traced_job_cap(),
                 traced: 0,
                 dropped: 0,
             }),
@@ -835,19 +830,12 @@ mod tests {
     }
 
     #[test]
-    fn traced_job_cap_is_configurable_and_drops_are_counted() {
+    fn job_spans_stop_at_the_cap_and_drops_are_counted() {
         let c = Cluster::new(8, [0.5, 0.25, 0.25]);
-        let jobs = [
-            job(0, 0.0, 4, 100.0, 0.1),
-            job(1, 1.0, 4, 50.0, 0.3),
-            job(2, 2.0, 8, 25.0, 0.8),
-        ];
-        let capped = SchedulerConfig::builder()
-            .margin_aware()
-            .speedups(SpeedupModel::hetero_dmr_default())
-            .traced_job_cap(1)
-            .build()
-            .unwrap();
+        let total = TRACED_JOB_CAP + 2;
+        let jobs: Vec<Job> = (0..total)
+            .map(|i| job(i as u32, i as f64, 1, 10.0, 0.1))
+            .collect();
         let registry = telemetry::Registry::new();
         let tracer = Tracer::new();
         let mut obs = Obs::default();
@@ -855,18 +843,18 @@ mod tests {
         obs.set_tracer(tracer.clone());
         let out = c
             .schedule(SliceSource::new(&jobs))
-            .config(capped)
+            .config(aware())
             .observe(&obs)
             .run();
         assert_eq!(out, run(&c, &jobs, aware()), "the cap only affects spans");
         let events = tracer.take();
         let root = &events[0];
-        assert!(root.args.contains(&kv("jobs", 3)));
-        assert!(root.args.contains(&kv("jobs_traced", 1)));
+        assert!(root.args.contains(&kv("jobs", total)));
+        assert!(root.args.contains(&kv("jobs_traced", TRACED_JOB_CAP)));
         assert!(root.args.contains(&kv("jobs_trace_dropped", 2)));
         assert_eq!(
             events.iter().filter(|e| e.name.starts_with("job.")).count(),
-            1
+            TRACED_JOB_CAP
         );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("m.trace_dropped_jobs"), 2);

@@ -106,7 +106,6 @@ impl std::error::Error for ConfigError {}
 pub struct SchedulerConfig {
     policy: Policy,
     speedups: SpeedupModel,
-    traced_job_cap: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -115,7 +114,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             policy: Policy::Default,
             speedups: SpeedupModel::conventional(),
-            traced_job_cap: crate::cluster::TRACED_JOB_CAP,
         }
     }
 }
@@ -126,7 +124,6 @@ impl SchedulerConfig {
         SchedulerConfigBuilder {
             policy: Policy::Default,
             speedups: SpeedupModel::conventional(),
-            traced_job_cap: crate::cluster::TRACED_JOB_CAP,
         }
     }
 
@@ -139,13 +136,6 @@ impl SchedulerConfig {
     pub fn speedups(&self) -> &SpeedupModel {
         &self.speedups
     }
-
-    /// How many jobs get per-job trace spans before the tracer starts
-    /// dropping them (the drop count is still metered; see
-    /// `trace_dropped_jobs`).
-    pub fn traced_job_cap(&self) -> usize {
-        self.traced_job_cap
-    }
 }
 
 /// Builder for [`SchedulerConfig`]; `build` validates the table.
@@ -153,21 +143,12 @@ impl SchedulerConfig {
 pub struct SchedulerConfigBuilder {
     policy: Policy,
     speedups: SpeedupModel,
-    traced_job_cap: usize,
 }
 
 impl SchedulerConfigBuilder {
     /// Sets the node-selection policy.
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Caps how many jobs receive individual trace spans (default
-    /// [`crate::cluster::TRACED_JOB_CAP`]). Raising it fattens traces;
-    /// drops beyond the cap are counted either way.
-    pub fn traced_job_cap(mut self, cap: usize) -> Self {
-        self.traced_job_cap = cap;
         self
     }
 
@@ -224,7 +205,6 @@ impl SchedulerConfigBuilder {
         Ok(SchedulerConfig {
             policy: self.policy,
             speedups: self.speedups,
-            traced_job_cap: self.traced_job_cap,
         })
     }
 }
@@ -321,19 +301,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ConfigError::GroupInversion { bucket: 0, .. }));
         assert!(err.to_string().contains("smaller margin"));
-    }
-
-    #[test]
-    fn traced_job_cap_defaults_and_overrides() {
-        assert_eq!(
-            SchedulerConfig::default().traced_job_cap(),
-            crate::cluster::TRACED_JOB_CAP
-        );
-        let c = SchedulerConfig::builder()
-            .traced_job_cap(7)
-            .build()
-            .unwrap();
-        assert_eq!(c.traced_job_cap(), 7);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! The three metric primitives: counters, gauges, and log-bucketed
 //! histograms. All are `Arc`-shared handles over atomics; cloning a
-//! handle aliases the same metric, [`fork`](Counter::fork) detaches a
-//! deep copy (used by simulation components that are `Clone`d into
-//! independent replicas).
+//! handle aliases the same metric.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,13 +31,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// A detached copy: same current value, independent future
-    /// updates. Cloned simulation state forks its metrics so replicas
-    /// do not double-count into a shared cell.
-    pub fn fork(&self) -> Self {
-        Counter(Arc::new(AtomicU64::new(self.get())))
     }
 }
 
@@ -91,11 +82,6 @@ impl Gauge {
     #[inline]
     pub fn get_scaled(&self) -> f64 {
         self.get() as f64 / GAUGE_SCALE
-    }
-
-    /// A detached copy (see [`Counter::fork`]).
-    pub fn fork(&self) -> Self {
-        Gauge(Arc::new(AtomicI64::new(self.get())))
     }
 }
 
@@ -273,13 +259,6 @@ impl Histogram {
                 .max
                 .fetch_max(other.0.max.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-    }
-
-    /// A detached copy (see [`Counter::fork`]).
-    pub fn fork(&self) -> Self {
-        let fresh = Histogram::new();
-        fresh.merge_from(self);
-        fresh
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -469,10 +448,6 @@ mod tests {
         let aliased = c.clone();
         aliased.inc();
         assert_eq!(c.get(), 43);
-        let forked = c.fork();
-        forked.inc();
-        assert_eq!(c.get(), 43);
-        assert_eq!(forked.get(), 44);
 
         let g = Gauge::new();
         g.set(10);
