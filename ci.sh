@@ -106,6 +106,16 @@ for f in all.metrics.jsonl all.trace.json all.spans.txt all.series.jsonl \
     diff -u "$DET_DIR/obs_ser/$f" "$DET_DIR/obs_par/$f"
 done
 
+echo "== results/ reproduce =="
+# results/ is exactly what a default full run prints and writes: its
+# stdout is experiments_output.txt and its --csv files are the rest.
+# The drift report reads these CSVs as its references, so they must
+# come from the program as it stands.
+mkdir "$DET_DIR/results"
+"$EXP" all --jobs "$(nproc)" --csv "$DET_DIR/results" \
+    > "$DET_DIR/results/experiments_output.txt"
+diff -r results "$DET_DIR/results"
+
 echo "== trace + drift report smoke =="
 # A traced fig5 run at the default --ops must be byte-identical across
 # --jobs (the step above covers 'all' at a reduced --ops), the Chrome

@@ -202,15 +202,10 @@ impl AdaptiveGovernor {
     /// governor's) into a registry scope, folding in values recorded
     /// before attachment.
     pub fn attach_telemetry(&mut self, scope: &Scope) {
-        let rebind = |name: &str, old: &Counter| {
-            let fresh = scope.counter(name);
-            fresh.add(old.get());
-            fresh
-        };
-        self.steps_up = rebind("steps_up", &self.steps_up);
-        self.steps_down = rebind("steps_down", &self.steps_down);
-        self.retreats = rebind("retreats", &self.retreats);
-        self.holds = rebind("holds", &self.holds);
+        self.steps_up.rebind(scope, "steps_up");
+        self.steps_down.rebind(scope, "steps_down");
+        self.retreats.rebind(scope, "retreats");
+        self.holds.rebind(scope, "holds");
         self.budget.attach_telemetry(scope);
     }
 

@@ -63,14 +63,9 @@ impl EpochGovernor {
     /// Rebinds the governor's counters into a registry scope, folding
     /// in values recorded before attachment.
     pub fn attach_telemetry(&mut self, scope: &Scope) {
-        let rebind = |name: &str, old: &Counter| {
-            let fresh = scope.counter(name);
-            fresh.add(old.get());
-            fresh
-        };
-        self.errors = rebind("errors", &self.errors);
-        self.fallbacks = rebind("fallbacks", &self.fallbacks);
-        self.epoch_rolls = rebind("epoch_rolls", &self.epoch_rolls);
+        self.errors.rebind(scope, "errors");
+        self.fallbacks.rebind(scope, "fallbacks");
+        self.epoch_rolls.rebind(scope, "epoch_rolls");
     }
 
     /// The per-epoch budget.

@@ -183,22 +183,14 @@ fn simulate(
         )
     });
     let (modes, mirror) = design.per_channel_modes(hierarchy.memory.channels);
-    let observed = |mut node: NodeSim| {
-        if let Some(scope) = obs.scope() {
-            node.attach_telemetry(scope);
-        }
-        if let Some(t) = trace {
-            node.attach_trace(t);
-        }
-        node
-    };
     let result = match recording {
-        Some(recordings) => {
-            observed(NodeSim::for_replay(*hierarchy, modes, mirror)).replay(recordings)
-        }
+        Some(recordings) => NodeSim::for_replay(*hierarchy, modes, mirror)
+            .observe(obs)
+            .replay(recordings),
         None => {
             let l3s = warm_l3s(hierarchy, config, suite);
-            observed(NodeSim::with_l3s(*hierarchy, modes, mirror, l3s))
+            NodeSim::with_l3s(*hierarchy, modes, mirror, l3s)
+                .observe(obs)
                 .run(core_streams(hierarchy, config, suite))
         }
     };

@@ -105,17 +105,12 @@ struct ProtocolMetrics {
 
 impl ProtocolMetrics {
     fn bind(&mut self, scope: &Scope) {
-        let rebind = |name: &str, old: &Counter| {
-            let fresh = scope.counter(name);
-            fresh.add(old.get());
-            fresh
-        };
-        self.fast_reads = rebind("fast_reads", &self.fast_reads);
-        self.recoveries = rebind("recoveries", &self.recoveries);
-        self.safe_reads = rebind("safe_reads", &self.safe_reads);
-        self.writes = rebind("writes", &self.writes);
-        self.remaps = rebind("remaps", &self.remaps);
-        self.mode_switches = rebind("mode_switches", &self.mode_switches);
+        self.fast_reads.rebind(scope, "fast_reads");
+        self.recoveries.rebind(scope, "recoveries");
+        self.safe_reads.rebind(scope, "safe_reads");
+        self.writes.rebind(scope, "writes");
+        self.remaps.rebind(scope, "remaps");
+        self.mode_switches.rebind(scope, "mode_switches");
     }
 
     fn stats(&self) -> ProtocolStats {

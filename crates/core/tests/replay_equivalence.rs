@@ -29,7 +29,7 @@ use memsim::{CoreRecording, HierarchyConfig, NodeSim, SimResult};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use telemetry::trace::{TraceEvent, Tracer};
-use telemetry::{Registry, Snapshot};
+use telemetry::{Obs, Registry, Snapshot};
 use workloads::{Suite, TraceGen};
 
 /// Every design variant, each DRAM generation among them.
@@ -177,22 +177,20 @@ fn node_run(
     let (registry, tracer) = (Registry::new(), Tracer::new());
     let (modes, mirror) = design.per_channel_modes(h.memory.channels);
     let (streams, l3s): (Vec<_>, Vec<_>) = cores(&h, seed, ops, suite).into_iter().unzip();
-    let observed = |node: &mut NodeSim| {
-        node.attach_telemetry(&registry.scope("node"));
-        node.attach_trace(&tracer);
-    };
+    let mut obs = Obs::default();
+    obs.set_metrics(registry.scope("node"));
+    obs.set_tracer(tracer.clone());
     let result = if source == Source::Live {
-        let mut node = NodeSim::with_l3s(h, modes, mirror, l3s);
-        observed(&mut node);
-        node.run(streams)
+        NodeSim::with_l3s(h, modes, mirror, l3s)
+            .observe(&obs)
+            .run(streams)
     } else {
         let recordings: Vec<CoreRecording> = streams
             .into_iter()
             .zip(l3s)
             .map(|(stream, l3)| CoreRecording::capture(CoreSim::with_l3(h.core, l3), stream))
             .collect();
-        let mut node = NodeSim::for_replay(h, modes, mirror);
-        observed(&mut node);
+        let mut node = NodeSim::for_replay(h, modes, mirror).observe(&obs);
         if source == Source::Replay {
             node.replay(&recordings)
         } else {

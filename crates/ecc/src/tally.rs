@@ -32,16 +32,12 @@ impl ErrorTally {
     /// Rebinds every ledger into `scope`, folding in values recorded
     /// while detached.
     pub fn bind(&mut self, scope: &Scope) {
-        let rebind = |name: &str, old: &Counter| {
-            let fresh = scope.counter(name);
-            fresh.add(old.get());
-            fresh
-        };
-        self.injected = rebind("injected", &self.injected);
-        self.injected_guaranteed = rebind("injected_guaranteed", &self.injected_guaranteed);
-        self.ce = rebind("ce", &self.ce);
-        self.ue = rebind("ue", &self.ue);
-        self.sdc = rebind("sdc", &self.sdc);
+        self.injected.rebind(scope, "injected");
+        self.injected_guaranteed
+            .rebind(scope, "injected_guaranteed");
+        self.ce.rebind(scope, "ce");
+        self.ue.rebind(scope, "ue");
+        self.sdc.rebind(scope, "sdc");
     }
 
     /// Records one injected error of class `model`.

@@ -14,7 +14,7 @@ use telemetry::json::{self, Json};
 use telemetry::monitor::parse_incidents_jsonl;
 use telemetry::series::parse_series_jsonl;
 use telemetry::trace::{check_well_nested, parse_chrome_trace, ChromeEvent};
-use telemetry::{parse_csv_line, parse_jsonl, Histogram, MetricValue, Snapshot};
+use telemetry::{parse_csv_line, parse_jsonl, HistogramSnapshot, MetricValue, Snapshot};
 
 /// How a reference value is derived from a results CSV.
 enum RefKind {
@@ -339,36 +339,33 @@ fn render_trace(md: &mut String, events: &[ChromeEvent]) {
         events.len()
     );
     // Family tallies: count, total duration, and log₂-resolution
-    // duration quantiles (durations fold into a histogram so the
+    // duration quantiles, all from one histogram of the durations (the
     // quantile math is the same one the metrics layer uses).
-    let mut families: Vec<(String, usize, u64, Histogram)> = Vec::new();
+    let mut families: Vec<(String, HistogramSnapshot)> = Vec::new();
     for ev in events {
-        let stem = name_stem(&ev.name).to_string();
-        match families.iter_mut().find(|(n, _, _, _)| *n == stem) {
-            Some((_, count, dur, hist)) => {
-                *count += 1;
-                *dur += ev.dur;
-                hist.record(ev.dur);
-            }
+        let stem = name_stem(&ev.name);
+        let idx = match families.iter().position(|(n, _)| n == stem) {
+            Some(idx) => idx,
             None => {
-                let hist = Histogram::new();
-                hist.record(ev.dur);
-                families.push((stem, 1, ev.dur, hist));
+                families.push((stem.to_string(), HistogramSnapshot::default()));
+                families.len() - 1
             }
-        }
+        };
+        families[idx].1.record(ev.dur);
     }
-    families.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    families.sort_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
     let _ = writeln!(
         md,
         "| span family | events | total duration | p50 | p95 | p99 |"
     );
     let _ = writeln!(md, "|---|---|---|---|---|---|");
-    for (name, count, dur, hist) in &families {
-        let snap = hist.snapshot();
-        let q = |q: f64| snap.approx_quantile(q).unwrap_or(0);
+    for (name, hist) in &families {
+        let q = |q: f64| hist.approx_quantile(q).unwrap_or(0);
         let _ = writeln!(
             md,
-            "| {name} | {count} | {dur} | {} | {} | {} |",
+            "| {name} | {} | {} | {} | {} | {} |",
+            hist.count,
+            hist.sum,
             q(0.50),
             q(0.95),
             q(0.99)
@@ -880,7 +877,7 @@ mod tests {
             .unwrap();
         let v = reference_value("../../results", spec).unwrap();
         // Mean of the six Hierarchy1 freq_lat_margins cells.
-        assert!((v - 1.2160).abs() < 0.0015, "{v}");
+        assert!((v - 1.2144).abs() < 0.0015, "{v}");
     }
 
     #[test]

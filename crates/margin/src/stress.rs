@@ -54,16 +54,11 @@ pub struct StressMeter {
 impl StressMeter {
     /// Rebinds every counter into `scope`, carrying prior values over.
     pub fn bind(&mut self, scope: &Scope) {
-        let rebind = |name: &str, old: &Counter| {
-            let fresh = scope.counter(name);
-            fresh.add(old.get());
-            fresh
-        };
-        self.modules_profiled = rebind("modules_profiled", &self.modules_profiled);
-        self.steps_tested = rebind("steps_tested", &self.steps_tested);
-        self.stress_runs = rebind("stress_runs", &self.stress_runs);
-        self.ce_observed = rebind("ce_observed", &self.ce_observed);
-        self.ue_observed = rebind("ue_observed", &self.ue_observed);
+        self.modules_profiled.rebind(scope, "modules_profiled");
+        self.steps_tested.rebind(scope, "steps_tested");
+        self.stress_runs.rebind(scope, "stress_runs");
+        self.ce_observed.rebind(scope, "ce_observed");
+        self.ue_observed.rebind(scope, "ue_observed");
     }
 
     /// Modules put through the stepping procedure.

@@ -43,16 +43,16 @@
 //! * refresh catch-up is computed in closed form instead of walking
 //!   one tREFI at a time.
 //!
-//! Statistics accrue into plain per-controller locals (no atomics in
-//! the loop); [`ChannelController::stats`] folds the pending tallies
-//! in on read, and run end and telemetry bind flush them to the
-//! telemetry handles in one batch.
+//! Statistics accrue into plain per-controller values (no atomics in
+//! the loop): [`ChannelController::stats`] returns them, and
+//! [`ChannelController::publish`] writes them into a registry scope
+//! once, at run end.
 
 use crate::address::DramCoord;
 use crate::config::{ChannelMode, MemoryConfig};
 use dram::timing::TimingParams;
 use dram::Picos;
-use telemetry::{bucket_index, Counter, Histogram, Scope, BUCKETS};
+use telemetry::{HistogramSnapshot, Scope};
 
 /// How many younger row-hit requests may bypass an older request
 /// before age wins — Table IV's "FR-FCFS scheduling policy with bank
@@ -71,193 +71,8 @@ const UNTRACKED_TOKEN: u64 = u64::MAX;
 /// come from address bits and can never reach `u64::MAX`.
 const ROW_NONE: u64 = u64::MAX;
 
-/// The controller's live metric handles. The hot loop never touches
-/// these directly — events accrue into `PendingTallies` and reach
-/// the handles in one batch per flush point.
-///
-/// Handles start *detached* (visible only through
-/// [`ChannelController::stats`]); [`bind`](ControllerMetrics::bind)
-/// rebinds them to a registry scope, folding in whatever was already
-/// recorded, after which the same events are visible in registry
-/// snapshots.
-#[derive(Debug, Default)]
-pub struct ControllerMetrics {
-    reads: Counter,
-    writes: Counter,
-    activates: Counter,
-    row_hits: Counter,
-    wb_cache_hits: Counter,
-    write_mode_entries: Counter,
-    bus_busy_ps: Counter,
-    read_latency_sum_ps: Counter,
-    refreshes: Counter,
-    broadcast_extra_cells: Counter,
-    read_latency_ps: Histogram,
-    /// Residency tap: bank-time-in-state totals published once by
-    /// [`ChannelController::finalize_residency`] (the hot path accrues
-    /// into a plain struct; only the finalized totals reach the
-    /// registry).
-    residency_active_bank_ps: Counter,
-    residency_refresh_bank_ps: Counter,
-    residency_self_refresh_bank_ps: Counter,
-    residency_write_mode_ps: Counter,
-}
-
-impl ControllerMetrics {
-    /// Rebind every handle to registry-backed metrics under `scope`,
-    /// carrying forward values recorded while detached.
-    pub fn bind(&mut self, scope: &Scope) {
-        let rebind = |name: &str, old: &Counter| {
-            let fresh = scope.counter(name);
-            fresh.add(old.get());
-            fresh
-        };
-        self.reads = rebind("reads", &self.reads);
-        self.writes = rebind("writes", &self.writes);
-        self.activates = rebind("activates", &self.activates);
-        self.row_hits = rebind("row_hits", &self.row_hits);
-        self.wb_cache_hits = rebind("wb_cache_hits", &self.wb_cache_hits);
-        self.write_mode_entries = rebind("write_mode_entries", &self.write_mode_entries);
-        self.bus_busy_ps = rebind("bus_busy_ps", &self.bus_busy_ps);
-        self.read_latency_sum_ps = rebind("read_latency_sum_ps", &self.read_latency_sum_ps);
-        self.refreshes = rebind("refreshes", &self.refreshes);
-        self.broadcast_extra_cells = rebind("broadcast_extra_cells", &self.broadcast_extra_cells);
-        self.residency_active_bank_ps =
-            rebind("residency_active_bank_ps", &self.residency_active_bank_ps);
-        self.residency_refresh_bank_ps =
-            rebind("residency_refresh_bank_ps", &self.residency_refresh_bank_ps);
-        self.residency_self_refresh_bank_ps = rebind(
-            "residency_self_refresh_bank_ps",
-            &self.residency_self_refresh_bank_ps,
-        );
-        self.residency_write_mode_ps =
-            rebind("residency_write_mode_ps", &self.residency_write_mode_ps);
-        let hist = scope.histogram("read_latency_ps");
-        hist.merge_from(&self.read_latency_ps);
-        self.read_latency_ps = hist;
-    }
-
-    /// The per-read latency distribution (arrival → last data beat).
-    /// Pending (unflushed) tallies are not yet visible here; they are
-    /// published by the next flush point (run end or telemetry bind).
-    pub fn read_latency_histogram(&self) -> &Histogram {
-        &self.read_latency_ps
-    }
-}
-
-/// Plain per-controller event tallies of the current run. Everything
-/// here is a local integer add; the flush points (run end, telemetry
-/// bind) publish to the shared [`ControllerMetrics`] handles in one
-/// batch.
-#[derive(Debug)]
-struct PendingTallies {
-    reads: u64,
-    writes: u64,
-    activates: u64,
-    row_hits: u64,
-    wb_cache_hits: u64,
-    write_mode_entries: u64,
-    bus_busy_ps: Picos,
-    read_latency_sum_ps: Picos,
-    refreshes: u64,
-    broadcast_extra_cells: u64,
-    /// Locally bucketed read-latency samples (same log₂ buckets as
-    /// [`Histogram`]), published via `Histogram::merge_parts`. The
-    /// histogram's share of the latency sum is tracked separately from
-    /// `read_latency_sum_ps` so each flushes exactly once.
-    latency_buckets: Box<[u64; BUCKETS]>,
-    latency_hist_sum: u64,
-    latency_min: u64,
-    latency_max: u64,
-}
-
-impl Default for PendingTallies {
-    fn default() -> Self {
-        PendingTallies {
-            reads: 0,
-            writes: 0,
-            activates: 0,
-            row_hits: 0,
-            wb_cache_hits: 0,
-            write_mode_entries: 0,
-            bus_busy_ps: 0,
-            read_latency_sum_ps: 0,
-            refreshes: 0,
-            broadcast_extra_cells: 0,
-            latency_buckets: Box::new([0; BUCKETS]),
-            latency_hist_sum: 0,
-            latency_min: u64::MAX,
-            latency_max: 0,
-        }
-    }
-}
-
-impl PendingTallies {
-    #[inline]
-    fn record_latency(&mut self, latency: u64) {
-        self.read_latency_sum_ps += latency;
-        self.latency_buckets[bucket_index(latency)] += 1;
-        self.latency_hist_sum += latency;
-        self.latency_min = self.latency_min.min(latency);
-        self.latency_max = self.latency_max.max(latency);
-    }
-
-    /// Publishes every pending tally into the shared handles and
-    /// resets them.
-    fn flush(&mut self, metrics: &ControllerMetrics) {
-        let add = |counter: &Counter, v: &mut u64| {
-            if *v > 0 {
-                counter.add(*v);
-                *v = 0;
-            }
-        };
-        add(&metrics.reads, &mut self.reads);
-        add(&metrics.writes, &mut self.writes);
-        add(&metrics.activates, &mut self.activates);
-        add(&metrics.row_hits, &mut self.row_hits);
-        add(&metrics.wb_cache_hits, &mut self.wb_cache_hits);
-        add(&metrics.write_mode_entries, &mut self.write_mode_entries);
-        add(&metrics.bus_busy_ps, &mut self.bus_busy_ps);
-        add(&metrics.read_latency_sum_ps, &mut self.read_latency_sum_ps);
-        add(&metrics.refreshes, &mut self.refreshes);
-        add(
-            &metrics.broadcast_extra_cells,
-            &mut self.broadcast_extra_cells,
-        );
-        if self.latency_min != u64::MAX {
-            metrics.read_latency_ps.merge_parts(
-                &self.latency_buckets[..],
-                self.latency_hist_sum,
-                self.latency_min,
-                self.latency_max,
-            );
-            self.latency_buckets.fill(0);
-            self.latency_hist_sum = 0;
-            self.latency_min = u64::MAX;
-            self.latency_max = 0;
-        }
-    }
-
-    /// The aggregate view over the pending tallies alone.
-    fn stats(&self) -> ControllerStats {
-        ControllerStats {
-            reads: self.reads,
-            writes: self.writes,
-            activates: self.activates,
-            row_hits: self.row_hits,
-            wb_cache_hits: self.wb_cache_hits,
-            write_mode_entries: self.write_mode_entries,
-            bus_busy_ps: self.bus_busy_ps,
-            read_latency_sum_ps: self.read_latency_sum_ps,
-            refreshes: self.refreshes,
-            broadcast_extra_cells: self.broadcast_extra_cells,
-        }
-    }
-}
-
-/// Aggregate controller statistics — a snapshot view over
-/// [`ControllerMetrics`] plus the pending tallies, kept as a
-/// plain value type for result assembly and comparisons.
+/// Aggregate controller statistics: the controller's own event
+/// counts, a plain value type for result assembly and comparisons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Demand + prefetch reads served from DRAM.
@@ -447,8 +262,9 @@ pub struct ChannelController {
     /// Set once [`finalize_residency`](Self::finalize_residency) has
     /// closed the books; further calls are no-ops.
     residency_final: bool,
-    pend: PendingTallies,
-    metrics: ControllerMetrics,
+    stats: ControllerStats,
+    /// Per-read latency distribution (arrival → last data beat).
+    read_latency: HistogramSnapshot,
 }
 
 impl ChannelController {
@@ -478,8 +294,8 @@ impl ChannelController {
             page_timeout_ps,
             residency: ResidencyStats::default(),
             residency_final: false,
-            pend: PendingTallies::default(),
-            metrics: ControllerMetrics::default(),
+            stats: ControllerStats::default(),
+            read_latency: HistogramSnapshot::default(),
         }
     }
 
@@ -488,52 +304,16 @@ impl ChannelController {
         &self.mode
     }
 
-    /// Statistics so far: the flushed handles plus the pending tallies,
-    /// so the view is exact at any point.
+    /// Statistics so far.
     pub fn stats(&self) -> ControllerStats {
-        let p = self.pend.stats();
-        ControllerStats {
-            reads: self.metrics.reads.get() + p.reads,
-            writes: self.metrics.writes.get() + p.writes,
-            activates: self.metrics.activates.get() + p.activates,
-            row_hits: self.metrics.row_hits.get() + p.row_hits,
-            wb_cache_hits: self.metrics.wb_cache_hits.get() + p.wb_cache_hits,
-            write_mode_entries: self.metrics.write_mode_entries.get() + p.write_mode_entries,
-            bus_busy_ps: self.metrics.bus_busy_ps.get() + p.bus_busy_ps,
-            read_latency_sum_ps: self.metrics.read_latency_sum_ps.get() + p.read_latency_sum_ps,
-            refreshes: self.metrics.refreshes.get() + p.refreshes,
-            broadcast_extra_cells: self.metrics.broadcast_extra_cells.get()
-                + p.broadcast_extra_cells,
-        }
-    }
-
-    /// The live metric handles (e.g. the read-latency histogram).
-    pub fn metrics(&self) -> &ControllerMetrics {
-        &self.metrics
-    }
-
-    /// Publishes the pending tallies into the metric handles. Called at
-    /// run end and telemetry bind; cheap when nothing is pending.
-    fn flush_metrics(&mut self) {
-        self.pend.flush(&self.metrics);
-    }
-
-    /// Bank time-in-state residency accrued so far. Open rows and
-    /// self-refresh time are only charged by
-    /// [`finalize_residency`](Self::finalize_residency); call that
-    /// first for end-of-run totals.
-    pub fn residency(&self) -> ResidencyStats {
-        self.residency
+        self.stats
     }
 
     /// Closes the residency books at horizon `end`: charges still-open
     /// rows, credits the parked (read-rank-restricted) ranks with
-    /// self-refresh time, stamps the bank count and horizon, and
-    /// publishes the totals through the telemetry tap. Idempotent —
-    /// only the first call accrues. Also flushes the pending tallies
-    /// (this is the end of the run).
+    /// self-refresh time, and stamps the bank count and horizon.
+    /// Idempotent — only the first call accrues.
     pub fn finalize_residency(&mut self, end: Picos) -> ResidencyStats {
-        self.flush_metrics();
         if !self.residency_final {
             self.residency_final = true;
             let banks_per_rank = self.mem.banks_per_rank;
@@ -564,35 +344,45 @@ impl ChannelController {
                 sr_banks * end.saturating_sub(self.residency.write_mode_ps);
             self.residency.banks = self.banks.len() as u64;
             self.residency.end_ps = self.residency.end_ps.max(end);
-            self.metrics
-                .residency_active_bank_ps
-                .add(self.residency.active_bank_ps);
-            self.metrics
-                .residency_refresh_bank_ps
-                .add(self.residency.refresh_bank_ps);
-            self.metrics
-                .residency_self_refresh_bank_ps
-                .add(self.residency.self_refresh_bank_ps);
-            self.metrics
-                .residency_write_mode_ps
-                .add(self.residency.write_mode_ps);
         }
         self.residency
     }
 
-    /// Rebind this controller's metrics into `scope` (flushing and
-    /// folding in any values already recorded), so registry snapshots
-    /// see them.
-    pub fn attach_telemetry(&mut self, scope: &Scope) {
-        self.flush_metrics();
-        self.metrics.bind(scope);
+    /// Writes this controller's statistics, residency totals and
+    /// read-latency histogram into `scope`, every name registered even
+    /// when its value is 0. Call it once, after
+    /// [`finalize_residency`](Self::finalize_residency): the residency
+    /// counters publish the totals as they stand.
+    pub fn publish(&self, scope: &Scope) {
+        let (s, r) = (&self.stats, &self.residency);
+        for (name, value) in [
+            ("reads", s.reads),
+            ("writes", s.writes),
+            ("activates", s.activates),
+            ("row_hits", s.row_hits),
+            ("wb_cache_hits", s.wb_cache_hits),
+            ("write_mode_entries", s.write_mode_entries),
+            ("bus_busy_ps", s.bus_busy_ps),
+            ("read_latency_sum_ps", s.read_latency_sum_ps),
+            ("refreshes", s.refreshes),
+            ("broadcast_extra_cells", s.broadcast_extra_cells),
+            ("residency_active_bank_ps", r.active_bank_ps),
+            ("residency_refresh_bank_ps", r.refresh_bank_ps),
+            ("residency_self_refresh_bank_ps", r.self_refresh_bank_ps),
+            ("residency_write_mode_ps", r.write_mode_ps),
+        ] {
+            scope.counter(name).add(value);
+        }
+        scope
+            .histogram("read_latency_ps")
+            .merge_snapshot(&self.read_latency);
     }
 
     /// Record a read served by the channel's write-back cache instead
     /// of DRAM. The cache sits outside the controller, but the tally
     /// belongs with the rest of the channel's read statistics.
     pub fn note_wb_cache_hit(&mut self) {
-        self.pend.wb_cache_hits += 1;
+        self.stats.wb_cache_hits += 1;
     }
 
     /// Pending (queued, not yet drained) writes.
@@ -642,7 +432,7 @@ impl ChannelController {
         self.next_refresh[rank] = due + (catch_up + 1) * refi;
         self.residency.refresh_bank_ps +=
             (catch_up + 1) * t.t_rfc_ps() * self.mem.banks_per_rank as Picos;
-        self.pend.refreshes += catch_up + 1;
+        self.stats.refreshes += catch_up + 1;
     }
 
     /// The rank a *read* is served from, honouring the Free-Module
@@ -843,10 +633,11 @@ impl ChannelController {
         };
 
         let (data_end, hit) = self.column_access(idx, row, now, &t, true);
-        self.pend.reads += 1;
-        self.pend.row_hits += hit as u64;
+        self.stats.reads += 1;
+        self.stats.row_hits += hit as u64;
         let latency = data_end.saturating_sub(arrival);
-        self.pend.record_latency(latency);
+        self.stats.read_latency_sum_ps += latency;
+        self.read_latency.record(latency);
         data_end
     }
 
@@ -908,7 +699,7 @@ impl ChannelController {
             // Conflict: PRE + ACT + column.
             let pre_at = now.max(bank.pre_allowed_at);
             let act_at = pre_at + t.t_rp_ps();
-            self.pend.activates += 1;
+            self.stats.activates += 1;
             self.residency.active_bank_ps += pre_at.saturating_sub(bank.open_since);
             self.residency.pre_edges += 1;
             self.residency.act_edges += 1;
@@ -918,7 +709,7 @@ impl ChannelController {
             (act_at + t.t_rcd_ps(), false)
         } else {
             let act_at = now.max(bank.act_allowed_at);
-            self.pend.activates += 1;
+            self.stats.activates += 1;
             self.residency.act_edges += 1;
             bank.open_row = row;
             bank.open_since = act_at;
@@ -931,7 +722,7 @@ impl ChannelController {
         let data_end = data_start + t.burst_ps();
         let effective_cmd = data_start - cas;
         self.bus_free_at = data_end;
-        self.pend.bus_busy_ps += t.burst_ps();
+        self.stats.bus_busy_ps += t.burst_ps();
 
         let bank = &mut self.banks[idx];
         bank.last_use = data_end;
@@ -951,7 +742,7 @@ impl ChannelController {
     fn shadow_write(&mut self, idx: usize, row: u64, end: Picos, t: &TimingParams) {
         let bank = &mut self.banks[idx];
         if bank.open_row != row {
-            self.pend.activates += 1;
+            self.stats.activates += 1;
             if bank.open_row != ROW_NONE {
                 self.residency.active_bank_ps += end.saturating_sub(bank.open_since);
                 self.residency.pre_edges += 1;
@@ -987,7 +778,7 @@ impl ChannelController {
         if self.write_queue.is_empty() {
             return now;
         }
-        self.pend.write_mode_entries += 1;
+        self.stats.write_mode_entries += 1;
 
         // Transition into write mode: wait for the bus, pay turnaround.
         let entered = now.max(self.bus_free_at);
@@ -1007,10 +798,10 @@ impl ChannelController {
             // Writes pipeline: each issues as soon as its bank and the
             // data bus allow (the bus serializes bursts; banks overlap).
             let (end, hit) = self.column_access(self.bank_index(rank, bank), row, start, &t, false);
-            self.pend.writes += 1;
-            self.pend.row_hits += hit as u64;
+            self.stats.writes += 1;
+            self.stats.row_hits += hit as u64;
             if self.mode.broadcast_copies > 0 {
-                self.pend.broadcast_extra_cells += self.mode.broadcast_copies as u64;
+                self.stats.broadcast_extra_cells += self.mode.broadcast_copies as u64;
                 // The broadcast transaction also lands in the copy
                 // rank(s): no extra bus time, but the copy bank's row
                 // buffer now holds the written row and the bank is
@@ -1312,29 +1103,5 @@ mod tests {
         assert_ne!(a, b);
         c.resolve_read(b);
         c.resolve_read(a);
-    }
-
-    #[test]
-    fn stats_fold_pending_and_flush_is_idempotent() {
-        // stats() must be exact before, between, and after flushes —
-        // the flushed handles and the pending tallies always partition
-        // the event totals.
-        let mut c = controller(ChannelMode::commercial_baseline());
-        let t0 = read_now(&mut c, coord(0, 0, 3, 0), 0);
-        let before = c.stats();
-        assert_eq!(before.reads, 1);
-        c.flush_metrics();
-        assert_eq!(c.stats(), before);
-        c.flush_metrics();
-        assert_eq!(c.stats(), before);
-        let _ = read_now(&mut c, coord(0, 0, 3, 1), t0);
-        let after = c.stats();
-        assert_eq!(after.reads, 2);
-        assert_eq!(after.row_hits, before.row_hits + 1);
-        // The histogram agrees with the scalar view once flushed.
-        c.flush_metrics();
-        let hist = c.metrics().read_latency_histogram();
-        assert_eq!(hist.count(), after.reads);
-        assert_eq!(hist.sum(), after.read_latency_sum_ps);
     }
 }

@@ -11,7 +11,7 @@ use crate::trace::AccessStream;
 use crate::wbcache::WritebackCache;
 use dram::Picos;
 use telemetry::trace::{kv, Clock, Tracer};
-use telemetry::{Counter, Scope};
+use telemetry::{Obs, Scope};
 
 /// Latency of a load serviced by the victim writeback cache (it sits
 /// next to the memory controller, past the LLC).
@@ -41,43 +41,20 @@ pub struct NodeSim {
     /// channel-split DMR strawman of Section III-A: 100 % write
     /// bandwidth overhead).
     mirror_writes: bool,
-    metrics: NodeMetrics,
-    /// Plain-integer tallies of the current run; flushed into `metrics`
-    /// once, at run end (no atomics in the step loop).
+    /// Plain-integer tallies of the current run, published once, at
+    /// run end (no atomics in the step loop).
     tally: NodeTally,
-    /// Causal trace sink (see [`NodeSim::attach_trace`]): write-drain
+    /// Metric scope (see [`NodeSim::observe`]): the node's tallies and
+    /// each channel controller's publish here at run end.
+    metrics: Option<Scope>,
+    /// Causal trace sink (see [`NodeSim::observe`]): write-drain
     /// batches become simulation-time spans.
     trace: Option<Tracer>,
 }
 
-/// Node-level traffic tallies, above the per-channel controller view.
-/// Detached until [`NodeSim::attach_telemetry`] binds them.
-#[derive(Debug, Default)]
-struct NodeMetrics {
-    ops: Counter,
-    demand_misses: Counter,
-    prefetch_reads: Counter,
-    writebacks: Counter,
-    drains: Counter,
-}
-
-impl NodeMetrics {
-    fn bind(&mut self, scope: &Scope) {
-        let rebind = |name: &str, old: &Counter| {
-            let fresh = scope.counter(name);
-            fresh.add(old.get());
-            fresh
-        };
-        self.ops = rebind("ops", &self.ops);
-        self.demand_misses = rebind("demand_misses", &self.demand_misses);
-        self.prefetch_reads = rebind("prefetch_reads", &self.prefetch_reads);
-        self.writebacks = rebind("writebacks", &self.writebacks);
-        self.drains = rebind("drains", &self.drains);
-    }
-}
-
-/// The step loop's counters: plain adds, published in one batch at run
-/// end (after the final drains) or at telemetry attach.
+/// Node-level traffic tallies, above the per-channel controller view:
+/// plain adds in the step loop, published in one batch after the final
+/// drains (which they count).
 #[derive(Debug, Default)]
 struct NodeTally {
     ops: u64,
@@ -85,22 +62,6 @@ struct NodeTally {
     prefetch_reads: u64,
     writebacks: u64,
     drains: u64,
-}
-
-impl NodeTally {
-    fn flush(&mut self, metrics: &NodeMetrics) {
-        let add = |counter: &Counter, v: &mut u64| {
-            if *v > 0 {
-                counter.add(*v);
-                *v = 0;
-            }
-        };
-        add(&metrics.ops, &mut self.ops);
-        add(&metrics.demand_misses, &mut self.demand_misses);
-        add(&metrics.prefetch_reads, &mut self.prefetch_reads);
-        add(&metrics.writebacks, &mut self.writebacks);
-        add(&metrics.drains, &mut self.drains);
-    }
 }
 
 impl NodeSim {
@@ -208,32 +169,24 @@ impl NodeSim {
             controllers,
             wbcaches,
             mirror_writes,
-            metrics: NodeMetrics::default(),
             tally: NodeTally::default(),
+            metrics: None,
             trace: None,
         }
     }
 
-    /// Binds the node's metrics (and every channel controller's, under
-    /// `ch<N>.controller`) into a registry scope, folding in whatever
-    /// was recorded before attachment.
-    pub fn attach_telemetry(&mut self, scope: &Scope) {
-        self.tally.flush(&self.metrics);
-        self.metrics.bind(scope);
-        for (i, ctrl) in self.controllers.iter_mut().enumerate() {
-            let ch_scope = scope.scope(&format!("ch{i}.controller"));
-            ctrl.attach_telemetry(&ch_scope);
-        }
-    }
-
-    /// Records mode-transition spans into `tracer`: every write-mode
-    /// entry (victim-cache drain + batched writes)
-    /// becomes a `write_drain.ch<N>` span on the simulation-picosecond
-    /// clock, from entry until the channel resumes read mode. All
-    /// timestamps are simulation time, so traces are as deterministic
-    /// as the simulation itself.
-    pub fn attach_trace(&mut self, tracer: &Tracer) {
-        self.trace = Some(tracer.clone());
+    /// Observes the run through `obs`'s metric scope and tracer (a node
+    /// records no series). At run end the node's tallies publish under
+    /// the scope, and each channel controller's under
+    /// `ch<N>.controller`. Every write-mode entry (victim-cache drain +
+    /// batched writes) and final drain becomes a `write_drain.ch<N>`
+    /// span on the simulation-picosecond clock, from entry until the
+    /// channel resumes read mode, so traces are as deterministic as the
+    /// simulation itself.
+    pub fn observe(mut self, obs: &Obs) -> NodeSim {
+        self.metrics = obs.scope().cloned();
+        self.trace = obs.tracer().cloned();
+        self
     }
 
     /// The hierarchy this node models.
@@ -508,15 +461,13 @@ impl NodeSim {
     /// result assembly from the sources' `(hits, misses)` totals. The
     /// drain's duration counts toward execution time — the benchmark
     /// is not done until its writebacks are. The run's tallies publish
-    /// here: the node's after the final drains (which it counts), each
-    /// controller's in [`ChannelController::finalize_residency`].
+    /// here, once every channel is drained and its residency closed.
     fn finish(&mut self, (cache_hits, cache_misses): (u64, u64)) -> SimResult {
         let now = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
         let mut drained_until = now;
         for ch in 0..self.controllers.len() {
             drained_until = drained_until.max(self.final_drain(ch, now));
         }
-        self.tally.flush(&self.metrics);
         let controllers = &mut self.controllers;
         for core in &mut self.cores {
             core.drain(|handle| match handle {
@@ -568,6 +519,21 @@ impl NodeSim {
             // channel's controller metrics at serve time (see `step`),
             // so they come through `s` like everything else.
             result.controller.wb_cache_hits += s.wb_cache_hits;
+        }
+        if let Some(scope) = &self.metrics {
+            let t = &self.tally;
+            for (name, value) in [
+                ("ops", t.ops),
+                ("demand_misses", t.demand_misses),
+                ("prefetch_reads", t.prefetch_reads),
+                ("writebacks", t.writebacks),
+                ("drains", t.drains),
+            ] {
+                scope.counter(name).add(value);
+            }
+            for (i, ctrl) in self.controllers.iter().enumerate() {
+                ctrl.publish(&scope.scope(&format!("ch{i}.controller")));
+            }
         }
         result
     }
@@ -621,10 +587,22 @@ mod tests {
         node.run(streams)
     }
 
-    /// The ISSUE's regression contract: `ControllerStats` is a pure
-    /// snapshot view over the registry — after an attached run, every
-    /// field equals the corresponding registry counter, and the
-    /// latency histogram agrees with the scalar sum.
+    /// An observer that records metrics under `node` in `r`, and
+    /// traces into `tracer` when one is given.
+    fn observer(r: Option<&telemetry::Registry>, tracer: Option<&Tracer>) -> Obs {
+        let mut obs = Obs::default();
+        if let Some(r) = r {
+            obs.set_metrics(r.scope("node"));
+        }
+        if let Some(t) = tracer {
+            obs.set_tracer(t.clone());
+        }
+        obs
+    }
+
+    /// After an observed run, every `ControllerStats` field equals the
+    /// corresponding registry counter, and the latency histogram
+    /// agrees with the scalar sum.
     #[test]
     fn controller_stats_equal_registry_snapshot() {
         use crate::controller::ControllerStats;
@@ -632,8 +610,8 @@ mod tests {
 
         let r = Registry::new();
         let h = small(HierarchyConfig::hierarchy1());
-        let mut node = NodeSim::new(h, ChannelMode::commercial_baseline());
-        node.attach_telemetry(&r.scope("node"));
+        let mut node =
+            NodeSim::new(h, ChannelMode::commercial_baseline()).observe(&observer(Some(&r), None));
         let streams: Vec<_> = (0..h.cores)
             .map(|i| stream(7_000 + i as u64, 2_000, 1 << 13).into_iter())
             .collect();
@@ -685,9 +663,7 @@ mod tests {
         // A low watermark, so the channels also drain mid-run.
         let mut mode = ChannelMode::commercial_baseline();
         mode.write_high_watermark = 64;
-        let mut node = NodeSim::new(h, mode);
-        node.attach_telemetry(&r.scope("node"));
-        node.attach_trace(&tracer);
+        let mut node = NodeSim::new(h, mode).observe(&observer(Some(&r), Some(&tracer)));
         let streams: Vec<_> = (0..h.cores)
             .map(|i| stream(3_000 + i as u64, 3_000, 1 << 13).into_iter())
             .collect();
@@ -700,6 +676,49 @@ mod tests {
         assert_eq!(result.controller.write_mode_entries, spans);
         assert!(spans > h.memory.channels as u64, "no drain mid-run");
         assert_eq!(r.snapshot().counter("node.drains"), spans);
+    }
+
+    /// Every controller metric name is exported, zeros included, and
+    /// the latency histogram counts every DRAM read.
+    #[test]
+    fn zero_valued_metrics_are_exported() {
+        use telemetry::{MetricValue, Registry};
+
+        let r = Registry::new();
+        let h = small(HierarchyConfig::hierarchy1());
+        let mut node =
+            NodeSim::new(h, ChannelMode::commercial_baseline()).observe(&observer(Some(&r), None));
+        let streams: Vec<_> = (0..h.cores)
+            .map(|i| stream(5_000 + i as u64, 1_000, 1 << 13).into_iter())
+            .collect();
+        node.run(streams);
+        let snap = r.snapshot();
+        for name in ["broadcast_extra_cells", "residency_self_refresh_bank_ps"] {
+            let name = format!("node.ch0.controller.{name}");
+            assert_eq!(snap.get(&name), Some(&MetricValue::Counter(0)), "{name}");
+        }
+        let reads = snap.counter("node.ch0.controller.reads");
+        assert!(reads > 0, "test stream must hit DRAM");
+        match snap.get("node.ch0.controller.read_latency_ps") {
+            Some(MetricValue::Histogram(hist)) => assert_eq!(hist.count, reads),
+            other => panic!("missing latency histogram: {other:?}"),
+        }
+    }
+
+    /// A node observed with a tracer only records its write drains.
+    #[test]
+    fn trace_only_node_records_drain_spans() {
+        let tracer = Tracer::new();
+        let h = small(HierarchyConfig::hierarchy1());
+        let mut node = NodeSim::new(h, ChannelMode::commercial_baseline())
+            .observe(&observer(None, Some(&tracer)));
+        let streams: Vec<_> = (0..h.cores)
+            .map(|i| stream(5_000 + i as u64, 1_000, 1 << 13).into_iter())
+            .collect();
+        node.run(streams);
+        let events = tracer.take();
+        assert!(!events.is_empty(), "the final drains trace");
+        assert!(events.iter().all(|e| e.name.starts_with("write_drain.ch")));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::cluster::GROUPS;
 use crate::job::JobOutcome;
-use telemetry::Histogram;
+use telemetry::HistogramSnapshot;
 
 /// Aggregate metrics of one scheduled run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,13 +111,12 @@ impl QueueTail {
 
 /// Streaming run statistics: everything Figure-17-style reporting
 /// needs, folded in one outcome at a time with O(1) memory. Queue
-/// delays keep a log₂-bucketed [`Histogram`] (65 fixed buckets) for
-/// approximate tail quantiles, so a 10 M-job run costs the same RSS
-/// as a 100-job run. Summaries merge across federation members in
+/// delays fold into a log₂-bucketed [`HistogramSnapshot`] (at most
+/// 65 buckets) for approximate tail quantiles, so a 10 M-job run
+/// costs the same RSS as a 100-job run. Summaries merge across federation members in
 /// member order, keeping fleet-level results deterministic.
 #[derive(Debug, Default)]
 pub struct StreamSummary {
-    jobs: u64,
     backfilled: u64,
     started_per_group: [u64; 3],
     exec_sum_s: f64,
@@ -127,7 +126,8 @@ pub struct StreamSummary {
     node_seconds: f64,
     first_submit_s: f64,
     makespan_s: f64,
-    queue_delay_ms: Histogram,
+    /// One sample per noted job, so its count is the job count.
+    queue_delay_ms: HistogramSnapshot,
     /// Optional health-plane tap: when set, every noted job also
     /// records its queue delay (ms) into this sim-time series at the
     /// job's submit time, feeding the SLO burn-rate detectors.
@@ -153,7 +153,6 @@ impl StreamSummary {
 
     /// Folds one started job in.
     pub fn note(&mut self, outcome: &JobOutcome, min_group: u32, backfilled: bool) {
-        self.jobs += 1;
         if backfilled {
             self.backfilled += 1;
         }
@@ -178,7 +177,6 @@ impl StreamSummary {
     /// float addition, so merge in a canonical order for
     /// byte-reproducible results.
     pub fn merge_from(&mut self, other: &StreamSummary) {
-        self.jobs += other.jobs;
         self.backfilled += other.backfilled;
         for (mine, theirs) in self
             .started_per_group
@@ -198,7 +196,7 @@ impl StreamSummary {
 
     /// Jobs folded in.
     pub fn jobs(&self) -> u64 {
-        self.jobs
+        self.queue_delay_ms.count
     }
 
     /// Jobs started by backfill rather than FCFS.
@@ -214,17 +212,17 @@ impl StreamSummary {
 
     /// Mean execution time, seconds.
     pub fn mean_exec_s(&self) -> f64 {
-        self.exec_sum_s / self.jobs.max(1) as f64
+        self.exec_sum_s / self.jobs().max(1) as f64
     }
 
     /// Mean queueing delay, seconds.
     pub fn mean_queue_s(&self) -> f64 {
-        self.queue_sum_s / self.jobs.max(1) as f64
+        self.queue_sum_s / self.jobs().max(1) as f64
     }
 
     /// Mean turnaround, seconds.
     pub fn mean_turnaround_s(&self) -> f64 {
-        self.turnaround_sum_s / self.jobs.max(1) as f64
+        self.turnaround_sum_s / self.jobs().max(1) as f64
     }
 
     /// Time the last job finished, seconds.
@@ -250,7 +248,7 @@ impl StreamSummary {
     /// Achieved node utilization against `capacity_nodes` over the
     /// run's span (first submit → makespan).
     pub fn utilization(&self, capacity_nodes: f64) -> f64 {
-        if self.jobs == 0 || capacity_nodes <= 0.0 {
+        if self.jobs() == 0 || capacity_nodes <= 0.0 {
             return 0.0;
         }
         let span = (self.makespan_s - self.first_submit_s).max(f64::EPSILON);
@@ -264,7 +262,7 @@ impl StreamSummary {
             mean_exec_s: self.mean_exec_s(),
             mean_queue_s: self.mean_queue_s(),
             mean_turnaround_s: self.mean_turnaround_s(),
-            jobs: self.jobs as usize,
+            jobs: self.jobs() as usize,
         }
     }
 }

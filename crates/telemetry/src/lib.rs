@@ -1,10 +1,13 @@
 //! Workspace-wide observability: cheap atomic metrics, exporters, run
 //! manifests, causal traces, and windowed health series.
 //!
-//! The crate is `std`-only and allocation-free on the hot path: a
-//! [`Counter`], [`Gauge`], or [`Histogram`] handle is an `Arc` around
-//! atomics, so recording is a single relaxed RMW (two for histograms)
-//! — cheap enough to live inside the memory-controller command loop.
+//! The crate is `std`-only. A registry metric — [`Counter`], [`Gauge`],
+//! or [`Histogram`] — is an `Arc` around atomics, so workers that share
+//! a registry live record with a relaxed RMW (two for histograms). A
+//! single owner that counts through `&mut self` (the memory
+//! controller's step loop, the scheduler's stream summary) keeps plain
+//! integers and a [`HistogramSnapshot`] instead, and publishes them
+//! into a [`Scope`] once, when it is done.
 //!
 //! # Structure
 //!
@@ -53,8 +56,6 @@ pub mod trace;
 
 pub use export::{escape_csv, escape_json, format_jsonl, parse_csv_line, parse_jsonl, slug};
 pub use manifest::RunManifest;
-pub use metric::{
-    bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS, GAUGE_SCALE,
-};
+pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, GAUGE_SCALE};
 pub use obs::{Obs, ObsSnapshot};
 pub use registry::{MetricValue, Registry, Scope, Snapshot, SnapshotEntry, WALL_SUFFIX};

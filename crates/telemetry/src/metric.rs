@@ -1,13 +1,18 @@
-//! The three metric primitives: counters, gauges, and log-bucketed
-//! histograms. All are `Arc`-shared handles over atomics; cloning a
-//! handle aliases the same metric.
+//! The three registry metrics — counters, gauges, and log-bucketed
+//! histograms — and [`HistogramSnapshot`], the plain histogram value.
+//! The registry metrics are `Arc`-shared handles over atomics (cloning
+//! a handle aliases the same metric), for registries that workers
+//! share live. A single owner that counts through `&mut self` keeps
+//! plain values instead (a [`HistogramSnapshot`] for a distribution)
+//! and writes them into a registry once, when it is done.
 
+use crate::registry::Scope;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of histogram buckets: one for zero plus one per power of
 /// two up to `2^63..=u64::MAX`.
-pub const BUCKETS: usize = 65;
+const BUCKETS: usize = 65;
 
 /// A monotonically increasing event count.
 #[derive(Clone, Debug, Default)]
@@ -31,6 +36,15 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+
+    /// Re-points this handle at `scope`'s counter `name`, carrying the
+    /// count recorded so far into it: a detached counter joins a
+    /// registry without losing what it already counted.
+    pub fn rebind(&mut self, scope: &Scope, name: &str) {
+        let fresh = scope.counter(name);
+        let old = std::mem::replace(self, fresh.clone());
+        fresh.add(old.get());
     }
 }
 
@@ -115,12 +129,9 @@ impl Default for HistogramInner {
 #[derive(Clone, Debug, Default)]
 pub struct Histogram(Arc<HistogramInner>);
 
-/// The bucket index a value lands in — public so hot loops can
-/// pre-aggregate samples into a plain `[u64; BUCKETS]` array and
-/// bulk-publish via [`Histogram::merge_parts`] instead of paying an
-/// atomic RMW per sample.
+/// The bucket index a value lands in.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -129,6 +140,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// Inclusive `(lo, hi)` value range of bucket `idx`.
+#[inline]
 pub(crate) fn bucket_bounds(idx: usize) -> (u64, u64) {
     match idx {
         0 => (0, 0),
@@ -158,49 +170,6 @@ impl Histogram {
         }
     }
 
-    pub fn count(&self) -> u64 {
-        self.0
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    pub fn min(&self) -> Option<u64> {
-        if self.count() == 0 {
-            None
-        } else {
-            Some(self.0.min.load(Ordering::Relaxed))
-        }
-    }
-
-    pub fn max(&self) -> Option<u64> {
-        if self.count() == 0 {
-            None
-        } else {
-            Some(self.0.max.load(Ordering::Relaxed))
-        }
-    }
-
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// A log₂-resolution quantile estimate (see
-    /// [`HistogramSnapshot::approx_quantile`]).
-    pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        self.snapshot().approx_quantile(q)
-    }
-
     /// Fold a snapshot's contents back into this live histogram —
     /// the inverse of [`snapshot`](Self::snapshot). Replaying a
     /// snapshot into a fresh histogram then snapshotting again yields
@@ -216,49 +185,6 @@ impl Histogram {
         inner.sum.fetch_add(snap.sum, Ordering::Relaxed);
         inner.min.fetch_min(snap.min, Ordering::Relaxed);
         inner.max.fetch_max(snap.max, Ordering::Relaxed);
-    }
-
-    /// Bulk-publish locally pre-aggregated samples: `buckets[i]` holds
-    /// the count of samples whose [`bucket_index`] is `i` (shorter
-    /// slices cover a prefix), `sum` their total, and `min`/`max` the
-    /// extremes (`min == u64::MAX` means "no samples", matching the
-    /// unrecorded sentinel). One call replaces thousands of per-sample
-    /// [`record`](Self::record)s — the batched simulation loops accrue
-    /// into plain arrays and flush here at window boundaries.
-    pub fn merge_parts(&self, buckets: &[u64], sum: u64, min: u64, max: u64) {
-        let inner = &*self.0;
-        let mut any = false;
-        for (mine, &n) in inner.buckets.iter().zip(buckets.iter()) {
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-                any = true;
-            }
-        }
-        if any {
-            inner.sum.fetch_add(sum, Ordering::Relaxed);
-            inner.min.fetch_min(min, Ordering::Relaxed);
-            inner.max.fetch_max(max, Ordering::Relaxed);
-        }
-    }
-
-    /// Fold another histogram's contents into this one.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.0.buckets.iter().zip(other.0.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let count = other.count();
-        if count > 0 {
-            self.0.sum.fetch_add(other.sum(), Ordering::Relaxed);
-            self.0
-                .min
-                .fetch_min(other.0.min.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.0
-                .max
-                .fetch_max(other.0.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -307,6 +233,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Folds one sample in.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         if self.count == 0 {
             self.min = value;
@@ -317,10 +244,25 @@ impl HistogramSnapshot {
         }
         self.count += 1;
         self.sum = self.sum.wrapping_add(value);
-        let (lo, hi) = bucket_bounds(bucket_index(value));
+        let idx = bucket_index(value);
+        // Samples usually fill a contiguous run of buckets, so the slot
+        // is guessed from the offset to the lowest bucket first.
+        let guess = self.buckets.first().map_or(usize::MAX, |&(first, _, _)| {
+            idx.wrapping_sub(bucket_index(first))
+        });
+        match self.buckets.get_mut(guess) {
+            Some(bucket) if bucket.0 == bucket_bounds(idx).0 => bucket.2 += 1,
+            _ => self.count_in(idx),
+        }
+    }
+
+    /// Counts one sample into bucket `idx` wherever it sits in the
+    /// sorted list, opening the bucket when it is new.
+    fn count_in(&mut self, idx: usize) {
+        let (lo, hi) = bucket_bounds(idx);
         match self.buckets.binary_search_by_key(&lo, |&(l, _, _)| l) {
-            Ok(idx) => self.buckets[idx].2 += 1,
-            Err(idx) => self.buckets.insert(idx, (lo, hi, 1)),
+            Ok(at) => self.buckets[at].2 += 1,
+            Err(at) => self.buckets.insert(at, (lo, hi, 1)),
         }
     }
 
@@ -416,10 +358,8 @@ mod tests {
         let h = Histogram::new();
         h.record(0);
         h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(u64::MAX));
         let snap = h.snapshot();
+        assert_eq!((snap.count, snap.min, snap.max), (2, 0, u64::MAX));
         assert_eq!(snap.buckets.len(), 2);
         assert_eq!(snap.buckets[0], (0, 0, 1));
         assert_eq!(snap.buckets[1], (1u64 << 63, u64::MAX, 1));
@@ -448,6 +388,14 @@ mod tests {
         let aliased = c.clone();
         aliased.inc();
         assert_eq!(c.get(), 43);
+
+        // Rebinding carries the detached count into the registry.
+        let registry = crate::Registry::new();
+        let mut bound = c.clone();
+        bound.rebind(&registry.scope("s"), "hits");
+        bound.inc();
+        assert_eq!(registry.snapshot().counter("s.hits"), 44);
+        assert_eq!(c.get(), 43, "the old handle is left behind");
 
         let g = Gauge::new();
         g.set(10);
@@ -502,11 +450,11 @@ mod tests {
                 });
             }
         });
-        assert_eq!(h.count(), 20_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 20_000);
         let expected_sum: u64 = (0..20_000).sum();
-        assert_eq!(h.sum(), expected_sum);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(19_999));
+        assert_eq!(snap.sum, expected_sum);
+        assert_eq!((snap.min, snap.max), (0, 19_999));
     }
 
     #[test]
@@ -534,25 +482,29 @@ mod tests {
         for v in [100u64, 200] {
             b.record(v);
         }
-        a.merge_from(&b);
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.sum(), 310);
-        assert_eq!(a.max(), Some(200));
+        a.merge_snapshot(&b.snapshot());
+        let snap = a.snapshot();
+        assert_eq!((snap.count, snap.sum, snap.max), (6, 310, 200));
         // Median falls in the low buckets, p99 in the 128..=255 one.
-        assert!(a.approx_quantile(0.5).unwrap() <= 7);
-        assert_eq!(a.approx_quantile(1.0), Some(255));
-        assert_eq!(Histogram::new().approx_quantile(0.5), None);
+        assert!(snap.approx_quantile(0.5).unwrap() <= 7);
+        assert_eq!(snap.approx_quantile(1.0), Some(255));
+        assert_eq!(Histogram::new().snapshot().approx_quantile(0.5), None);
     }
 
+    /// A plain snapshot fed sample by sample holds exactly what the
+    /// live histogram's snapshot holds, quantiles included.
     #[test]
     fn snapshot_quantiles_match_the_live_histogram() {
         let h = Histogram::new();
-        for v in [1u64, 2, 3, 4, 100, 200, 5_000, 70_000] {
+        let mut plain = HistogramSnapshot::default();
+        for v in [70_000u64, 1, 2, 3, 0, 4, 100, 200, 5_000, 2] {
             h.record(v);
+            plain.record(v);
         }
         let snap = h.snapshot();
+        assert_eq!(plain, snap);
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(snap.approx_quantile(q), h.approx_quantile(q), "q={q}");
+            assert_eq!(snap.approx_quantile(q), plain.approx_quantile(q), "q={q}");
         }
         assert_eq!(HistogramSnapshot::default().approx_quantile(0.5), None);
     }
