@@ -52,8 +52,11 @@ echo "== scheduler reference (EASY backfill vs naive O(n²)) =="
 # The event loop (sorted-vector event queue, exact backfill bound) must
 # match a naive FCFS + EASY-backfill reference job for job, on
 # arbitrary and tie-dense traces under arbitrary validated speedup
-# tables. Runs the suite by name so a scheduling regression names
-# itself here.
+# tables. The same suite holds the entry-rejection table: a job with 0
+# nodes, a negative or non-finite submit time or duration, or a
+# utilization outside [0, 1] must panic, naming the job and the field,
+# under `run`, `run_streaming` and `Federation::run_observed`. Runs the
+# suite by name so a scheduling regression names itself here.
 cargo test --release --offline -p scheduler --test scheduler_properties
 
 echo "== batched stepping gate (controller vs frozen reference) =="

@@ -11,7 +11,7 @@
 use crate::monte_carlo::MarginGroups;
 use dram::rate::DataRate;
 use margin::composition::{channel_margin, node_margin, SelectionPolicy};
-use margin::stress::{measure_margin, measure_margin_metered, StressConfig, StressMeter};
+use margin::stress::{measure_margin, StressConfig, StressMeter};
 
 /// One module as the profiler sees it: its labelled rate and (hidden)
 /// true margin, which the stress procedure measures.
@@ -54,35 +54,20 @@ pub struct NodeProfiler {
 impl NodeProfiler {
     /// Profiles a node: measures every module's margin with the
     /// stepping stress procedure and composes channel and node margins
-    /// under margin-aware selection (Section III-D).
+    /// under margin-aware selection (Section III-D). With a `meter`,
+    /// accounts the profiling effort (modules measured, rate steps
+    /// stressed) on it.
     ///
     /// # Panics
     ///
     /// Panics if any channel is empty.
-    pub fn profile(&self, channels: &[Vec<ModuleUnderTest>]) -> NodeProfile {
-        self.profile_impl(channels, None)
-    }
-
-    /// [`NodeProfiler::profile`] with profiling-effort accounting
-    /// (modules measured, rate steps stressed) on `meter`.
-    pub fn profile_metered(
-        &self,
-        channels: &[Vec<ModuleUnderTest>],
-        meter: &StressMeter,
-    ) -> NodeProfile {
-        self.profile_impl(channels, Some(meter))
-    }
-
-    fn profile_impl(
+    pub fn profile(
         &self,
         channels: &[Vec<ModuleUnderTest>],
         meter: Option<&StressMeter>,
     ) -> NodeProfile {
-        let measure = |m: &ModuleUnderTest| match meter {
-            Some(meter) => {
-                measure_margin_metered(m.specified, m.true_margin_mts, &self.config, meter)
-            }
-            None => measure_margin(m.specified, m.true_margin_mts, &self.config),
+        let measure = |m: &ModuleUnderTest| {
+            measure_margin(m.specified, m.true_margin_mts, &self.config, meter)
         };
         let module_margins: Vec<Vec<u32>> = channels
             .iter()
@@ -125,13 +110,18 @@ mod tests {
         }
     }
 
+    /// Two channels of two modules each.
+    fn two_channels() -> [Vec<ModuleUnderTest>; 2] {
+        [
+            vec![module(650), module(900)],
+            vec![module(850), module(700)],
+        ]
+    }
+
     #[test]
     fn profiles_a_two_channel_node() {
         let profiler = NodeProfiler::default();
-        let profile = profiler.profile(&[
-            vec![module(650), module(900)],
-            vec![module(850), module(700)],
-        ]);
+        let profile = profiler.profile(&two_channels(), None);
         // Measured margins are quantized to 200 MT/s steps.
         assert_eq!(profile.module_margins, vec![vec![600, 800], vec![800, 600]]);
         assert_eq!(profile.channel_margins, vec![800, 800]);
@@ -148,20 +138,8 @@ mod tests {
         let r = Registry::new();
         meter.bind(&r.scope("profiler"));
         let profiler = NodeProfiler::default();
-        let metered = profiler.profile_metered(
-            &[
-                vec![module(650), module(900)],
-                vec![module(850), module(700)],
-            ],
-            &meter,
-        );
-        assert_eq!(
-            metered,
-            profiler.profile(&[
-                vec![module(650), module(900)],
-                vec![module(850), module(700)],
-            ])
-        );
+        let metered = profiler.profile(&two_channels(), Some(&meter));
+        assert_eq!(metered, profiler.profile(&two_channels(), None));
         let snap = r.snapshot();
         assert_eq!(snap.counter("profiler.modules_profiled"), 4);
         assert_eq!(snap.counter("profiler.steps_tested"), meter.steps_tested());
@@ -171,10 +149,11 @@ mod tests {
     #[test]
     fn slowest_channel_caps_the_node() {
         let profiler = NodeProfiler::default();
-        let profile = profiler.profile(&[
+        let node = [
             vec![module(900), module(950)],
             vec![module(620), module(640)],
-        ]);
+        ];
+        let profile = profiler.profile(&node, None);
         assert_eq!(profile.node_margin_mts, 600);
         assert_eq!(profile.group(), 600);
     }
@@ -182,7 +161,7 @@ mod tests {
     #[test]
     fn marginless_node_lands_in_group_zero() {
         let profiler = NodeProfiler::default();
-        let profile = profiler.profile(&[vec![module(150), module(180)]]);
+        let profile = profiler.profile(&[vec![module(150), module(180)]], None);
         assert_eq!(profile.node_margin_mts, 0);
         assert_eq!(profile.group(), 0);
     }
@@ -190,7 +169,7 @@ mod tests {
     #[test]
     fn cap_respects_the_testbed_limit() {
         let profiler = NodeProfiler::default();
-        let profile = profiler.profile(&[vec![module(1_500)]]);
+        let profile = profiler.profile(&[vec![module(1_500)]], None);
         // The 4000 MT/s system cap truncates at 800 for 3200 modules.
         assert_eq!(profile.node_margin_mts, 800);
     }
@@ -206,7 +185,7 @@ mod tests {
         use rand::SeedableRng;
 
         let profiler = NodeProfiler::default();
-        let profile = profiler.profile(&[vec![module(620), module(820)]]);
+        let profile = profiler.profile(&[vec![module(620), module(820)]], None);
         assert_eq!(profile.node_margin_mts, 800);
 
         // Operate per the (now stale) profile; every read errors.

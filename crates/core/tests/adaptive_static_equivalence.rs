@@ -25,6 +25,7 @@ fn static_bin(true_margin_mts: u32) -> u8 {
         dram::rate::DataRate::MT3200,
         true_margin_mts,
         &stress_config(),
+        None,
     );
     (margin / BIN_MTS) as u8
 }

@@ -196,8 +196,12 @@ pub fn adaptive(ctx: &mut Ctx) {
 
     for (idx, def) in defs.iter().enumerate() {
         let response = MarginResponse::typical(def.true_margin_mts);
-        let static_margin =
-            measure_margin(dram::rate::DataRate::MT3200, def.true_margin_mts, &stress);
+        let static_margin = measure_margin(
+            dram::rate::DataRate::MT3200,
+            def.true_margin_mts,
+            &stress,
+            None,
+        );
         let static_bin = (static_margin / BIN_MTS) as u8;
 
         // Offline: the stress-test bin, held against the weather.

@@ -97,14 +97,12 @@ fn boot_profiling(ctx: &mut Ctx) {
         })
         .collect();
     let channels: Vec<Vec<ModuleUnderTest>> = modules.chunks(2).map(<[_]>::to_vec).collect();
-    let profile = match ctx.metrics_scope("profiler") {
-        Some(scope) => {
-            let mut meter = StressMeter::default();
-            meter.bind(&scope);
-            NodeProfiler::default().profile_metered(&channels, &meter)
-        }
-        None => NodeProfiler::default().profile(&channels),
-    };
+    let meter = ctx.metrics_scope("profiler").map(|scope| {
+        let mut meter = StressMeter::default();
+        meter.bind(&scope);
+        meter
+    });
+    let profile = NodeProfiler::default().profile(&channels, meter.as_ref());
     say!(
         ctx,
         "profiled node: channel margins {:?}",

@@ -171,7 +171,7 @@ pub fn health(ctx: &mut Ctx) {
 
     // Same offline stress-test envelope as the adaptive ablation.
     let stress = StressConfig::default();
-    let static_margin = measure_margin(dram::rate::DataRate::MT3200, 600, &stress);
+    let static_margin = measure_margin(dram::rate::DataRate::MT3200, 600, &stress, None);
     let static_bin = (static_margin / BIN_MTS) as u8;
     let response = MarginResponse::typical(600);
 

@@ -23,6 +23,7 @@ mod health;
 mod node_figures;
 mod power;
 mod report;
+mod scenario;
 mod scenarios;
 mod system_figures;
 mod tables;

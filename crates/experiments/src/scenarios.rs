@@ -6,10 +6,10 @@
 //! still hand back results in input order with byte-identical output.
 
 use crate::context::Ctx;
+use crate::scenario::isolate;
 use crate::{
     adaptive, characterization, extras, fleet, health, node_figures, power, system_figures, tables,
 };
-use hdmr_experiments::scenario::isolate;
 use std::time::Instant;
 use telemetry::ObsSnapshot;
 

@@ -7,9 +7,10 @@ use hetero_dmr::MemoryDesign;
 use margin::composition::SelectionPolicy;
 use memsim::config::HierarchyConfig;
 use scheduler::{
-    Cluster as HpcCluster, GrizzlyTrace, Policy, QueueTail, RunSummary, SchedulerConfig,
-    SliceSource, SpeedupModel,
+    Cluster as HpcCluster, Policy, QueueTail, RunSummary, SchedulerConfig, SliceSource,
+    SpeedupModel,
 };
+use workloads::jobs::{GrizzlyTrace, GRIZZLY_NODES};
 
 /// Figure 11: channel- and node-level margin distributions under
 /// margin-aware vs margin-unaware module selection.
@@ -108,7 +109,7 @@ pub fn fig17(ctx: &mut Ctx) {
     .generate(ctx.seed);
     let groups =
         MonteCarlo::default().node_groups(SelectionPolicy::MarginAware, ctx.trials, ctx.seed);
-    let nodes = scheduler::trace::GRIZZLY_NODES;
+    let nodes = GRIZZLY_NODES;
 
     let conventional = HpcCluster::conventional(nodes);
     let hdmr = HpcCluster::new(nodes, [groups.at_800, groups.at_600, groups.at_0]);

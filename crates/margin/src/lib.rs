@@ -59,5 +59,5 @@ pub mod voltage;
 
 pub use brand::Brand;
 pub use population::{MeasuredModule, ModuleCondition, ModulePopulation, ModuleSpec};
-pub use stress::{measure_margin, measure_margin_metered, StressConfig, StressMeter};
+pub use stress::{measure_margin, StressConfig, StressMeter};
 pub use temperature::{AmbientTemperature, TemperatureTransient};

@@ -39,16 +39,12 @@ impl Default for StressConfig {
 }
 
 /// Telemetry counters over the profiling procedure: how many modules
-/// were measured, how many rate steps that took, and the CE/UE totals
-/// of timed stress runs. Detached until [`StressMeter::bind`] folds
-/// the handles into a registry scope.
+/// were measured and how many rate steps that took. Detached until
+/// [`StressMeter::bind`] folds the handles into a registry scope.
 #[derive(Debug, Default)]
 pub struct StressMeter {
     modules_profiled: Counter,
     steps_tested: Counter,
-    stress_runs: Counter,
-    ce_observed: Counter,
-    ue_observed: Counter,
 }
 
 impl StressMeter {
@@ -56,48 +52,22 @@ impl StressMeter {
     pub fn bind(&mut self, scope: &Scope) {
         self.modules_profiled.rebind(scope, "modules_profiled");
         self.steps_tested.rebind(scope, "steps_tested");
-        self.stress_runs.rebind(scope, "stress_runs");
-        self.ce_observed.rebind(scope, "ce_observed");
-        self.ue_observed.rebind(scope, "ue_observed");
-    }
-
-    /// Modules put through the stepping procedure.
-    pub fn modules_profiled(&self) -> u64 {
-        self.modules_profiled.get()
     }
 
     /// Individual rate steps attempted across all modules.
     pub fn steps_tested(&self) -> u64 {
         self.steps_tested.get()
     }
-
-    /// Timed stress runs performed.
-    pub fn stress_runs(&self) -> u64 {
-        self.stress_runs.get()
-    }
 }
 
 /// Measures a module's frequency margin the way the paper's testbed
 /// does: step up from the labelled rate until the module no longer
 /// meets the accuracy threshold (its true margin) or the system cap is
-/// hit; report the last passing step.
+/// hit; report the last passing step. With a `meter`, counts the
+/// module and every rate step it takes.
 ///
 /// Returns the measured margin in MT/s.
-pub fn measure_margin(specified: DataRate, true_margin_mts: u32, config: &StressConfig) -> u32 {
-    measure_impl(specified, true_margin_mts, config, None)
-}
-
-/// [`measure_margin`] with profiling-effort accounting on `meter`.
-pub fn measure_margin_metered(
-    specified: DataRate,
-    true_margin_mts: u32,
-    config: &StressConfig,
-    meter: &StressMeter,
-) -> u32 {
-    measure_impl(specified, true_margin_mts, config, Some(meter))
-}
-
-fn measure_impl(
+pub fn measure_margin(
     specified: DataRate,
     true_margin_mts: u32,
     config: &StressConfig,
@@ -187,18 +157,18 @@ mod tests {
     #[test]
     fn measurement_floors_to_step() {
         let cfg = StressConfig::default();
-        assert_eq!(measure_margin(DataRate::MT3200, 799, &cfg), 600);
-        assert_eq!(measure_margin(DataRate::MT3200, 800, &cfg), 800);
-        assert_eq!(measure_margin(DataRate::MT3200, 150, &cfg), 0);
+        assert_eq!(measure_margin(DataRate::MT3200, 799, &cfg, None), 600);
+        assert_eq!(measure_margin(DataRate::MT3200, 800, &cfg, None), 800);
+        assert_eq!(measure_margin(DataRate::MT3200, 150, &cfg, None), 0);
     }
 
     #[test]
     fn measurement_respects_system_cap() {
         let cfg = StressConfig::default();
         // A 3200 module with a huge true margin still measures 800.
-        assert_eq!(measure_margin(DataRate::MT3200, 1400, &cfg), 800);
+        assert_eq!(measure_margin(DataRate::MT3200, 1400, &cfg, None), 800);
         // A 2400 module with the same true margin measures it fully.
-        assert_eq!(measure_margin(DataRate::MT2400, 1400, &cfg), 1400);
+        assert_eq!(measure_margin(DataRate::MT2400, 1400, &cfg, None), 1400);
     }
 
     #[test]
@@ -208,8 +178,8 @@ mod tests {
             ..StressConfig::default()
         };
         let coarse = StressConfig::default();
-        assert_eq!(measure_margin(DataRate::MT2400, 750, &fine), 700);
-        assert_eq!(measure_margin(DataRate::MT2400, 750, &coarse), 600);
+        assert_eq!(measure_margin(DataRate::MT2400, 750, &fine, None), 700);
+        assert_eq!(measure_margin(DataRate::MT2400, 750, &coarse, None), 600);
     }
 
     #[test]

@@ -16,7 +16,7 @@ proptest! {
     #[test]
     fn measurement_is_conservative_and_tight(true_margin in 0u32..2_000, spec in prop_oneof![Just(DataRate::MT2400), Just(DataRate::MT3200)]) {
         let cfg = StressConfig::default();
-        let measured = measure_margin(spec, true_margin, &cfg);
+        let measured = measure_margin(spec, true_margin, &cfg, None);
         prop_assert!(measured <= true_margin);
         prop_assert_eq!(measured % cfg.step_mts, 0);
         let cap = cfg.rate_cap_mts.saturating_sub(spec.mts());

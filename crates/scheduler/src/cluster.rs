@@ -3,13 +3,14 @@
 
 use crate::config::SchedulerConfig;
 use crate::federation::QUEUE_SERIES_WIDTH_MS;
-use crate::job::{Job, JobOutcome};
+use crate::job::JobOutcome;
 use crate::queue::EventQueue;
 use crate::source::JobSource;
 use crate::stats::StreamSummary;
 use std::collections::VecDeque;
 use telemetry::trace::{kv, Clock, SpanId, Tracer};
 use telemetry::{Counter, Gauge, Histogram, Obs, Scope};
+use workloads::jobs::Job;
 use workloads::utilization::UtilizationModel;
 
 /// Node margin groups, fastest first (0.8 GT/s, 0.6 GT/s, none).
@@ -274,6 +275,14 @@ impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
     /// Runs to completion, collecting one outcome per job (sorted by
     /// job id). Materializes the outcome list — for fleet-scale runs
     /// use [`run_streaming`](Self::run_streaming) instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source yields an invalid job: `nodes` of 0, a
+    /// negative or non-finite `submit_s` or `duration_s`, or a
+    /// `mem_utilization` outside `[0, 1]`. The message names the job
+    /// id and the field. Also panics if a job is wider than the
+    /// cluster.
     pub fn run(self) -> Vec<JobOutcome> {
         let hint = self.source.len_hint().unwrap_or(0);
         let mut outcomes = self.drive(Vec::with_capacity(hint));
@@ -284,6 +293,10 @@ impl<'c, S: JobSource> ScheduleBuilder<'c, S> {
     /// Runs to completion, folding every outcome into a
     /// [`StreamSummary`] as it happens. Memory stays O(1) in the job
     /// count — this is the fleet-scale entry point.
+    ///
+    /// # Panics
+    ///
+    /// On an invalid or too-wide job, as [`run`](Self::run) does.
     pub fn run_streaming(self) -> StreamSummary {
         let summary = tapped_summary(&self.obs);
         self.drive(summary)
@@ -368,7 +381,12 @@ impl<K: Sink> Stepper<K> {
     /// before its submit time happen first, each with its scheduling
     /// pass; a completion at the same instant waits, so arrivals win
     /// ties and the job's first pass sees only nodes already free.
+    ///
+    /// Every job enters the scheduler here, so this is where it is
+    /// checked, once ([`check_job`]); past this point the event loop
+    /// relies on valid fields.
     pub(crate) fn offer(&mut self, job: Job) {
+        check_job(&job);
         debug_assert!(
             job.submit_s >= self.last_submit,
             "JobSource must yield nondecreasing submit times ({} after {})",
@@ -474,14 +492,12 @@ impl<K: Sink> Stepper<K> {
     }
 
     /// Whether `job`, started at `now`, would end after `shadow` even
-    /// at [`SpeedupModel::max`]. Exact: for a nonnegative duration,
-    /// `exec_s` divides by a speedup no larger than the maximum, and
-    /// IEEE division and addition are monotone, so `now + exec_s` is
-    /// never below `now + duration_s / max_speedup`. A negative
-    /// duration (`Job`'s fields are unvalidated) flips that order, so
-    /// it never takes the shortcut.
+    /// at [`SpeedupModel::max`]. Exact: durations are nonnegative
+    /// ([`check_job`]), `exec_s` divides by a speedup no larger than
+    /// the maximum, and IEEE division and addition are monotone, so
+    /// `now + exec_s` is never below `now + duration_s / max_speedup`.
     fn overruns_at_best(&self, job: &Job, now: f64, shadow: f64) -> bool {
-        job.duration_s >= 0.0 && now + job.duration_s / self.max_speedup > shadow
+        now + job.duration_s / self.max_speedup > shadow
     }
 
     /// Free nodes across all groups.
@@ -551,6 +567,28 @@ impl<K: Sink> Stepper<K> {
     }
 }
 
+/// Panics, naming the job id and the field, unless `job` is valid:
+/// `nodes ≥ 1`; `submit_s` and `duration_s` finite and `≥ 0` (`-0.0`
+/// passes); `mem_utilization` in `[0, 1]` (NaN fails). Plain
+/// comparisons only — every job of a fleet run passes through here.
+fn check_job(job: &Job) {
+    let (id, submit, duration, util) = (job.id, job.submit_s, job.duration_s, job.mem_utilization);
+    let is_time = |x: f64| (0.0..f64::INFINITY).contains(&x);
+    assert!(job.nodes >= 1, "job {id}: nodes must be at least 1");
+    assert!(
+        is_time(submit),
+        "job {id}: submit_s must be finite and ≥ 0, got {submit}"
+    );
+    assert!(
+        is_time(duration),
+        "job {id}: duration_s must be finite and ≥ 0, got {duration}"
+    );
+    assert!(
+        (0.0..=1.0).contains(&util),
+        "job {id}: mem_utilization must lie in [0, 1], got {util}"
+    );
+}
+
 /// An empty summary that taps `obs`'s series `queue_delay_ms` when a
 /// series store is attached.
 pub(crate) fn tapped_summary(obs: &Obs) -> StreamSummary {
@@ -594,12 +632,8 @@ fn allocate_margin_aware(nodes: u32, free: &[u32; 3]) -> [u32; 3] {
 }
 
 /// Margin-oblivious allocation: nodes come in proportion to what
-/// is free (groups are physically interleaved in the racks). A
-/// zero-node job gets nothing, even when nothing is free.
+/// is free (groups are physically interleaved in the racks).
 fn allocate_default(nodes: u32, free: &[u32; 3]) -> [u32; 3] {
-    if nodes == 0 {
-        return [0; 3];
-    }
     let total: u32 = free.iter().sum();
     let mut alloc = [0u32; 3];
     let mut assigned = 0;
@@ -628,6 +662,7 @@ fn allocate_default(nodes: u32, free: &[u32; 3]) -> [u32; 3] {
 mod tests {
     use super::*;
     use crate::source::SliceSource;
+    use workloads::jobs::GrizzlyTrace;
 
     fn job(id: u32, submit: f64, nodes: u32, dur: f64, util: f64) -> Job {
         Job {
@@ -691,19 +726,20 @@ mod tests {
         assert_eq!(out[1].queue_delay_s(), 99.0);
     }
 
-    /// `Job` is unvalidated, so a zero-node job can reach a cluster
-    /// with nothing free; both policies start it at once with an empty
-    /// allocation.
+    /// A zero-node job is rejected where it enters, under both
+    /// policies, even behind a job that fills the cluster.
     #[test]
-    fn zero_node_job_starts_on_a_full_cluster_under_both_policies() {
+    fn zero_node_job_is_rejected_under_both_policies() {
         let c = Cluster::conventional(4);
         let jobs = [job(0, 0.0, 4, 100.0, 0.1), job(1, 1.0, 0, 50.0, 0.1)];
         for config in [conventional(), aware()] {
             let policy = config.policy();
-            let out = run(&c, &jobs, config);
-            assert_eq!(out.len(), 2, "{policy:?}");
-            assert_eq!(out[1].job.id, 1, "{policy:?}");
-            assert_eq!(out[1].start_s, 1.0, "{policy:?}");
+            let panic = std::panic::catch_unwind(|| run(&c, &jobs, config))
+                .expect_err("a zero-node job must be rejected");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(message.contains("job 1: nodes"), "{policy:?}: {message}");
         }
     }
 
@@ -863,7 +899,7 @@ mod tests {
     #[test]
     fn every_job_completes_exactly_once() {
         let c = Cluster::new(64, [0.62, 0.36, 0.02]);
-        let trace = crate::trace::GrizzlyTrace::scaled(500, 64).generate(3);
+        let trace = GrizzlyTrace::scaled(500, 64).generate(3);
         let out = run(&c, &trace, aware());
         assert_eq!(out.len(), trace.len());
         for (o, j) in out.iter().zip(&trace) {
@@ -876,7 +912,7 @@ mod tests {
     #[test]
     fn streaming_summary_matches_the_collected_run() {
         let c = Cluster::new(64, [0.62, 0.36, 0.02]);
-        let trace = crate::trace::GrizzlyTrace::scaled(800, 64).generate(5);
+        let trace = GrizzlyTrace::scaled(800, 64).generate(5);
         let out = run(&c, &trace, aware());
         let summary = c
             .schedule(SliceSource::new(&trace))
@@ -895,7 +931,7 @@ mod tests {
     fn metered_runs_never_see_unknown_groups() {
         let registry = telemetry::Registry::new();
         let c = Cluster::new(32, [0.5, 0.25, 0.25]);
-        let trace = crate::trace::GrizzlyTrace::scaled(200, 32).generate(2);
+        let trace = GrizzlyTrace::scaled(200, 32).generate(2);
         let mut obs = Obs::default();
         obs.set_metrics(registry.scope("m"));
         let out = c

@@ -29,13 +29,13 @@
 
 use crate::cluster::{tapped_summary, Cluster, Stepper};
 use crate::config::{ConfigError, SchedulerConfig};
-use crate::job::Job;
 use crate::source::JobSource;
 use crate::stats::StreamSummary;
 use runner::seed::iteration_seed;
 use telemetry::series::SeriesStore;
 use telemetry::trace::Tracer;
 use telemetry::{Obs, Scope};
+use workloads::jobs::Job;
 use workloads::utilization::UtilizationModel;
 
 /// Window width of the per-member queue-delay series taps: one hour
@@ -226,6 +226,14 @@ impl Federation {
     /// [`QUEUE_SERIES_WIDTH_MS`]-wide windows), and the forks are
     /// absorbed in member order, so the exported telemetry equals the
     /// members' solo runs recorded one after another.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source yields an invalid job: `nodes` of 0, a
+    /// negative or non-finite `submit_s` or `duration_s`, or a
+    /// `mem_utilization` outside `[0, 1]`. The message names the job
+    /// id and the field. Also panics if a job is wider than every
+    /// member.
     pub fn run_observed<S, F>(
         &self,
         placement: PlacementPolicy,

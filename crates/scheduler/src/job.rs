@@ -1,27 +1,6 @@
-//! Jobs and their simulated outcomes.
+//! Simulated job outcomes.
 
-/// One batch job from the (synthetic) Grizzly trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Job {
-    /// Trace-order identifier.
-    pub id: u32,
-    /// Submission time, seconds from trace start.
-    pub submit_s: f64,
-    /// Nodes requested (exclusive allocation, as in HPC practice).
-    pub nodes: u32,
-    /// Baseline (conventional-system) execution time, seconds.
-    pub duration_s: f64,
-    /// The job's lifetime-maximum memory utilization in [0, 1]
-    /// (drives Hetero-DMR eligibility: < 50 % benefits).
-    pub mem_utilization: f64,
-}
-
-impl Job {
-    /// Baseline node-seconds this job consumes.
-    pub fn node_seconds(&self) -> f64 {
-        self.nodes as f64 * self.duration_s
-    }
-}
+use workloads::jobs::Job;
 
 /// What happened to a job in one simulated run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,18 +29,6 @@ impl JobOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn node_seconds() {
-        let j = Job {
-            id: 0,
-            submit_s: 0.0,
-            nodes: 4,
-            duration_s: 100.0,
-            mem_utilization: 0.2,
-        };
-        assert_eq!(j.node_seconds(), 400.0);
-    }
 
     #[test]
     fn outcome_metrics() {

@@ -14,6 +14,16 @@
 //! * **margin-aware** — the paper's ~30-line Slurm patch: prefer
 //!   allocating a job entirely within the fastest group that can hold
 //!   it, because one slow node drags the whole MPI job down.
+//!
+//! The job model is not the scheduler's: [`Job`] and the generators
+//! that sample it (the materialized Fig 17 `GrizzlyTrace` and the
+//! streaming `SyntheticJobs`) live in `workloads::jobs`. A run pulls
+//! jobs from a [`JobSource`] — a borrowed trace ([`SliceSource`]) or
+//! any job iterator ([`from_specs`]) — and checks each job once, where
+//! it enters the event loop: every entry point ([`ScheduleBuilder::run`],
+//! [`ScheduleBuilder::run_streaming`], [`Federation::run_observed`])
+//! panics on a job with zero nodes, a negative or non-finite submit
+//! time or duration, or a memory utilization outside `[0, 1]`.
 
 pub mod cluster;
 pub mod config;
@@ -22,13 +32,12 @@ pub mod job;
 pub mod queue;
 pub mod source;
 pub mod stats;
-pub mod trace;
 
 pub use cluster::{Cluster, Policy, ScheduleBuilder, SpeedupModel};
 pub use config::{ConfigError, SchedulerConfig, SchedulerConfigBuilder};
 pub use federation::{ClusterSpec, Federation, FederationRun, MemberRun, PlacementPolicy};
-pub use job::{Job, JobOutcome};
+pub use job::JobOutcome;
 pub use queue::EventQueue;
-pub use source::{from_iter, from_specs, IterSource, JobSource, SliceSource, SpecSource};
+pub use source::{from_specs, JobSource, SliceSource, SpecSource};
 pub use stats::{QueueTail, RunSummary, StreamSummary};
-pub use trace::GrizzlyTrace;
+pub use workloads::jobs::Job;

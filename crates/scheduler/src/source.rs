@@ -1,4 +1,6 @@
-//! Streaming job ingestion: the [`JobSource`] trait and its adapters.
+//! Streaming job ingestion: the [`JobSource`] trait and its two
+//! adapters, [`SliceSource`] for a materialized trace and
+//! [`from_specs`] for any job iterator.
 //!
 //! The scheduler's event loop pulls jobs one at a time instead of
 //! taking a `&[Job]`, so traces can be generated on the fly
@@ -6,8 +8,7 @@
 //! trace. Sources must yield jobs in nondecreasing `submit_s` order —
 //! the event loop debug-asserts this.
 
-use crate::job::Job;
-use workloads::jobs::JobSpec;
+use workloads::jobs::Job;
 
 /// A stream of jobs in nondecreasing submission order.
 ///
@@ -35,8 +36,8 @@ impl<T: JobSource + ?Sized> JobSource for &mut T {
     }
 }
 
-/// Borrows a materialized trace as a source (the migration path for
-/// every pre-existing `&[Job]` caller).
+/// Borrows a materialized trace (e.g. a
+/// [`GrizzlyTrace`](workloads::jobs::GrizzlyTrace)) as a source.
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
     jobs: &'a [Job],
@@ -62,48 +63,19 @@ impl JobSource for SliceSource<'_> {
     }
 }
 
-/// Adapts any `Iterator<Item = Job>` into a source.
-#[derive(Debug, Clone)]
-pub struct IterSource<I>(I);
-
-/// Wraps a job iterator as a [`JobSource`].
-pub fn from_iter<I: Iterator<Item = Job>>(iter: I) -> IterSource<I> {
-    IterSource(iter)
-}
-
-impl<I: Iterator<Item = Job>> JobSource for IterSource<I> {
-    fn next_job(&mut self) -> Option<Job> {
-        self.0.next()
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        match self.0.size_hint() {
-            (lo, Some(hi)) if lo == hi => Some(hi),
-            _ => None,
-        }
-    }
-}
-
-/// Adapts a stream of `workloads` [`JobSpec`]s (e.g. a counter-seeded
-/// [`workloads::jobs::JobStream`]) into scheduler jobs. The spec's
-/// stream index becomes the job id.
+/// Adapts a job iterator (e.g. a counter-seeded
+/// [`workloads::jobs::JobStream`]) into a source.
 #[derive(Debug, Clone)]
 pub struct SpecSource<I>(I);
 
-/// Wraps a `JobSpec` iterator as a [`JobSource`].
-pub fn from_specs<I: Iterator<Item = JobSpec>>(iter: I) -> SpecSource<I> {
+/// Wraps a [`Job`] iterator as a [`JobSource`].
+pub fn from_specs<I: Iterator<Item = Job>>(iter: I) -> SpecSource<I> {
     SpecSource(iter)
 }
 
-impl<I: Iterator<Item = JobSpec>> JobSource for SpecSource<I> {
+impl<I: Iterator<Item = Job>> JobSource for SpecSource<I> {
     fn next_job(&mut self) -> Option<Job> {
-        self.0.next().map(|spec| Job {
-            id: spec.index as u32,
-            submit_s: spec.submit_s,
-            nodes: spec.nodes,
-            duration_s: spec.duration_s,
-            mem_utilization: spec.mem_utilization,
-        })
+        self.0.next()
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -142,31 +114,22 @@ mod tests {
     }
 
     #[test]
-    fn iter_source_adapts_and_hints() {
-        let jobs = vec![job(0, 0.0), job(1, 5.0)];
-        let mut s = from_iter(jobs.clone().into_iter());
-        assert_eq!(s.len_hint(), Some(2));
-        assert_eq!(s.next_job(), Some(jobs[0]));
-        assert_eq!(s.next_job(), Some(jobs[1]));
-        assert_eq!(s.next_job(), None);
-    }
-
-    #[test]
     fn spec_source_maps_stream_index_to_job_id() {
-        use workloads::jobs::JobSpec;
-        let specs = vec![JobSpec {
-            index: 7,
-            submit_s: 3.0,
-            nodes: 4,
-            duration_s: 120.0,
-            mem_utilization: 0.3,
-        }];
-        let mut s = from_specs(specs.into_iter());
-        let j = s.next_job().unwrap();
-        assert_eq!(j.id, 7);
-        assert_eq!(j.submit_s, 3.0);
-        assert_eq!(j.nodes, 4);
-        assert_eq!(s.next_job(), None);
+        use workloads::jobs::SyntheticJobs;
+        use workloads::utilization::{Cluster, UtilizationModel};
+        let stream = SyntheticJobs {
+            jobs: 3,
+            max_nodes: 8,
+            capacity_nodes: 8.0,
+            target_utilization: 0.5,
+            utilization: UtilizationModel::for_cluster(Cluster::Grizzly),
+        };
+        let mut s = from_specs(stream.stream(7));
+        assert_eq!(s.len_hint(), Some(3));
+        let jobs: Vec<Job> = std::iter::from_fn(|| s.next_job()).collect();
+        assert_eq!(jobs.iter().map(|j| j.id).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(jobs, stream.stream(7).collect::<Vec<_>>());
+        assert_eq!(s.len_hint(), Some(0));
     }
 
     #[test]

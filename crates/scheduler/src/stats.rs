@@ -49,26 +49,6 @@ impl RunSummary {
     }
 }
 
-/// Achieved node utilization of a run: consumed node-seconds over the
-/// cluster's capacity across the run's span (the paper reports ~78 %
-/// for the four-month Grizzly trace).
-pub fn achieved_utilization(outcomes: &[JobOutcome], cluster_nodes: u32) -> f64 {
-    if outcomes.is_empty() || cluster_nodes == 0 {
-        return 0.0;
-    }
-    let consumed: f64 = outcomes.iter().map(|o| o.job.nodes as f64 * o.exec_s).sum();
-    let end = outcomes
-        .iter()
-        .map(|o| o.start_s + o.exec_s)
-        .fold(0.0f64, f64::max);
-    let start = outcomes
-        .iter()
-        .map(|o| o.job.submit_s)
-        .fold(f64::MAX, f64::min);
-    let span = (end - start).max(f64::EPSILON);
-    consumed / (cluster_nodes as f64 * span)
-}
-
 /// Tail statistics of a run's queueing delays — means hide the worst
 /// cases that users actually feel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,23 +234,12 @@ impl StreamSummary {
         let span = (self.makespan_s - self.first_submit_s).max(f64::EPSILON);
         self.node_seconds / (capacity_nodes * span)
     }
-
-    /// The fixed-size [`RunSummary`] view (for code that compares
-    /// against materialized runs).
-    pub fn as_run_summary(&self) -> RunSummary {
-        RunSummary {
-            mean_exec_s: self.mean_exec_s(),
-            mean_queue_s: self.mean_queue_s(),
-            mean_turnaround_s: self.mean_turnaround_s(),
-            jobs: self.jobs() as usize,
-        }
-    }
 }
 
 #[cfg(test)]
 mod stream_tests {
     use super::*;
-    use crate::job::Job;
+    use workloads::jobs::Job;
 
     fn outcome(id: u32, submit: f64, start: f64, exec: f64, nodes: u32) -> JobOutcome {
         JobOutcome {
@@ -302,7 +271,6 @@ mod stream_tests {
         assert!((s.mean_exec_s() - batch.mean_exec_s).abs() < 1e-12);
         assert!((s.mean_queue_s() - batch.mean_queue_s).abs() < 1e-12);
         assert!((s.mean_turnaround_s() - batch.mean_turnaround_s).abs() < 1e-12);
-        assert_eq!(s.as_run_summary(), batch);
         assert_eq!(s.started_per_group(), [3, 0, 0]);
         assert_eq!(s.makespan_s(), 230.0);
     }
@@ -389,7 +357,7 @@ mod stream_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Job;
+    use workloads::jobs::Job;
 
     fn outcome(submit: f64, start: f64, exec: f64) -> JobOutcome {
         JobOutcome {
@@ -449,26 +417,16 @@ mod tests {
     }
 
     #[test]
-    fn utilization_of_a_full_machine() {
-        // Two jobs back to back on a 1-node cluster: 100% utilization.
-        let outcomes = [outcome(0.0, 0.0, 50.0), outcome(0.0, 50.0, 50.0)];
-        let u = achieved_utilization(&outcomes, 1);
-        assert!((u - 1.0).abs() < 1e-9, "utilization {u}");
-        // The same work on 2 nodes: 50%.
-        let u = achieved_utilization(&outcomes, 2);
-        assert!((u - 0.5).abs() < 1e-9);
-        assert_eq!(achieved_utilization(&[], 4), 0.0);
-    }
-
-    #[test]
     fn grizzly_trace_achieves_the_papers_utilization() {
         use crate::cluster::Cluster;
         use crate::source::SliceSource;
-        use crate::trace::GrizzlyTrace;
+        use workloads::jobs::GrizzlyTrace;
         let trace = GrizzlyTrace::scaled(6_000, 1_490).generate(5);
         let cluster = Cluster::conventional(1_490);
-        let outcomes = cluster.schedule(SliceSource::new(&trace)).run();
-        let u = achieved_utilization(&outcomes, 1_490);
+        let u = cluster
+            .schedule(SliceSource::new(&trace))
+            .run_streaming()
+            .utilization(1490.0);
         // The offered load targets 78%; achieved lands nearby
         // (scheduling losses push it slightly below, queue drain at the
         // end slightly above).

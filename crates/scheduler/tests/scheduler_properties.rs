@@ -1,13 +1,17 @@
 //! Property tests for the cluster scheduler: capacity is never
-//! oversubscribed, causality holds, the policies only ever help, and
-//! the event loop matches a naive EASY-backfill reference bit for bit.
+//! oversubscribed, causality holds, the policies only ever help, the
+//! event loop matches a naive EASY-backfill reference bit for bit, and
+//! every entry point rejects an invalid job where it enters.
 
 mod reference;
 
 use proptest::prelude::*;
 use scheduler::{
-    Cluster, GrizzlyTrace, Job, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel,
+    Cluster, ClusterSpec, Federation, Job, PlacementPolicy, Policy, RunSummary, SchedulerConfig,
+    SliceSource, SpeedupModel,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use workloads::jobs::GrizzlyTrace;
 
 /// A validated configuration of `policy` and `speedups`.
 fn config(policy: Policy, speedups: SpeedupModel) -> SchedulerConfig {
@@ -133,36 +137,35 @@ fn check_against_reference(
     Ok(())
 }
 
-/// Negative and zero durations (`Job`'s fields are public and
-/// unvalidated) behind a blocked head: outcomes must still equal the
-/// naive reference. A negative duration divided by a speedup below
-/// the table maximum ends *earlier* than at the maximum, so the
-/// backfill scan's `duration / max` bound must not apply to it.
-#[test]
-fn odd_durations_behind_a_blocked_head_match_the_reference() {
-    let job = |id, submit_s, nodes, duration_s, mem_utilization| Job {
+fn job(id: u32, submit_s: f64, nodes: u32, duration_s: f64, mem_utilization: f64) -> Job {
+    Job {
         id,
         submit_s,
         nodes,
         duration_s,
         mem_utilization,
-    };
+    }
+}
+
+/// Zero durations (`0.0` and `-0.0`) behind a blocked head, among
+/// other boundary values that pass the entry check (a `-0.0` submit
+/// time, utilizations of exactly 0 and 1): outcomes must still equal
+/// the naive reference. Zero durations end at `now`, so they backfill
+/// even when the shadow time is `now` itself.
+#[test]
+fn odd_durations_behind_a_blocked_head_match_the_reference() {
     let jobs = [
-        // Fills the cluster until 100 / speedup.
-        job(0, 0.0, 8, 100.0, 0.1),
-        // Starts first when job 0 ends and "ends" 100 s before that.
-        // Ineligible utilization: speedup 1.0 under any table.
-        job(1, 1.0, 2, -100.0, 0.8),
-        // The head: blocked until job 1's (past) completion frees its
-        // nodes, so the shadow time lies before `now`.
-        job(2, 2.0, 8, 10.0, 0.1),
-        // Ends 105 s before `now` at speedup 1.0, inside the shadow,
-        // but only 95.5 s before it at the 1.10 maximum.
-        job(3, 3.0, 2, -105.0, 0.8),
-        // Zero durations end exactly at `now`, after the shadow.
-        job(4, 4.0, 1, 0.0, 0.1),
-        job(5, 5.0, 1, 0.0, 0.8),
-        job(6, 6.0, 2, -0.0, 0.3),
+        // Holds 6 of the 8 nodes until 100 / speedup.
+        job(0, -0.0, 6, 100.0, 0.0),
+        // The head: needs all 8, blocked until job 0 ends.
+        job(1, 1.0, 8, 10.0, 0.1),
+        // End at `now`, inside the shadow.
+        job(2, 2.0, 1, 0.0, 0.1),
+        job(3, 3.0, 2, -0.0, 0.3),
+        // Arrive as job 0 ends under the conventional table; arrivals
+        // win ties, so the shadow time equals `now`.
+        job(4, 100.0, 2, 0.0, 0.8),
+        job(5, 100.0, 1, -0.0, 1.0),
     ];
     for policy in [Policy::Default, Policy::MarginAware] {
         for speedups in [
@@ -173,11 +176,83 @@ fn odd_durations_behind_a_blocked_head_match_the_reference() {
                 let cluster = Cluster::new(8, mix);
                 let config = config(policy, speedups);
                 let (expected, _) = reference::schedule(&cluster, &jobs, &config);
-                let first_end = expected[0].start_s + expected[0].exec_s;
-                assert_eq!(expected[3].start_s, first_end, "job 3 backfills");
+                assert_eq!(expected[2].start_s, 2.0, "job 2 backfills");
+                assert_eq!(expected[3].start_s, 3.0, "job 3 backfills");
                 check_against_reference(&cluster, &jobs, config)
                     .unwrap_or_else(|e| panic!("{policy:?} {speedups:?} {mix:?}: {e:?}"));
             }
+        }
+    }
+}
+
+/// Runs `jobs` through one entry point and returns its panic message.
+fn rejection(entry: &str, jobs: &[Job]) -> String {
+    let cluster = Cluster::new(8, [0.5, 0.25, 0.25]);
+    let config = config(Policy::MarginAware, SpeedupModel::hetero_dmr_default());
+    let panic = catch_unwind(AssertUnwindSafe(|| match entry {
+        "run" => {
+            cluster
+                .schedule(SliceSource::new(jobs))
+                .config(config)
+                .run();
+        }
+        "run_streaming" => {
+            cluster
+                .schedule(SliceSource::new(jobs))
+                .config(config)
+                .run_streaming();
+        }
+        "run_observed" => {
+            let fed = Federation::new(vec![ClusterSpec::new("m", cluster.clone(), config)])
+                .expect("valid federation");
+            fed.run_observed(
+                PlacementPolicy::MarginAware,
+                0,
+                || SliceSource::new(jobs),
+                None,
+                None,
+                None,
+            );
+        }
+        _ => unreachable!("unknown entry point {entry}"),
+    }))
+    .expect_err("an invalid job must be rejected");
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("formatted panic message")
+}
+
+/// Every invalid field panics at the scheduler's entry, under every
+/// entry point, with a message naming the job and the field. Negative
+/// durations (the old `-100`/`-105` odd cases) are among them.
+#[test]
+fn invalid_jobs_are_rejected_at_the_entry() {
+    let bad = |submit_s, nodes, duration_s, util| job(1, submit_s, nodes, duration_s, util);
+    let cases = [
+        ("nodes", bad(1.0, 0, 50.0, 0.8)),
+        ("submit_s", bad(-1.0, 2, 50.0, 0.8)),
+        ("submit_s", bad(f64::NAN, 2, 50.0, 0.8)),
+        ("submit_s", bad(f64::INFINITY, 2, 50.0, 0.8)),
+        ("duration_s", bad(1.0, 2, -100.0, 0.8)),
+        ("duration_s", bad(1.0, 2, -105.0, 0.8)),
+        ("duration_s", bad(1.0, 2, f64::NAN, 0.8)),
+        ("duration_s", bad(1.0, 2, f64::INFINITY, 0.8)),
+        ("mem_utilization", bad(1.0, 2, 50.0, -0.1)),
+        ("mem_utilization", bad(1.0, 2, 50.0, 1.5)),
+        ("mem_utilization", bad(1.0, 2, 50.0, f64::NAN)),
+        ("mem_utilization", bad(1.0, 2, 50.0, f64::NEG_INFINITY)),
+    ];
+    for (field, bad) in cases {
+        // A valid job fills the cluster first, so the invalid one
+        // arrives behind a running job.
+        let jobs = [job(0, 0.0, 8, 100.0, 0.1), bad];
+        for entry in ["run", "run_streaming", "run_observed"] {
+            let message = rejection(entry, &jobs);
+            assert!(
+                message.starts_with(&format!("job 1: {field} ")),
+                "{entry} {bad:?}: {message}"
+            );
         }
     }
 }

@@ -1,25 +1,33 @@
-//! Streaming, counter-seeded synthetic job generation.
+//! The job model: one job type, [`Job`], and the synthetic generators
+//! that sample it.
 //!
-//! The Grizzly-style trace generator in `scheduler::trace` materializes
-//! the whole trace in memory and sizes the arrival window from a first
-//! pass over every job — fine for the paper's 58 K jobs, fatal for the
-//! fleet-scale runs the ROADMAP asks for (10 M+ jobs across a
-//! federation). This module generates jobs on the fly instead:
+//! Both generators draw a job's width from the same heavy-tailed
+//! node-count mix and its duration from the same lognormal, and its
+//! memory utilization from a [`UtilizationModel`]; they differ only in
+//! how they place arrivals:
 //!
-//! * **Counter-seeded**: every job's random draws come from its own
-//!   `StdRng` seeded with `iteration_seed(stream_seed, index)`, so job
-//!   *k* is identical no matter how many jobs were drawn before it, how
-//!   many worker threads exist, or how often the stream is restarted.
-//! * **Single pass**: instead of summing the whole trace's node-seconds
-//!   to size the arrival window, the expected node-seconds per job is
-//!   estimated once from a fixed counter-seeded calibration sample
-//!   ([`CALIBRATION_JOBS`] draws on an independent seed lane), and the
-//!   Poisson arrival gap is derived from that expectation. Submit times
-//!   are then a running prefix sum inside the iterator.
-//! * **O(1) memory**: the stream holds a cursor and a clock, nothing
-//!   else; 10 M jobs cost the same RSS as 10.
+//! * [`GrizzlyTrace`] materializes the paper's Fig 17 trace (Section
+//!   IV-C): a first pass draws every job's width and duration, the
+//!   arrival window is sized so the trace offers exactly the target
+//!   utilization, and a second pass draws Poisson arrivals over it.
+//! * [`SyntheticJobs`] streams fleet-scale traces (10 M+ jobs across a
+//!   federation) without materializing them:
+//!   * **Counter-seeded**: every job's random draws come from its own
+//!     `StdRng` seeded with `iteration_seed(stream_seed, index)`, so
+//!     job *k* is identical no matter how many jobs were drawn before
+//!     it, how many worker threads exist, or how often the stream is
+//!     restarted.
+//!   * **Single pass**: instead of summing the whole trace's
+//!     node-seconds to size the arrival window, the expected
+//!     node-seconds per job is estimated once from a fixed
+//!     counter-seeded calibration sample ([`CALIBRATION_JOBS`] draws
+//!     on an independent seed lane), and the Poisson arrival gap is
+//!     derived from that expectation. Submit times are then a running
+//!     prefix sum inside the iterator.
+//!   * **O(1) memory**: the stream holds a cursor and a clock, nothing
+//!     else; 10 M jobs cost the same RSS as 10.
 
-use crate::utilization::UtilizationModel;
+use crate::utilization::{Cluster, UtilizationModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runner::seed::{iteration_seed, task_seed};
@@ -33,25 +41,107 @@ use runner::seed::{iteration_seed, task_seed};
 /// calibration is free next to any real run.
 pub const CALIBRATION_JOBS: u64 = 8_192;
 
-/// One generated job, before any scheduler-specific typing.
+/// One batch job: what a trace submits and the scheduler runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobSpec {
-    /// Stream-order index (also the counter the job was seeded with).
-    pub index: u64,
-    /// Submission time, seconds from stream start (nondecreasing).
+pub struct Job {
+    /// Trace-order identifier (a stream's job index).
+    pub id: u32,
+    /// Submission time, seconds from trace start (nondecreasing).
     pub submit_s: f64,
-    /// Nodes requested.
+    /// Nodes requested (exclusive allocation, as in HPC practice).
     pub nodes: u32,
-    /// Baseline execution time, seconds.
+    /// Baseline (conventional-system) execution time, seconds.
     pub duration_s: f64,
-    /// Lifetime-maximum memory utilization in [0, 1].
+    /// The job's lifetime-maximum memory utilization in [0, 1]
+    /// (drives Hetero-DMR eligibility: < 50 % benefits).
     pub mem_utilization: f64,
 }
 
-impl JobSpec {
+impl Job {
     /// Baseline node-seconds this job consumes.
     pub fn node_seconds(&self) -> f64 {
         self.nodes as f64 * self.duration_s
+    }
+}
+
+/// Grizzly's node count.
+pub const GRIZZLY_NODES: u32 = 1490;
+
+/// The paper's job count over its four-month Grizzly window.
+pub const GRIZZLY_JOBS: usize = 58_000;
+
+/// The materialized Grizzly-like trace generator (Fig 17): the
+/// paper's 58 K jobs on 1490 nodes at ~78 % offered utilization.
+#[derive(Debug, Clone, Copy)]
+pub struct GrizzlyTrace {
+    /// Number of jobs to generate.
+    pub jobs: usize,
+    /// Cluster size the trace targets (caps a job's width).
+    pub cluster_nodes: u32,
+    /// Target average node utilization (the paper reports ~78 %).
+    pub target_utilization: f64,
+}
+
+impl Default for GrizzlyTrace {
+    fn default() -> GrizzlyTrace {
+        GrizzlyTrace {
+            jobs: GRIZZLY_JOBS,
+            cluster_nodes: GRIZZLY_NODES,
+            target_utilization: 0.78,
+        }
+    }
+}
+
+impl GrizzlyTrace {
+    /// A scaled-down trace for tests and quick runs (same shape,
+    /// fewer jobs on a smaller machine).
+    pub fn scaled(jobs: usize, cluster_nodes: u32) -> GrizzlyTrace {
+        GrizzlyTrace {
+            jobs,
+            cluster_nodes,
+            target_utilization: 0.78,
+        }
+    }
+
+    /// Generates the trace deterministically from `seed`, sorted by
+    /// submission time. The arrival window is sized from the generated
+    /// jobs' own node-seconds, so the offered load misses the target
+    /// only by the arrivals' jitter.
+    pub fn generate(&self, seed: u64) -> Vec<Job> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let util_model = UtilizationModel::for_cluster(Cluster::Grizzly);
+
+        // First pass: sizes and durations.
+        let mut sizes = Vec::with_capacity(self.jobs);
+        let mut durations = Vec::with_capacity(self.jobs);
+        let mut total_node_seconds = 0.0;
+        for _ in 0..self.jobs {
+            let nodes = sample_nodes(&mut rng, self.cluster_nodes);
+            let duration = sample_duration(&mut rng);
+            total_node_seconds += nodes as f64 * duration;
+            sizes.push(nodes);
+            durations.push(duration);
+        }
+        // Pick the trace length (arrival window) that yields the
+        // target utilization for the generated work.
+        let span = total_node_seconds / (self.cluster_nodes as f64 * self.target_utilization);
+
+        // Second pass: Poisson arrivals over the span.
+        let mut t = 0.0;
+        let mean_gap = span / self.jobs as f64;
+        let mut jobs = Vec::with_capacity(self.jobs);
+        for (id, (nodes, duration)) in sizes.into_iter().zip(durations).enumerate() {
+            let u: f64 = 1.0 - rng.random::<f64>();
+            t += -mean_gap * u.ln();
+            jobs.push(Job {
+                id: id as u32,
+                submit_s: t,
+                nodes,
+                duration_s: duration,
+                mem_utilization: util_model.sample_utilization(&mut rng),
+            });
+        }
+        jobs
     }
 }
 
@@ -128,9 +218,9 @@ impl JobStream {
 }
 
 impl Iterator for JobStream {
-    type Item = JobSpec;
+    type Item = Job;
 
-    fn next(&mut self) -> Option<JobSpec> {
+    fn next(&mut self) -> Option<Job> {
         if self.next >= self.cfg.jobs {
             return None;
         }
@@ -141,8 +231,8 @@ impl Iterator for JobStream {
         // sum keeps submit times nondecreasing by construction.
         let u: f64 = 1.0 - rng.random::<f64>();
         self.clock_s += -self.mean_gap_s * u.ln();
-        Some(JobSpec {
-            index,
+        Some(Job {
+            id: index as u32,
             submit_s: self.clock_s,
             nodes: sample_nodes(&mut rng, self.cfg.max_nodes),
             duration_s: sample_duration(&mut rng),
@@ -159,8 +249,10 @@ impl Iterator for JobStream {
 impl ExactSizeIterator for JobStream {}
 
 /// Heavy-tailed node-count mix: mostly small jobs, a few very wide
-/// ones — the classic capacity-cluster shape (same shape as the
-/// materialized Grizzly generator).
+/// ones — the classic capacity-cluster shape. Forced inline: with two
+/// callers LLVM stops inlining it into `JobStream::next`, and
+/// perfbench's fleet-stream then ran about 5 % slower (2-vCPU x86-64).
+#[inline(always)]
 fn sample_nodes<R: Rng + ?Sized>(rng: &mut R, max_nodes: u32) -> u32 {
     let bucket: f64 = rng.random();
     let nodes = if bucket < 0.35 {
@@ -206,22 +298,21 @@ fn expected_nodes(max_nodes: u32) -> f64 {
         + 0.01 * clipped_uniform(257, 512)
 }
 
-/// Lognormal-ish durations: median ~45 minutes, capped at a 48 h
-/// wall-time limit.
+/// Lognormal-ish durations: median ~45 minutes, mean ~3 h, capped at
+/// a 48 h wall-time limit.
 fn sample_duration<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let z = {
         let u1: f64 = 1.0 - rng.random::<f64>();
         let u2: f64 = rng.random::<f64>();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     };
-    let secs = (7.9 + 1.4 * z).exp();
+    let secs = (7.9 + 1.4 * z).exp(); // median e^7.9 ≈ 2700 s
     secs.clamp(60.0, 48.0 * 3600.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::utilization::Cluster;
 
     fn cfg(jobs: u64) -> SyntheticJobs {
         SyntheticJobs {
@@ -235,10 +326,10 @@ mod tests {
 
     #[test]
     fn replay_is_identical() {
-        let a: Vec<JobSpec> = cfg(500).stream(9).collect();
-        let b: Vec<JobSpec> = cfg(500).stream(9).collect();
+        let a: Vec<Job> = cfg(500).stream(9).collect();
+        let b: Vec<Job> = cfg(500).stream(9).collect();
         assert_eq!(a, b);
-        let c: Vec<JobSpec> = cfg(500).stream(10).collect();
+        let c: Vec<Job> = cfg(500).stream(10).collect();
         assert_ne!(a, c);
     }
 
@@ -247,7 +338,7 @@ mod tests {
         // Job k is the same whether or not earlier jobs were consumed
         // (submit times are a prefix sum, so compare the seeded
         // fields, not the clock).
-        let full: Vec<JobSpec> = cfg(100).stream(3).collect();
+        let full: Vec<Job> = cfg(100).stream(3).collect();
         let mut shifted = cfg(100).stream(3);
         shifted.nth(49); // consume 0..=49
         let fifty_first = shifted.next().expect("job 50");
@@ -259,7 +350,7 @@ mod tests {
 
     #[test]
     fn submits_are_nondecreasing_and_bounded() {
-        let jobs: Vec<JobSpec> = cfg(2_000).stream(1).collect();
+        let jobs: Vec<Job> = cfg(2_000).stream(1).collect();
         assert_eq!(jobs.len(), 2_000);
         assert!(jobs.windows(2).all(|w| w[0].submit_s <= w[1].submit_s));
         for j in &jobs {
@@ -272,9 +363,9 @@ mod tests {
     #[test]
     fn offered_load_tracks_the_target() {
         let c = cfg(20_000);
-        let jobs: Vec<JobSpec> = c.stream(5).collect();
+        let jobs: Vec<Job> = c.stream(5).collect();
         let span = jobs.last().unwrap().submit_s;
-        let node_seconds: f64 = jobs.iter().map(JobSpec::node_seconds).sum();
+        let node_seconds: f64 = jobs.iter().map(Job::node_seconds).sum();
         let offered = node_seconds / (c.capacity_nodes * span);
         assert!(
             (offered - 0.75).abs() < 0.08,
@@ -299,5 +390,116 @@ mod tests {
         assert_eq!(a, c.mean_job_node_seconds(7));
         // ~35 mean nodes × ~2-3 h mean duration: loose brackets.
         assert!(a > 1e3 && a < 1e7, "mean node-seconds {a}");
+    }
+
+    /// FNV-1a over every field's bits, in trace order.
+    fn digest(jobs: &[Job]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for j in jobs {
+            for v in [
+                u64::from(j.id),
+                j.submit_s.to_bits(),
+                u64::from(j.nodes),
+                j.duration_s.to_bits(),
+                j.mem_utilization.to_bits(),
+            ] {
+                for b in v.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The materialized trace's exact draws (RNG call order and the
+    /// two-pass arrival sizing) are part of every Fig 17 artifact.
+    #[test]
+    fn grizzly_trace_is_pinned() {
+        let jobs = GrizzlyTrace::scaled(64, 64).generate(7);
+        assert_eq!(jobs.len(), 64);
+        assert!(jobs.iter().enumerate().all(|(i, j)| j.id == i as u32));
+        assert_eq!(digest(&jobs), 0x42f1_6783_ae79_66e7);
+    }
+
+    /// The stream's exact draws are part of every fleet artifact and
+    /// the fleet-stream benchmark digest.
+    #[test]
+    fn job_stream_is_pinned() {
+        let jobs: Vec<Job> = cfg(1_000).stream(7).take(64).collect();
+        assert!(jobs.iter().enumerate().all(|(i, j)| j.id == i as u32));
+        assert_eq!(digest(&jobs), 0xc3b7_73d6_3e8d_9a28);
+    }
+
+    fn grizzly() -> Vec<Job> {
+        GrizzlyTrace::scaled(4_000, GRIZZLY_NODES).generate(1)
+    }
+
+    #[test]
+    fn job_count_and_ordering() {
+        let jobs = grizzly();
+        assert_eq!(jobs.len(), 4_000);
+        assert!(jobs.windows(2).all(|w| w[0].submit_s <= w[1].submit_s));
+    }
+
+    #[test]
+    fn sizes_fit_the_cluster() {
+        for j in grizzly() {
+            assert!(j.nodes >= 1 && j.nodes <= GRIZZLY_NODES);
+            assert!(j.duration_s >= 60.0 && j.duration_s <= 48.0 * 3600.0);
+            assert!((0.0..=1.0).contains(&j.mem_utilization));
+        }
+    }
+
+    #[test]
+    fn offered_load_matches_target_utilization() {
+        let jobs = grizzly();
+        let span = jobs.last().unwrap().submit_s;
+        let node_seconds: f64 = jobs.iter().map(Job::node_seconds).sum();
+        let utilization = node_seconds / (GRIZZLY_NODES as f64 * span);
+        assert!(
+            (utilization - 0.78).abs() < 0.06,
+            "offered utilization {utilization}"
+        );
+    }
+
+    #[test]
+    fn mostly_small_jobs_some_wide() {
+        let jobs = grizzly();
+        let single = jobs.iter().filter(|j| j.nodes == 1).count() as f64 / jobs.len() as f64;
+        let wide = jobs.iter().filter(|j| j.nodes > 64).count() as f64 / jobs.len() as f64;
+        assert!((0.25..0.45).contains(&single), "single-node {single}");
+        assert!((0.02..0.15).contains(&wide), "wide {wide}");
+    }
+
+    #[test]
+    fn most_jobs_eligible_for_hetero_dmr() {
+        let jobs = grizzly();
+        let eligible = jobs
+            .iter()
+            .filter(|j| UtilizationModel::hetero_dmr_eligible(j.mem_utilization))
+            .count() as f64
+            / jobs.len() as f64;
+        assert!((eligible - 0.75).abs() < 0.05, "eligible {eligible}");
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let a = GrizzlyTrace::scaled(100, 64).generate(7);
+        let b = GrizzlyTrace::scaled(100, 64).generate(7);
+        assert_eq!(a, b);
+        let c = GrizzlyTrace::scaled(100, 64).generate(8);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn node_seconds() {
+        let j = Job {
+            id: 0,
+            submit_s: 0.0,
+            nodes: 4,
+            duration_s: 100.0,
+            mem_utilization: 0.2,
+        };
+        assert_eq!(j.node_seconds(), 400.0);
     }
 }

@@ -15,6 +15,11 @@
 //! dataset behind Figure 1 (3 × 10⁹ measurements, 7 × 10⁶
 //! machine-hours): the fraction of jobs whose nodes all stay below
 //! 25 % / 50 % memory utilization for the job's whole lifetime.
+//!
+//! [`jobs`] is the one job model: the [`Job`] type the scheduler
+//! runs, the materialized Fig 17 [`GrizzlyTrace`] and the streaming,
+//! counter-seeded [`SyntheticJobs`] for fleet runs, drawing widths
+//! and durations from one shared sampler.
 
 pub mod jobs;
 pub mod phases;
@@ -22,7 +27,7 @@ pub mod suite;
 pub mod trace;
 pub mod utilization;
 
-pub use jobs::{JobSpec, JobStream, SyntheticJobs};
+pub use jobs::{GrizzlyTrace, Job, JobStream, SyntheticJobs};
 pub use phases::PhaseSchedule;
 pub use suite::{Suite, SuiteParams};
 pub use trace::TraceGen;

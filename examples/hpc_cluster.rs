@@ -7,16 +7,15 @@
 
 use hetero_dmr::monte_carlo::MonteCarlo;
 use margin::composition::SelectionPolicy;
-use scheduler::{
-    Cluster, GrizzlyTrace, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel,
-};
+use scheduler::{Cluster, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel};
+use workloads::jobs::{GrizzlyTrace, GRIZZLY_NODES};
 
 fn main() {
     let jobs: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(20_000);
-    let nodes = scheduler::trace::GRIZZLY_NODES;
+    let nodes = GRIZZLY_NODES;
 
     println!("generating a {jobs}-job Grizzly-like trace on {nodes} nodes...");
     let trace = GrizzlyTrace {

@@ -32,7 +32,14 @@ fn main() {
     let re_measured: Vec<u32> = pop
         .modules()
         .iter()
-        .map(|m| measure_margin(m.spec.organization.specified_rate, m.true_margin_mts, &cfg))
+        .map(|m| {
+            measure_margin(
+                m.spec.organization.specified_rate,
+                m.true_margin_mts,
+                &cfg,
+                None,
+            )
+        })
         .collect();
     let agree = pop
         .modules()

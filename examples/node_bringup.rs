@@ -16,9 +16,8 @@ use hetero_dmr::protocol::HeteroDmrChannel;
 use margin::population::ModulePopulation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scheduler::{
-    Cluster, GrizzlyTrace, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel,
-};
+use scheduler::{Cluster, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel};
+use workloads::jobs::GrizzlyTrace;
 
 fn main() {
     // ── 1. Boot-time profiling ───────────────────────────────────────
@@ -32,7 +31,7 @@ fn main() {
         })
         .collect();
     let channels: Vec<Vec<ModuleUnderTest>> = modules.chunks(2).map(<[_]>::to_vec).collect();
-    let profile = NodeProfiler::default().profile(&channels);
+    let profile = NodeProfiler::default().profile(&channels, None);
     println!("profiled channel margins : {:?}", profile.channel_margins);
     println!("fast-module selection    : {:?}", profile.fast_module);
     println!(

@@ -8,9 +8,8 @@ use hetero_dmr::{EvalConfig, MemoryDesign, NodeModel, UsageBucket};
 use margin::composition::SelectionPolicy;
 use margin::population::ModulePopulation;
 use memsim::config::HierarchyConfig;
-use scheduler::{
-    Cluster, GrizzlyTrace, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel,
-};
+use scheduler::{Cluster, Policy, RunSummary, SchedulerConfig, SliceSource, SpeedupModel};
+use workloads::jobs::GrizzlyTrace;
 use workloads::utilization::{Cluster as Lanl, UtilizationModel};
 use workloads::Suite;
 
