@@ -59,6 +59,15 @@ echo "== scheduler reference (EASY backfill vs naive O(n²)) =="
 # suite by name so a scheduling regression names itself here.
 cargo test --release --offline -p scheduler --test scheduler_properties
 
+echo "== controller reference (tie-dense differential) =="
+# The indexed FR-FCFS controller must match the frozen naive reference
+# read for read: on monotone random sequences across the full mode
+# space, and on tie-dense ones that submit as a node does (shared and
+# out-of-order arrivals over 100+ deep untracked backlogs), where the
+# pick-aware post-pick pass keeps the cached oldest request in O(1).
+# Runs the suite by name so a scheduling regression names itself here.
+cargo test --release --offline -p memsim --test differential
+
 echo "== batched stepping gate (controller vs frozen reference) =="
 # The indexed controller must sustain at least the naive reference's
 # ops/s on an identical op sequence (asserts >= 1x internally).

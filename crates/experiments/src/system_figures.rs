@@ -115,6 +115,10 @@ pub fn fig17(ctx: &mut Ctx) {
     let hdmr = HpcCluster::new(nodes, [groups.at_800, groups.at_600, groups.at_0]);
     let plus17 = HpcCluster::conventional((nodes as f64 * 1.17).round() as u32);
 
+    // A short run can measure a speedup below 1.0, which the scheduler
+    // rejects; clamping it would move the figure, so the run fails and
+    // says how to fix it.
+    let ops = ctx.ops_per_core;
     // With `--metrics`, each system variant records queue depth and
     // per-group latency histograms under its own `cluster.<label>`;
     // with `--trace`, each run adds a `schedule` span with per-job
@@ -124,7 +128,13 @@ pub fn fig17(ctx: &mut Ctx) {
             .policy(policy)
             .speedups(*sp)
             .build()
-            .expect("measured speedup table is consistent");
+            .unwrap_or_else(|err| {
+                panic!(
+                    "the node-model speedups measured at --ops {ops} are not a valid \
+                     scheduler table: {err}. The run is too short to measure them; \
+                     rerun with a larger --ops <n>"
+                )
+            });
         cluster
             .schedule(SliceSource::new(&trace))
             .config(config)

@@ -169,6 +169,21 @@ fn failing_target_keeps_its_partial_output_and_closes_its_span() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fig17 run too short to measure its speedup table fails with exit
+/// 1 and tells the user which flag to raise, rather than asserting an
+/// internal invariant.
+#[test]
+fn too_short_fig17_run_names_the_ops_flag() {
+    let out = run(&["fig17", "--quick", "--ops", "300"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("target 'fig17' panicked"), "{err}");
+    assert!(err.contains("--ops 300"), "{err}");
+    assert!(err.contains("--ops <n>"), "{err}");
+    assert!(err.contains("below 1.0"), "{err}");
+    assert!(!err.contains("is consistent"), "{err}");
+}
+
 #[test]
 fn fig5_metrics_snapshot_is_deterministic() {
     let dirs = [tmp_dir("det_a"), tmp_dir("det_b")];

@@ -20,14 +20,22 @@ pub struct DramCoord {
     pub column: u64,
 }
 
+/// Blocks per row: a DDR4 row is typically 8 KB = 128 blocks.
+const BLOCKS_PER_ROW: u64 = 128;
+const COLUMN_BITS: u32 = BLOCKS_PER_ROW.trailing_zeros();
+
 /// The address mapper: block-interleaved channels, XOR-folded banks.
+/// Every dimension is a power of two, so each coordinate is one bit
+/// field of the block address, which `map` extracts with a shift and a
+/// mask.
 #[derive(Debug, Clone, Copy)]
 pub struct AddressMapping {
-    channels: usize,
-    ranks_per_channel: usize,
-    banks_per_rank: usize,
-    /// Blocks per row (a DDR4 row is typically 8 KB = 128 blocks).
-    blocks_per_row: u64,
+    /// log2 of channels, banks per rank and ranks per channel: the
+    /// widths of their fields in the block address (layout at
+    /// [`map`](Self::map)).
+    channel_bits: u32,
+    bank_bits: u32,
+    rank_bits: u32,
 }
 
 impl AddressMapping {
@@ -39,12 +47,6 @@ impl AddressMapping {
     /// `ranks_per_channel`, `banks_per_rank`, or `blocks_per_row` is
     /// not a power of two.
     pub fn new(channels: usize, ranks_per_channel: usize, banks_per_rank: usize) -> AddressMapping {
-        let m = AddressMapping {
-            channels,
-            ranks_per_channel,
-            banks_per_rank,
-            blocks_per_row: 128,
-        };
         for (name, v) in [
             ("channels", channels),
             ("ranks_per_channel", ranks_per_channel),
@@ -55,22 +57,26 @@ impl AddressMapping {
                 "{name} must be a power of two"
             );
         }
-        m
+        AddressMapping {
+            channel_bits: channels.trailing_zeros(),
+            bank_bits: banks_per_rank.trailing_zeros(),
+            rank_bits: ranks_per_channel.trailing_zeros(),
+        }
     }
 
     /// Number of channels.
     pub fn channels(&self) -> usize {
-        self.channels
+        1 << self.channel_bits
     }
 
     /// Ranks per channel.
     pub fn ranks_per_channel(&self) -> usize {
-        self.ranks_per_channel
+        1 << self.rank_bits
     }
 
     /// Banks per rank.
     pub fn banks_per_rank(&self) -> usize {
-        self.banks_per_rank
+        1 << self.bank_bits
     }
 
     /// Maps a byte address to its DRAM coordinates.
@@ -79,18 +85,18 @@ impl AddressMapping {
     /// rank | row, with the bank bits XORed against the low row bits
     /// (Skylake-style) to spread row-strided streams across banks.
     pub fn map(&self, addr: u64) -> DramCoord {
+        let field = |block: u64, bits: u32| block & ((1u64 << bits) - 1);
         let mut block = addr >> 6;
-        let channel = (block % self.channels as u64) as usize;
-        block /= self.channels as u64;
-        let column = block % self.blocks_per_row;
-        block /= self.blocks_per_row;
-        let bank_raw = block % self.banks_per_rank as u64;
-        block /= self.banks_per_rank as u64;
-        let rank = (block % self.ranks_per_channel as u64) as usize;
-        block /= self.ranks_per_channel as u64;
-        let row = block;
+        let channel = field(block, self.channel_bits) as usize;
+        block >>= self.channel_bits;
+        let column = field(block, COLUMN_BITS);
+        block >>= COLUMN_BITS;
+        let bank_raw = field(block, self.bank_bits);
+        block >>= self.bank_bits;
+        let rank = field(block, self.rank_bits) as usize;
+        let row = block >> self.rank_bits;
         // XOR-fold: permute the bank with the row's low bits.
-        let bank = ((bank_raw ^ row) % self.banks_per_rank as u64) as usize;
+        let bank = field(bank_raw ^ row, self.bank_bits) as usize;
         DramCoord {
             channel,
             rank,
@@ -161,6 +167,54 @@ mod tests {
         let b = m.map(64 * 4 * 128); // one full row further in channel 0
         assert_eq!(a.channel, b.channel);
         assert!(a.bank != b.bank || a.row != b.row);
+    }
+
+    /// The division-and-remainder form of [`AddressMapping::map`].
+    fn naive_map(channels: u64, ranks: u64, banks: u64, addr: u64) -> DramCoord {
+        let mut block = addr >> 6;
+        let channel = (block % channels) as usize;
+        block /= channels;
+        let column = block % BLOCKS_PER_ROW;
+        block /= BLOCKS_PER_ROW;
+        let bank_raw = block % banks;
+        block /= banks;
+        let rank = (block % ranks) as usize;
+        let row = block / ranks;
+        DramCoord {
+            channel,
+            rank,
+            bank: ((bank_raw ^ row) % banks) as usize,
+            row,
+            column,
+        }
+    }
+
+    #[test]
+    fn shifts_match_division_on_every_shape() {
+        // splitmix64 over the full address range, plus the edges.
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for channels in [1, 2, 4, 8] {
+            for ranks in [1, 2, 4, 8] {
+                for banks in [16, 32] {
+                    let m = AddressMapping::new(channels, ranks, banks);
+                    let (c, r, b) = (channels as u64, ranks as u64, banks as u64);
+                    for addr in (0..2_000).map(|_| next()).chain([0, 63, 64, u64::MAX]) {
+                        assert_eq!(
+                            m.map(addr),
+                            naive_map(c, r, b, addr),
+                            "{channels}x{ranks}x{banks} at {addr:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,18 +23,30 @@
 //! referee):
 //!
 //! * the read queue is struct-of-arrays: parallel `Vec`s of arrival
-//!   time, row, serving-bank index, bypass count, and token, and the
-//!   single per-pick pass — a fused sweep that ages bypassed requests
-//!   and rebuilds both cached pick candidates — is one tight
-//!   branch-light loop over dense integer arrays instead of
-//!   pointer-chasing index walks,
+//!   time, row, serving-bank index, bypass count, and token, walked by
+//!   one tight branch-light pass per pick over dense integer arrays
+//!   instead of pointer-chasing index walks,
 //! * both FR-FCFS candidates — the oldest request and the oldest row
 //!   hit, keyed `(arrival, slot)` where the slot component reproduces
 //!   the old first-position tie-break exactly, because slots mirror
 //!   the `swap_remove` positions the scans used to walk — are cached
 //!   minima, making the pick itself `O(1)`: submissions can only
 //!   lower them (one compare, plus one bank probe for the hit
-//!   candidate), and the fused sweep recomputes them for free,
+//!   candidate),
+//! * the post-pick pass does only what the pick kind needs. About two
+//!   picks in three take the oldest request (or one arriving with
+//!   it): nothing queued is strictly older, so nothing ages, and one
+//!   read-only pass rebuilds both minima. The rest are row hits that
+//!   bypass an older request (fairness picks are well under 1%): the
+//!   oldest survives and is updated in `O(1)` — relabelled if
+//!   `swap_remove` moved it, replaced by the moved request on an equal
+//!   arrival with a lower slot — and one pass ages the strictly older
+//!   requests and rebuilds the row-hit minimum,
+//! * each bank's open row lives in a dense `Vec<u64>` apart from its
+//!   timing gates, so that pass probes 8 bytes per queued read,
+//! * the read and write timing sets are integer picosecond tables
+//!   computed once per controller, so no access re-quantizes
+//!   nanoseconds to clock cycles,
 //! * completions live in a token→slot slab (`Vec` + free list) rather
 //!   than a `HashMap`,
 //! * pending writes live in a plain `Vec` keyed `(rank·bank, row,
@@ -167,10 +179,11 @@ impl ResidencyStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A bank's timing gates. Its open row lives apart, in
+/// [`ChannelController`]'s dense `open_rows` array, which the post-pick
+/// pass probes once per queued read.
+#[derive(Debug, Clone, Copy, Default)]
 struct BankState {
-    /// Open row, or [`ROW_NONE`] when the bank is precharged.
-    open_row: u64,
     /// When the currently open row was activated (meaningful only
     /// while a row is open); closes accrue `active_bank_ps`.
     open_since: Picos,
@@ -185,15 +198,42 @@ struct BankState {
     last_use: Picos,
 }
 
-impl Default for BankState {
-    fn default() -> Self {
-        BankState {
-            open_row: ROW_NONE,
-            open_since: 0,
-            act_allowed_at: 0,
-            next_column_at: 0,
-            pre_allowed_at: 0,
-            last_use: 0,
+/// One timing set in picoseconds, read from its [`TimingParams`]
+/// accessors once, when the controller is built: each accessor
+/// re-quantizes nanoseconds to whole clock cycles, which the per-access
+/// path cannot afford.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimingTable {
+    t_rcd: Picos,
+    t_rp: Picos,
+    t_ras: Picos,
+    /// CL, the read column latency.
+    cas: Picos,
+    /// CWL, the write column latency.
+    cwl: Picos,
+    t_rtp: Picos,
+    t_wr: Picos,
+    t_wtr: Picos,
+    t_rfc: Picos,
+    t_refi: Picos,
+    /// One 64-byte burst on the data bus.
+    burst: Picos,
+}
+
+impl TimingTable {
+    fn new(t: &TimingParams) -> TimingTable {
+        TimingTable {
+            t_rcd: t.t_rcd_ps(),
+            t_rp: t.t_rp_ps(),
+            t_ras: t.t_ras_ps(),
+            cas: t.t_cas_ps(),
+            cwl: t.t_cwl_ps(),
+            t_rtp: t.t_rtp_ps(),
+            t_wr: t.t_wr_ps(),
+            t_wtr: t.t_wtr_ps(),
+            t_rfc: t.t_rfc_ps(),
+            t_refi: t.t_refi_ps(),
+            burst: t.burst_ps(),
         }
     }
 }
@@ -219,7 +259,13 @@ type WriteKey = (u64, u64, u64);
 pub struct ChannelController {
     mode: ChannelMode,
     mem: MemoryConfig,
+    /// `mode.read_timing` and `mode.write_timing` in picoseconds.
+    read_ps: TimingTable,
+    write_ps: TimingTable,
     banks: Vec<BankState>,
+    /// Per-bank open row, or [`ROW_NONE`] when the bank is precharged;
+    /// indexed like `banks`.
+    open_rows: Vec<u64>,
     bus_free_at: Picos,
     /// Reads are blocked until this time while a write drain runs.
     write_mode_until: Picos,
@@ -237,15 +283,16 @@ pub struct ChannelController {
     rq_bypasses: Vec<u32>,
     rq_token: Vec<u64>,
     /// Cached minimum `(arrival, slot)` over the queue — the oldest
-    /// request with the original first-position tie-break. Kept exact
-    /// in `O(1)`: a submission can only lower it, and the post-pick
-    /// aging sweep (which walks the queue regardless) recomputes it.
+    /// request with the original first-position tie-break. A
+    /// submission can only lower it; after a pick it is rebuilt when
+    /// the pick was (or tied) the oldest, and updated in `O(1)` when a
+    /// row hit bypassed it.
     oldest: Option<(Picos, u32)>,
     /// Cached minimum `(arrival, slot)` over queued requests whose
     /// serving bank currently holds their row open — the FR-FCFS
     /// row-hit pick. Exact between picks because bank state only
     /// changes inside [`schedule_one_read`](Self::schedule_one_read)
-    /// (whose fused sweep rebuilds this against the post-serve bank
+    /// (whose post-pick pass rebuilds this against the post-serve bank
     /// states) and inside write drains (which run with the read queue
     /// empty); submissions update it in `O(1)` with one bank probe.
     best_hit: Option<(Picos, u32)>,
@@ -271,12 +318,16 @@ impl ChannelController {
     /// Creates a controller for one channel.
     pub fn new(mode: ChannelMode, mem: MemoryConfig, page_timeout_ps: Picos) -> ChannelController {
         let ranks = mem.ranks_per_channel();
-        let refi = mode.read_timing.t_refi_ps();
+        let read_ps = TimingTable::new(&mode.read_timing);
+        let refi = read_ps.t_refi;
         let bank_count = ranks * mem.banks_per_rank;
         ChannelController {
             mode,
             mem,
+            read_ps,
+            write_ps: TimingTable::new(&mode.write_timing),
             banks: vec![BankState::default(); bank_count],
+            open_rows: vec![ROW_NONE; bank_count],
             bus_free_at: 0,
             write_mode_until: 0,
             next_refresh: (0..ranks).map(|r| refi + r as Picos * 100_000).collect(),
@@ -322,8 +373,8 @@ impl ChannelController {
                 None => 0,
             };
             for idx in 0..self.banks.len() {
-                let bank = &mut self.banks[idx];
-                if bank.open_row != ROW_NONE {
+                let bank = &self.banks[idx];
+                if self.open_rows[idx] != ROW_NONE {
                     // Parked ranks precharge when they re-enter
                     // self-refresh after their last write burst;
                     // everyone else holds the row to the horizon.
@@ -334,7 +385,7 @@ impl ChannelController {
                     };
                     self.residency.active_bank_ps += close.saturating_sub(bank.open_since);
                     self.residency.pre_edges += 1;
-                    bank.open_row = ROW_NONE;
+                    self.open_rows[idx] = ROW_NONE;
                 }
             }
             // Parked ranks self-refresh whenever the channel is not in
@@ -409,17 +460,18 @@ impl ChannelController {
         if due > now {
             return;
         }
-        let t = self.mode.read_timing;
-        let refi = t.t_refi_ps();
+        let t = self.read_ps;
+        let refi = t.t_refi;
         // All due refreshes collapse into one bank update: maxing the
         // bank gates against each window's ascending end time equals
         // maxing against the last, and closing the row is idempotent.
         let catch_up = (now - due) / refi;
-        let end = due + catch_up * refi + t.t_rfc_ps();
+        let end = due + catch_up * refi + t.t_rfc;
         for b in 0..self.mem.banks_per_rank {
             let idx = self.bank_index(rank, b);
             let bank = &mut self.banks[idx];
-            if bank.open_row != ROW_NONE {
+            let open_row = &mut self.open_rows[idx];
+            if *open_row != ROW_NONE {
                 // Refresh implies an all-bank precharge at the window
                 // edge; the open row's active time ends there.
                 self.residency.active_bank_ps += due.saturating_sub(bank.open_since);
@@ -427,11 +479,11 @@ impl ChannelController {
             }
             bank.act_allowed_at = bank.act_allowed_at.max(end);
             bank.next_column_at = bank.next_column_at.max(end);
-            bank.open_row = ROW_NONE;
+            *open_row = ROW_NONE;
         }
         self.next_refresh[rank] = due + (catch_up + 1) * refi;
         self.residency.refresh_bank_ps +=
-            (catch_up + 1) * t.t_rfc_ps() * self.mem.banks_per_rank as Picos;
+            (catch_up + 1) * t.t_rfc * self.mem.banks_per_rank as Picos;
         self.stats.refreshes += catch_up + 1;
     }
 
@@ -483,9 +535,7 @@ impl ChannelController {
         if self.oldest.is_none_or(|b| key < b) {
             self.oldest = Some(key);
         }
-        if self.banks[bank_idx as usize].open_row == coord.row
-            && self.best_hit.is_none_or(|b| key < b)
-        {
+        if self.open_rows[bank_idx as usize] == coord.row && self.best_hit.is_none_or(|b| key < b) {
             self.best_hit = Some(key);
         }
         token
@@ -513,59 +563,86 @@ impl ChannelController {
         if token == UNTRACKED_TOKEN {
             self.untracked_queued -= 1;
         }
-        // Serve before sweeping: the DRAM work below is what changes
-        // bank state, and the sweep's row-hit rebuild must see the
-        // state the *next* pick will be scheduled against. (The sweep
-        // itself only reads arrivals, which the serve never touches,
-        // so the two orders produce identical numbers.)
+        // Serve before the post-pick pass: the DRAM work below is what
+        // changes bank state, and the pass's row-hit rebuild must see
+        // the state the *next* pick will be scheduled against.
         let done = self.serve_read(bank_idx as usize, row, arrival);
         if token != UNTRACKED_TOKEN {
             self.completions[token as usize] = Completion::Done(done);
         }
-        // One fused pass over the shrunk queue: age every request the
-        // pick bypassed toward the fairness cap, rebuild the cached
-        // oldest key, and rebuild the cached row-hit key against the
-        // post-serve bank states. Strict `<` keeps the first occurrence
-        // of each minimum arrival, which is exactly the minimum
+        // One pass over the shrunk queue rebuilds the cached row-hit
+        // key against the post-serve bank states. What else it does
+        // depends on the pick. Strict `<` keeps the first occurrence of
+        // each minimum arrival, which is exactly the minimum
         // `(arrival, slot)` pair.
+        let (oldest_arrival, oldest_slot) = self.oldest.expect("picked from a nonempty queue");
         let ChannelController {
-            banks,
+            open_rows,
             rq_arrival,
             rq_row,
             rq_bank,
             rq_bypasses,
             ..
         } = self;
-        let mut best_arrival = Picos::MAX;
-        let mut best_slot = u32::MAX;
         let mut hit_arrival = Picos::MAX;
         let mut hit_slot = u32::MAX;
-        for (i, ((&a, byp), (&qrow, &qbank))) in rq_arrival
-            .iter()
-            .zip(rq_bypasses.iter_mut())
-            .zip(rq_row.iter().zip(rq_bank.iter()))
-            .enumerate()
-        {
-            *byp += (a < arrival) as u32;
-            if a < best_arrival {
-                best_arrival = a;
-                best_slot = i as u32;
+        if arrival == oldest_arrival {
+            // The pick is (or ties) the oldest: nothing queued is
+            // strictly older, so nothing ages. Rebuild both minima
+            // read-only.
+            let mut best_arrival = Picos::MAX;
+            let mut best_slot = u32::MAX;
+            for (i, (&a, (&qrow, &qbank))) in rq_arrival
+                .iter()
+                .zip(rq_row.iter().zip(rq_bank.iter()))
+                .enumerate()
+            {
+                if a < best_arrival {
+                    best_arrival = a;
+                    best_slot = i as u32;
+                }
+                // `ROW_NONE` (closed bank) never equals a real row.
+                if open_rows[qbank as usize] == qrow && a < hit_arrival {
+                    hit_arrival = a;
+                    hit_slot = i as u32;
+                }
             }
-            // `ROW_NONE` (closed bank) never equals a real row.
-            if banks[qbank as usize].open_row == qrow && a < hit_arrival {
-                hit_arrival = a;
-                hit_slot = i as u32;
+            self.oldest = (best_slot != u32::MAX).then_some((best_arrival, best_slot));
+        } else {
+            // A row hit bypassed the oldest, which therefore survives.
+            // `swap_remove` moved the last slot into `pick`, and only
+            // that request's key changed: it takes over when its new key
+            // is smaller. That relabels the oldest when it was the one
+            // moved, and otherwise needs an equal arrival.
+            let moved = rq_arrival.len();
+            let mut oldest = (oldest_arrival, oldest_slot);
+            if pick < moved && (rq_arrival[pick], pick as u32) < oldest {
+                oldest = (rq_arrival[pick], pick as u32);
+            }
+            self.oldest = Some(oldest);
+            // Age every request the pick bypassed toward the fairness
+            // cap.
+            for (i, ((&a, byp), (&qrow, &qbank))) in rq_arrival
+                .iter()
+                .zip(rq_bypasses.iter_mut())
+                .zip(rq_row.iter().zip(rq_bank.iter()))
+                .enumerate()
+            {
+                *byp += (a < arrival) as u32;
+                if open_rows[qbank as usize] == qrow && a < hit_arrival {
+                    hit_arrival = a;
+                    hit_slot = i as u32;
+                }
             }
         }
-        self.oldest = (best_slot != u32::MAX).then_some((best_arrival, best_slot));
         self.best_hit = (hit_slot != u32::MAX).then_some((hit_arrival, hit_slot));
     }
 
     /// FR-FCFS pick: the oldest row-hit request, unless the oldest
     /// overall has been bypassed too often (bank fairness), in which
     /// case age wins. `O(1)`: both candidates are cached minima —
-    /// rebuilt by the fused post-pick sweep and lowered incrementally
-    /// by submissions (every queued bank index respects the read-rank
+    /// kept by the post-pick pass and lowered incrementally by
+    /// submissions (every queued bank index respects the read-rank
     /// restriction by construction).
     fn pick_next_read(&self) -> u32 {
         let (_, oldest) = self.oldest.expect("nonempty queue");
@@ -607,7 +684,6 @@ impl ChannelController {
     /// restriction already applied).
     fn serve_read(&mut self, bank_idx: usize, row: u64, arrival: Picos) -> Picos {
         let now = arrival.max(self.write_mode_until);
-        let t = self.mode.read_timing;
         let rank = bank_idx / self.mem.banks_per_rank;
         let bank = bank_idx % self.mem.banks_per_rank;
         self.apply_refresh(rank, now);
@@ -632,7 +708,7 @@ impl ChannelController {
             bank_idx
         };
 
-        let (data_end, hit) = self.column_access(idx, row, now, &t, true);
+        let (data_end, hit) = self.column_access(idx, row, now, true);
         self.stats.reads += 1;
         self.stats.row_hits += hit as u64;
         let latency = data_end.saturating_sub(arrival);
@@ -648,8 +724,8 @@ impl ChannelController {
     /// of the paper covers both effects).
     fn faster_bank(&self, home: usize, mirror: usize, row: u64, now: Picos) -> usize {
         let open = |i: usize| {
-            let bank = &self.banks[i];
-            bank.open_row == row && now.saturating_sub(bank.last_use) <= self.page_timeout_ps
+            self.open_rows[i] == row
+                && now.saturating_sub(self.banks[i].last_use) <= self.page_timeout_ps
         };
         match (open(home), open(mirror)) {
             (true, _) => home,
@@ -658,7 +734,7 @@ impl ChannelController {
                 // Conflict on both: divert to the mirror only when it
                 // frees up substantially sooner (a full precharge
                 // earlier) — the copy is a spare, not a second port.
-                let margin = self.mode.read_timing.t_rp_ps() + self.mode.read_timing.t_rcd_ps();
+                let margin = self.read_ps.t_rp + self.read_ps.t_rcd;
                 if self.banks[mirror].pre_allowed_at + margin < self.banks[home].pre_allowed_at {
                     mirror
                 } else {
@@ -668,70 +744,70 @@ impl ChannelController {
         }
     }
 
-    /// Performs one column access on bank `idx`, returning (last data
-    /// beat time, was it a row hit).
-    fn column_access(
-        &mut self,
-        idx: usize,
-        row: u64,
-        now: Picos,
-        t: &TimingParams,
-        is_read: bool,
-    ) -> (Picos, bool) {
+    /// Performs one column access on bank `idx` at the read-mode or
+    /// write-mode timing, returning (last data beat time, was it a row
+    /// hit).
+    fn column_access(&mut self, idx: usize, row: u64, now: Picos, is_read: bool) -> (Picos, bool) {
+        let t = if is_read {
+            &self.read_ps
+        } else {
+            &self.write_ps
+        };
         let page_timeout = self.page_timeout_ps;
         let bank = &mut self.banks[idx];
+        let open_row = &mut self.open_rows[idx];
 
         // Hybrid page policy: a row idle past the timeout was closed in
         // the background (precharge already complete by access time if
         // the idle gap also covered tRP).
-        if bank.open_row != ROW_NONE && now.saturating_sub(bank.last_use) > page_timeout {
+        if *open_row != ROW_NONE && now.saturating_sub(bank.last_use) > page_timeout {
             let closed_at = bank.pre_allowed_at.max(bank.last_use + page_timeout);
-            bank.open_row = ROW_NONE;
-            bank.act_allowed_at = bank.act_allowed_at.max(closed_at + t.t_rp_ps());
+            *open_row = ROW_NONE;
+            bank.act_allowed_at = bank.act_allowed_at.max(closed_at + t.t_rp);
             self.residency.active_bank_ps += closed_at.saturating_sub(bank.open_since);
             self.residency.pre_edges += 1;
         }
 
-        let cas = if is_read { t.t_cas_ps() } else { t.t_cwl_ps() };
-        let (cmd_time, hit) = if bank.open_row == row {
+        let cas = if is_read { t.cas } else { t.cwl };
+        let (cmd_time, hit) = if *open_row == row {
             (now.max(bank.next_column_at), true)
-        } else if bank.open_row != ROW_NONE {
+        } else if *open_row != ROW_NONE {
             // Conflict: PRE + ACT + column.
             let pre_at = now.max(bank.pre_allowed_at);
-            let act_at = pre_at + t.t_rp_ps();
+            let act_at = pre_at + t.t_rp;
             self.stats.activates += 1;
             self.residency.active_bank_ps += pre_at.saturating_sub(bank.open_since);
             self.residency.pre_edges += 1;
             self.residency.act_edges += 1;
-            bank.open_row = row;
+            *open_row = row;
             bank.open_since = act_at;
-            bank.pre_allowed_at = act_at + t.t_ras_ps();
-            (act_at + t.t_rcd_ps(), false)
+            bank.pre_allowed_at = act_at + t.t_ras;
+            (act_at + t.t_rcd, false)
         } else {
             let act_at = now.max(bank.act_allowed_at);
             self.stats.activates += 1;
             self.residency.act_edges += 1;
-            bank.open_row = row;
+            *open_row = row;
             bank.open_since = act_at;
-            bank.pre_allowed_at = act_at + t.t_ras_ps();
-            (act_at + t.t_rcd_ps(), false)
+            bank.pre_allowed_at = act_at + t.t_ras;
+            (act_at + t.t_rcd, false)
         };
         // Serialize the burst on the data bus; the command is delayed
         // as needed so its data slot aligns with a free bus.
         let data_start = (cmd_time + cas).max(self.bus_free_at);
-        let data_end = data_start + t.burst_ps();
+        let data_end = data_start + t.burst;
         let effective_cmd = data_start - cas;
         self.bus_free_at = data_end;
-        self.stats.bus_busy_ps += t.burst_ps();
+        self.stats.bus_busy_ps += t.burst;
 
         let bank = &mut self.banks[idx];
         bank.last_use = data_end;
         // Column commands pipeline at tCCD (= one burst).
-        bank.next_column_at = effective_cmd + t.burst_ps();
+        bank.next_column_at = effective_cmd + t.burst;
         bank.pre_allowed_at = if is_read {
-            bank.pre_allowed_at.max(effective_cmd + t.t_rtp_ps())
+            bank.pre_allowed_at.max(effective_cmd + t.t_rtp)
         } else {
-            bank.pre_allowed_at.max(data_end + t.t_wr_ps())
+            bank.pre_allowed_at.max(data_end + t.t_wr)
         };
         (data_end, hit)
     }
@@ -739,21 +815,22 @@ impl ChannelController {
     /// Applies a broadcast write's effect on a copy rank's bank: the
     /// row buffer takes the written row and the bank is busy through
     /// write recovery, with no bus occupancy of its own.
-    fn shadow_write(&mut self, idx: usize, row: u64, end: Picos, t: &TimingParams) {
+    fn shadow_write(&mut self, idx: usize, row: u64, end: Picos) {
         let bank = &mut self.banks[idx];
-        if bank.open_row != row {
+        let open_row = &mut self.open_rows[idx];
+        if *open_row != row {
             self.stats.activates += 1;
-            if bank.open_row != ROW_NONE {
+            if *open_row != ROW_NONE {
                 self.residency.active_bank_ps += end.saturating_sub(bank.open_since);
                 self.residency.pre_edges += 1;
             }
             self.residency.act_edges += 1;
             bank.open_since = end;
         }
-        bank.open_row = row;
+        *open_row = row;
         bank.last_use = end;
         bank.next_column_at = bank.next_column_at.max(end);
-        bank.pre_allowed_at = bank.pre_allowed_at.max(end + t.t_wr_ps());
+        bank.pre_allowed_at = bank.pre_allowed_at.max(end + self.write_ps.t_wr);
     }
 
     /// Queues a write (an LLC writeback that missed or overflowed the
@@ -774,7 +851,7 @@ impl ChannelController {
     pub fn drain_writes(&mut self, now: Picos) -> Picos {
         // Reads already queued were issued before the drain decision.
         self.process_reads();
-        let t = self.mode.write_timing;
+        let t = self.write_ps;
         if self.write_queue.is_empty() {
             return now;
         }
@@ -782,7 +859,7 @@ impl ChannelController {
 
         // Transition into write mode: wait for the bus, pay turnaround.
         let entered = now.max(self.bus_free_at);
-        let start = entered + t.t_wtr_ps() + self.mode.turnaround_penalty_ps;
+        let start = entered + t.t_wtr + self.mode.turnaround_penalty_ps;
         self.bus_free_at = start;
 
         // FR-FCFS freely reorders the drained batch for row locality:
@@ -797,7 +874,7 @@ impl ChannelController {
             self.apply_refresh(rank, start);
             // Writes pipeline: each issues as soon as its bank and the
             // data bus allow (the bus serializes bursts; banks overlap).
-            let (end, hit) = self.column_access(self.bank_index(rank, bank), row, start, &t, false);
+            let (end, hit) = self.column_access(self.bank_index(rank, bank), row, start, false);
             self.stats.writes += 1;
             self.stats.row_hits += hit as u64;
             if self.mode.broadcast_copies > 0 {
@@ -812,7 +889,7 @@ impl ChannelController {
                     _ => (rank + total / 2) % total,
                 };
                 if copy_rank != rank {
-                    self.shadow_write(self.bank_index(copy_rank, bank), row, end, &t);
+                    self.shadow_write(self.bank_index(copy_rank, bank), row, end);
                 }
             }
             clock = clock.max(end);
@@ -822,7 +899,7 @@ impl ChannelController {
         self.write_queue = queue;
 
         // Transition back to read mode.
-        let resume = clock + t.t_wtr_ps() + self.mode.turnaround_penalty_ps;
+        let resume = clock + t.t_wtr + self.mode.turnaround_penalty_ps;
         self.residency.write_mode_ps += resume.saturating_sub(entered);
         self.bus_free_at = resume;
         // A conventional controller interleaves reads with its short
@@ -1085,6 +1162,51 @@ mod tests {
         let h = HierarchyConfig::hierarchy1();
         let parked = (h.memory.ranks_per_channel() - 2) * h.memory.banks_per_rank;
         assert_eq!(r.self_refresh_bank_ps, parked as Picos * end);
+    }
+
+    #[test]
+    fn timing_table_matches_the_accessors() {
+        use dram::timing::MemorySetting;
+        let mut sets: Vec<TimingParams> = [
+            MemorySetting::Specified,
+            MemorySetting::LatencyMargin,
+            MemorySetting::FrequencyMargin,
+            MemorySetting::FreqLatMargin,
+        ]
+        .iter()
+        .map(|s| s.timing())
+        .collect();
+        sets.extend([
+            TimingParams::ddr4_2400_spec(),
+            TimingParams::ddr4_3200_spec(),
+            TimingParams::ddr5_4800_spec(),
+            TimingParams::ddr5_6400_spec(),
+            TimingParams::mrdimm_8800_spec(),
+        ]);
+        let (fast, safe) = HierarchyConfig::hetero_dmr_timings(800);
+        sets.extend([fast, safe]);
+        for (i, &read) in sets.iter().enumerate() {
+            // Pair each set with a different one so a swapped read and
+            // write table cannot pass.
+            let write = sets[(i + 1) % sets.len()];
+            let mut mode = ChannelMode::commercial_baseline();
+            mode.read_timing = read;
+            mode.write_timing = write;
+            let c = controller(mode);
+            for (table, t) in [(c.read_ps, read), (c.write_ps, write)] {
+                assert_eq!(table.t_rcd, t.t_rcd_ps(), "set {i}");
+                assert_eq!(table.t_rp, t.t_rp_ps(), "set {i}");
+                assert_eq!(table.t_ras, t.t_ras_ps(), "set {i}");
+                assert_eq!(table.cas, t.t_cas_ps(), "set {i}");
+                assert_eq!(table.cwl, t.t_cwl_ps(), "set {i}");
+                assert_eq!(table.t_rtp, t.t_rtp_ps(), "set {i}");
+                assert_eq!(table.t_wr, t.t_wr_ps(), "set {i}");
+                assert_eq!(table.t_wtr, t.t_wtr_ps(), "set {i}");
+                assert_eq!(table.t_rfc, t.t_rfc_ps(), "set {i}");
+                assert_eq!(table.t_refi, t.t_refi_ps(), "set {i}");
+                assert_eq!(table.burst, t.burst_ps(), "set {i}");
+            }
+        }
     }
 
     #[test]

@@ -189,6 +189,12 @@ impl CoreSim {
         if self.l2.contains(block << 6) || self.l3.contains(block << 6) {
             return None;
         }
+        self.fill_prefetch(block)
+    }
+
+    /// Fills `block`, known to be in neither L2 nor L3, into L2, and
+    /// L2's victim into L3; returns L3's dirty victim, if any.
+    fn fill_prefetch(&mut self, block: u64) -> Option<u64> {
         self.l2
             .fill(block << 6)
             .and_then(|victim| self.l3.fill(victim << 6))
@@ -211,8 +217,10 @@ impl CoreSim {
         let outcome = self.access_caches(op, &mut writebacks, &mut prefetches);
         traffic.extend(writebacks.iter().map(|&block| Traffic::Writeback(block)));
         for &pf in &prefetches {
+            // `needs_prefetch` has probed both levels, so fill without
+            // `install_prefetch`'s second probe.
             if self.needs_prefetch(pf) {
-                if let Some(victim) = self.install_prefetch(pf) {
+                if let Some(victim) = self.fill_prefetch(pf) {
                     traffic.push(Traffic::Writeback(victim));
                 }
                 traffic.push(Traffic::Prefetch(pf));

@@ -6,6 +6,17 @@
 //! restriction, FMR read choice, broadcast copies, turnaround
 //! penalties). Every drain must leave both write queues empty.
 //!
+//! Two arrival shapes are driven. Monotone sequences advance the clock
+//! by up to 40 ns per op, so arrivals never decrease and almost never
+//! tie. Tie-dense sequences submit the way a node does: an op's demand
+//! read and its prefetches share one arrival, and cores submit out of
+//! arrival order. They draw arrivals from a small jittered window
+//! around the clock, with exact repeats and arrivals older than
+//! anything queued, over queues kept 100+ untracked reads deep. That
+//! is where the FR-FCFS pick's `(arrival, slot)` tie-break, the
+//! relabel of the cached oldest request after `swap_remove`, and
+//! bypass aging (strictly older requests only) are exercised.
+//!
 //! Token *values* are an implementation detail (the reference hands
 //! out sequence numbers, the real controller slab slots), so the
 //! driver pairs each tracked submission's two tokens and only ever
@@ -64,6 +75,30 @@ fn random_mode(rng: &mut Rng) -> ChannelMode {
     mode
 }
 
+/// How a sequence draws its arrival times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arrivals {
+    /// The clock advances by up to 40 ns per op; arrivals never
+    /// decrease.
+    Monotone,
+    /// Arrivals jitter around a slow clock, repeat exactly and reach
+    /// behind everything queued, over 100+ deep untracked backlogs.
+    TieDense,
+}
+
+/// Tracked submissions of the two shapes tie-dense sequences exist
+/// for. Both counts are exact, not estimates: a *tie* repeats the
+/// arrival of the previous tracked read with no resolve or drain in
+/// between, so both are queued together; an *older* read arrives
+/// before every read submitted since the queue was last emptied, while
+/// a tracked read submitted since the last resolve or drain is known
+/// to be queued.
+#[derive(Debug, Default)]
+struct Draws {
+    ties: u64,
+    older: u64,
+}
+
 /// A drain serves everything pending: neither queue keeps a write.
 fn assert_drained(real: &ChannelController, naive: &ReferenceController, seed: u64) {
     assert_eq!(real.pending_writes(), 0, "drain left writes (seed {seed})");
@@ -76,7 +111,7 @@ fn assert_drained(real: &ChannelController, naive: &ReferenceController, seed: u
 
 /// Drives one op sequence through both controllers, comparing every
 /// observable as it goes and the full statistics at the end.
-fn run_sequence(seed: u64) {
+fn run_sequence(seed: u64, arrivals: Arrivals) -> Draws {
     let mut rng = Rng(seed);
     let mode = random_mode(&mut rng);
     let mem = MemoryConfig::default();
@@ -86,34 +121,92 @@ fn run_sequence(seed: u64) {
 
     let ranks = mem.ranks_per_channel() as u64;
     let banks = mem.banks_per_rank as u64;
+    let tie_dense = arrivals == Arrivals::TieDense;
+    // Few rows and banks make row hits, and so bypasses, common.
+    let (rows, bank_span) = if tie_dense { (4, 4) } else { (24, banks) };
+    let coord = |rng: &mut Rng| DramCoord {
+        channel: 0,
+        rank: rng.below(ranks) as usize,
+        bank: rng.below(bank_span) as usize,
+        row: rng.below(rows),
+        column: rng.below(64),
+    };
     let mut now: Picos = 0;
     // Outstanding tracked reads as (real token, reference token).
     let mut outstanding: Vec<(u64, u64)> = Vec::new();
+    let mut draws = Draws::default();
+    // The oldest arrival submitted since the queue was last emptied,
+    // and the previous tracked arrival since the last resolve or drain
+    // (while it is set, that tracked read is known to be queued).
+    let mut min_since_empty = Picos::MAX;
+    let mut last_tracked: Option<Picos> = None;
+
+    if tie_dense {
+        // A deep untracked backlog just before the starting clock: the
+        // cap on queued prefetches is 192, so every one of these is
+        // queued.
+        now = 100_000;
+        for _ in 0..100 + rng.below(60) {
+            let arrival = now - rng.below(16) * 250;
+            let c = coord(&mut rng);
+            let _ = real.submit_read(c, arrival, false);
+            let _ = naive.submit_read(c, arrival, false);
+            min_since_empty = min_since_empty.min(arrival);
+        }
+    }
 
     let ops = 40 + rng.below(160);
     for _ in 0..ops {
-        now += rng.below(40_000);
-        let coord = DramCoord {
-            channel: 0,
-            rank: rng.below(ranks) as usize,
-            bank: rng.below(banks) as usize,
-            row: rng.below(24),
-            column: rng.below(64),
+        let arrival = if tie_dense {
+            now += rng.below(4) * 250;
+            match (rng.below(100), last_tracked) {
+                (0..=19, Some(prev)) => prev,
+                (20..=29, _) if last_tracked.is_some() && min_since_empty > 0 => {
+                    min_since_empty - 1 - rng.below(min_since_empty.min(2_000))
+                }
+                _ => (now + rng.below(8) * 250).saturating_sub(1_000),
+            }
+        } else {
+            now += rng.below(40_000);
+            now
         };
-        match rng.below(100) {
-            // Tracked read: remember the token pair.
+        let coord = coord(&mut rng);
+        // Tie-dense sequences lean on untracked reads and rarely drain,
+        // so the queue stays deep.
+        let op = rng.below(100);
+        let op = if tie_dense {
+            match op {
+                0..=29 => 0,
+                30..=69 => 50,
+                70..=84 => 70,
+                85..=97 => 85,
+                _ => 99,
+            }
+        } else {
+            op
+        };
+        match op {
+            // Tracked read: remember the token pair. (Untracked reads
+            // can be dropped at the prefetch cap, so only tracked ones
+            // are counted.)
             0..=44 => {
-                let rt = real.submit_read(coord, now, true);
-                let nt = naive.submit_read(coord, now, true);
+                draws.ties += (last_tracked == Some(arrival)) as u64;
+                draws.older += (last_tracked.is_some() && arrival < min_since_empty) as u64;
+                min_since_empty = min_since_empty.min(arrival);
+                let rt = real.submit_read(coord, arrival, true);
+                let nt = naive.submit_read(coord, arrival, true);
                 outstanding.push((rt, nt));
+                last_tracked = Some(arrival);
             }
             // Untracked (prefetch) read: fire and forget.
             45..=59 => {
-                let _ = real.submit_read(coord, now, false);
-                let _ = naive.submit_read(coord, now, false);
+                min_since_empty = min_since_empty.min(arrival);
+                let _ = real.submit_read(coord, arrival, false);
+                let _ = naive.submit_read(coord, arrival, false);
             }
             // Resolve a random outstanding read; latencies must agree.
             60..=79 => {
+                last_tracked = None;
                 if !outstanding.is_empty() {
                     let at = rng.below(outstanding.len() as u64) as usize;
                     let (rt, nt) = outstanding.swap_remove(at);
@@ -129,8 +222,11 @@ fn run_sequence(seed: u64) {
                 real.enqueue_write(coord);
                 naive.enqueue_write(coord);
             }
-            // Drain every pending write; resume times must agree.
+            // Drain every pending write; resume times must agree. The
+            // drain schedules every queued read first.
             _ => {
+                last_tracked = None;
+                min_since_empty = Picos::MAX;
                 assert_eq!(
                     real.drain_writes(now),
                     naive.drain_writes(now),
@@ -168,14 +264,32 @@ fn run_sequence(seed: u64) {
         naive.stats(),
         "statistics diverged (seed {seed})"
     );
+    draws
 }
 
 /// ≥1000 random sequences; each covers a fresh mode and op stream.
 #[test]
 fn controller_matches_reference_on_random_sequences() {
     for seed in 0..1024u64 {
-        run_sequence(0xD1FF_0000 + seed);
+        run_sequence(0xD1FF_0000 + seed, Arrivals::Monotone);
     }
+}
+
+/// 1024 tie-dense, out-of-order sequences over deep queues. The driver
+/// must actually have produced both shapes it exists for.
+#[test]
+fn controller_matches_reference_on_tie_dense_sequences() {
+    let mut total = Draws::default();
+    for seed in 0..1024u64 {
+        let draws = run_sequence(0x7E1E_0000 + seed, Arrivals::TieDense);
+        total.ties += draws.ties;
+        total.older += draws.older;
+    }
+    assert!(total.ties > 0, "no tied submissions: {total:?}");
+    assert!(
+        total.older > 0,
+        "no older-than-queued submissions: {total:?}"
+    );
 }
 
 /// Pin the bank-fairness bypass path: a stream of row hits to one bank
