@@ -27,16 +27,18 @@ echo "== benches compile =="
 cargo bench --offline --workspace --no-run
 
 echo "== LRU reference (flattened caches vs naive true LRU) =="
-# The struct-of-arrays caches, with their u32 recency and its
-# renormalization, must match a naive per-set LRU list op for op. Runs
+# The struct-of-arrays caches, with their u32 tags and per-set u8
+# recency ranks, must match a naive per-set LRU list op for op: hits,
+# writebacks, dirty counts and each touched set's recency order. Runs
 # the suite by name so a recency regression names itself here.
 cargo test --offline -q -p memsim --test lru_reference
 
 echo "== closed-form warm fill (batch prewarm vs per-block prewarm) =="
 # The L3 warm fill places provably distinct blocks without lookups and
-# must leave exactly the state per-block prewarm leaves, on warmup-
-# shaped, overlapping, duplicated and many-run sequences. Runs the
-# suite by name so a warm-fill regression names itself here.
+# must leave exactly the state per-block prewarm leaves (tags, dirty
+# bits and every set's recency order), on warmup-shaped, overlapping,
+# duplicated and many-run sequences. Runs the suite by name so a
+# warm-fill regression names itself here.
 cargo test --offline -q -p memsim --test prewarm_closed_form
 
 echo "== replay oracle (recorded cache pass vs live simulation) =="

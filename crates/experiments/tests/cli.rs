@@ -82,6 +82,17 @@ fn malformed_arguments_exit_2() {
     }
 }
 
+/// The largest `--jobs` is a valid budget: fig1 (one target, no worker
+/// threads) prints what it prints at `--jobs 1` and reports the budget.
+#[test]
+fn largest_jobs_budget_runs_and_is_reported() {
+    let huge = run(&["fig1", "--jobs", "18446744073709551615"]);
+    assert!(huge.status.success(), "{huge:?}");
+    assert_eq!(huge.stdout, run(&["fig1", "--jobs", "1"]).stdout);
+    let err = String::from_utf8_lossy(&huge.stderr);
+    assert!(err.contains("on 18446744073709551615 worker(s)"), "{err}");
+}
+
 /// An explicit `--ops` wins over `--quick`'s default whichever comes
 /// first on the command line.
 #[test]

@@ -10,34 +10,36 @@ pub struct AccessResult {
     pub writeback: Option<u64>,
 }
 
-/// Tag sentinel for empty slots (unreachable by any real address: a
-/// real tag is `addr >> (6 + index_bits)`, which can never reach
-/// `u64::MAX`).
-const TAG_EMPTY: u64 = u64::MAX;
+/// Tag sentinel for empty slots. [`Cache::index`] rejects any address
+/// whose tag would reach it, so no real line can match an empty slot.
+const TAG_EMPTY: u32 = u32::MAX;
+
+/// Recency-rank sentinel for empty slots: above every real rank
+/// (`0..ways`), so a fill into an empty slot ages every resident line
+/// of its set.
+const RANK_EMPTY: u8 = u8::MAX;
 
 /// A set-associative write-back, write-allocate cache.
 ///
 /// Operates on 64-byte block addresses (`addr >> 6`). State is
-/// struct-of-arrays: one contiguous `ways`-strided tag array, a
-/// parallel recency array, and a packed dirty bitmask. The hit path —
-/// the overwhelmingly common case — scans only the tag array: a
-/// 16-way set is two cache lines of tags instead of six lines of
-/// tag/lru/dirty records, and the compare loop is branch-light enough
-/// to vectorize. Recency (`lru == 0` marks an empty slot; the access
-/// tick is pre-incremented so resident lines are always nonzero) and
-/// dirty bits are only touched for the one line an access actually
-/// changes.
+/// struct-of-arrays, about 5.1 bytes per line: one contiguous
+/// `ways`-strided `u32` tag array, a parallel `u8` recency-rank array,
+/// and a packed dirty bitmask. The hit path — the overwhelmingly
+/// common case — scans only the tag array: a 16-way set is one cache
+/// line of tags, and the compare loop is branch-light enough to
+/// vectorize. Ranks and dirty bits are only touched in the one set an
+/// access changes.
 ///
-/// Recency stamps are `u32`, which keeps the recency array half the
-/// size of a `u64` one. Before the tick would wrap, one pass
-/// rank-compresses every resident line's stamp to `1..=resident`,
-/// keeping their order across the whole cache, so victims and the
-/// cleaning order are exactly what unbounded stamps would give.
+/// Recency is a per-set rank: 0 is the set's most recently used line,
+/// `resident - 1` its least recently used, and [`RANK_EMPTY`] marks an
+/// empty slot. Touching a line ages every line of its set that was more
+/// recent than it by one and gives it rank 0, so a full set's victim —
+/// the line of rank `ways - 1` — is exactly the true-LRU one.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    tags: Vec<u64>,
-    /// Higher = more recently used; 0 = slot empty.
-    lru: Vec<u32>,
+    tags: Vec<u32>,
+    /// Per-set recency rank of each slot; [`RANK_EMPTY`] = slot empty.
+    rank: Vec<u8>,
     /// Packed dirty bits, one per line slot.
     dirty: Vec<u64>,
     ways: usize,
@@ -46,7 +48,6 @@ pub struct Cache {
     set_shift: u32,
     /// `set_count.trailing_zeros()`, cached for address reassembly.
     index_bits: u32,
-    tick: u32,
     hits: u64,
     misses: u64,
 }
@@ -57,30 +58,29 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless `size_bytes / (64 * ways)` is a nonzero power of
-    /// two (required for mask-based set indexing), or when the cache
-    /// has `u32::MAX` lines or more (recency stamps are `u32`).
+    /// Panics when `ways` exceeds 255 (ranks are `u8`, with
+    /// [`RANK_EMPTY`] reserved), or unless `size_bytes / (64 * ways)` is
+    /// a nonzero power of two (required for mask-based set indexing).
     pub fn new(size_bytes: usize, ways: usize) -> Cache {
+        assert!(
+            ways <= RANK_EMPTY as usize,
+            "cache associativity {ways} exceeds the {RANK_EMPTY} ways u8 recency ranks can hold"
+        );
         let set_count = size_bytes / (64 * ways);
         assert!(
             set_count > 0 && set_count.is_power_of_two(),
             "cache must have a power-of-two number of sets (got {set_count})"
         );
         let lines = set_count * ways;
-        assert!(
-            lines < u32::MAX as usize,
-            "cache has too many lines for u32 recency ({lines})"
-        );
         Cache {
             tags: vec![TAG_EMPTY; lines],
-            lru: vec![0; lines],
+            rank: vec![RANK_EMPTY; lines],
             dirty: vec![0; lines.div_ceil(64)],
             ways,
             set_count,
             set_mask: (set_count - 1) as u64,
             set_shift: 6,
             index_bits: set_count.trailing_zeros(),
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -116,42 +116,27 @@ impl Cache {
         }
     }
 
-    fn index(&self, addr: u64) -> (usize, u64) {
+    /// `addr`'s set and tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the address, when its tag does not fit below
+    /// [`TAG_EMPTY`] (at least 2^45 bytes of address space for the
+    /// smallest simulated cache).
+    #[inline]
+    fn index(&self, addr: u64) -> (usize, u32) {
         let block = addr >> self.set_shift;
-        ((block & self.set_mask) as usize, block >> self.index_bits)
+        let tag = block >> self.index_bits;
+        assert!(
+            tag < u64::from(TAG_EMPTY),
+            "address {addr:#x} is beyond the cache's 32-bit tag range"
+        );
+        ((block & self.set_mask) as usize, tag as u32)
     }
 
     /// Reassembles a line's block address from its tag and set.
-    fn block_of(&self, set_idx: usize, tag: u64) -> u64 {
-        let shift_back = self.set_shift + self.index_bits;
-        let set_bits = (set_idx as u64) << self.set_shift;
-        ((tag << shift_back) | set_bits) >> self.set_shift
-    }
-
-    /// The next recency stamp, renormalizing first if the tick would
-    /// wrap.
-    #[inline]
-    fn next_tick(&mut self) -> u32 {
-        if self.tick == u32::MAX {
-            self.renormalize_lru();
-        }
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Rank-compresses every resident line's stamp to `1..=resident`
-    /// in their global order (stamps are distinct: each tick stamps one
-    /// line) and restarts the tick after the highest rank. Empty slots
-    /// keep 0.
-    #[cold]
-    fn renormalize_lru(&mut self) {
-        let mut stamps: Vec<u32> = self.lru.iter().copied().filter(|&l| l != 0).collect();
-        stamps.sort_unstable();
-        for l in self.lru.iter_mut().filter(|l| **l != 0) {
-            // Ranks are at most `lines`, which `new` keeps below u32::MAX.
-            *l = stamps.partition_point(|&s| s < *l) as u32 + 1;
-        }
-        self.tick = stamps.len() as u32;
+    fn block_of(&self, set_idx: usize, tag: u32) -> u64 {
+        (u64::from(tag) << self.index_bits) | set_idx as u64
     }
 
     #[inline]
@@ -178,11 +163,10 @@ impl Cache {
     /// Occupied slots always form a prefix of the set (insertions take
     /// the leftmost empty slot and a tag is never reset to empty), so
     /// a miss in a set whose last slot is still empty resolves from
-    /// the tag array alone — cold fills and prewarm never touch the
-    /// recency array to *find* their slot; the LRU scan runs only for
-    /// full sets.
+    /// the tag array alone; only a full set reads its ranks, for the
+    /// line ranked `ways - 1`.
     #[inline]
-    fn probe(&self, base: usize, tag: u64) -> Result<usize, usize> {
+    fn probe(&self, base: usize, tag: u32) -> Result<usize, usize> {
         let tags = &self.tags[base..base + self.ways];
         if let Some(at) = tags.iter().position(|&t| t == tag) {
             return Ok(at);
@@ -194,75 +178,74 @@ impl Cache {
                 .expect("last slot is empty");
             return Err(at); // first empty slot wins
         }
-        let lru = &self.lru[base..base + self.ways];
-        let mut slot = 0;
-        let mut slot_lru = u32::MAX;
-        for (i, &l) in lru.iter().enumerate() {
-            if l < slot_lru {
-                slot_lru = l;
-                slot = i;
-            }
+        let lru = (self.ways - 1) as u8;
+        let at = self.rank[base..base + self.ways]
+            .iter()
+            .position(|&r| r == lru)
+            .expect("a full set ranks its lines 0..ways");
+        Err(at)
+    }
+
+    /// Makes `line` the most recent line of the set at `base`: every
+    /// line ranked more recent than it ages by one. For an empty slot
+    /// ([`RANK_EMPTY`]) that is every resident line.
+    #[inline]
+    fn promote(&mut self, base: usize, line: usize) {
+        let old = self.rank[line];
+        if old == 0 {
+            return; // already the most recent line: nothing ages
         }
-        Err(slot)
+        for r in &mut self.rank[base..base + self.ways] {
+            *r += u8::from(*r < old);
+        }
+        self.rank[line] = 0;
+    }
+
+    /// Looks `addr` up and makes its block its set's most recent line,
+    /// installing it over the first empty slot or the LRU victim on a
+    /// miss. A hit ORs `dirty` into the line; an install sets it. The
+    /// shared step of [`access`](Self::access), [`fill`](Self::fill) and
+    /// [`prewarm`](Self::prewarm); counts nothing.
+    #[inline]
+    fn touch(&mut self, addr: u64, dirty: bool) -> AccessResult {
+        let (set_idx, tag) = self.index(addr);
+        let base = set_idx * self.ways;
+        let (hit, line) = match self.probe(base, tag) {
+            Ok(at) => (true, base + at),
+            Err(slot) => (false, base + slot),
+        };
+        let mut writeback = None;
+        if !hit {
+            // Empty slots are never dirty: only a victim writes back.
+            writeback = self
+                .is_dirty(line)
+                .then(|| self.block_of(set_idx, self.tags[line]));
+            self.tags[line] = tag;
+        }
+        self.promote(base, line);
+        if dirty || !hit {
+            self.set_dirty(line, dirty);
+        }
+        AccessResult { hit, writeback }
     }
 
     /// Accesses `addr`; on a miss the block is allocated (write-
     /// allocate) and the LRU victim evicted.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
-        let tick = self.next_tick();
-        let (set_idx, tag) = self.index(addr);
-        let base = set_idx * self.ways;
-        match self.probe(base, tag) {
-            Ok(at) => {
-                let line = base + at;
-                self.lru[line] = tick;
-                if is_write {
-                    self.set_dirty(line, true);
-                }
-                self.hits += 1;
-                AccessResult {
-                    hit: true,
-                    writeback: None,
-                }
-            }
-            Err(slot) => {
-                self.misses += 1;
-                let line = base + slot;
-                let writeback = (self.lru[line] != 0 && self.is_dirty(line))
-                    .then(|| self.block_of(set_idx, self.tags[line]));
-                self.tags[line] = tag;
-                self.lru[line] = tick;
-                self.set_dirty(line, is_write);
-                AccessResult {
-                    hit: false,
-                    writeback,
-                }
-            }
+        let result = self.touch(addr, is_write);
+        if result.hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        result
     }
 
-    /// Fills `addr` without counting a demand access (prefetch path).
-    /// Returns a dirty victim's block address if one was evicted.
+    /// Fills `addr` without counting a demand access (prefetch path);
+    /// a resident block only has its recency refreshed. Returns a dirty
+    /// victim's block address if one was evicted.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        let tick = self.next_tick();
-        let (set_idx, tag) = self.index(addr);
-        let base = set_idx * self.ways;
-        match self.probe(base, tag) {
-            Ok(at) => {
-                // Already present: refresh recency only.
-                self.lru[base + at] = tick;
-                None
-            }
-            Err(slot) => {
-                let line = base + slot;
-                let writeback = (self.lru[line] != 0 && self.is_dirty(line))
-                    .then(|| self.block_of(set_idx, self.tags[line]));
-                self.tags[line] = tag;
-                self.lru[line] = tick;
-                self.set_dirty(line, false);
-                writeback
-            }
-        }
+        self.touch(addr, false).writeback
     }
 
     /// Installs `addr` with an explicit dirty flag, without counting
@@ -271,37 +254,21 @@ impl Cache {
     /// before measuring). The LRU victim of a full set is dropped
     /// (warmup victims carry no obligations).
     pub fn prewarm(&mut self, addr: u64, dirty: bool) {
-        let tick = self.next_tick();
-        let (set_idx, tag) = self.index(addr);
-        let base = set_idx * self.ways;
-        match self.probe(base, tag) {
-            Ok(at) => {
-                let line = base + at;
-                self.lru[line] = tick;
-                if dirty {
-                    self.set_dirty(line, true);
-                }
-            }
-            Err(slot) => {
-                let line = base + slot;
-                self.tags[line] = tag;
-                self.lru[line] = tick;
-                self.set_dirty(line, dirty);
-            }
-        }
+        self.touch(addr, dirty);
     }
 
     /// [`prewarm`](Self::prewarm) for each `(addr, dirty)` of `blocks`
     /// in order, leaving exactly the state those calls would: the one
     /// batch warm fill.
     ///
-    /// On an untouched cache (tick 0) it skips the lookup for every
-    /// block it can prove new. A new block always misses; the first
-    /// empty slot of a set is its leftmost one (occupied slots form a
-    /// prefix); and once a set is full its LRU line is the one placed
-    /// `ways` placements earlier, since no block was touched twice. So
-    /// a set's `k`-th placement goes to slot `k % ways`, kept as a
-    /// wrapping cursor per set. A block is proven new while the blocks
+    /// On an untouched cache (every slot empty) it skips the lookup for
+    /// every block it can prove new. A new block always misses; the
+    /// first empty slot of a set is its leftmost one (occupied slots
+    /// form a prefix); and once a set is full its LRU line is the one
+    /// placed `ways` placements earlier, since no block was touched
+    /// twice. So a set's `k`-th placement goes to slot `k % ways`, kept
+    /// as a wrapping cursor per set, and the ranks are written once at
+    /// the end from the cursors. A block is proven new while the blocks
     /// so far form strictly monotone runs and it lies outside the
     /// `[lo, hi]` range of every earlier run, the shape of
     /// `workloads::TraceGen::warmup`. From the first block it cannot
@@ -309,27 +276,47 @@ impl Cache {
     /// identical state.
     pub fn prewarm_blocks<I: IntoIterator<Item = (u64, bool)>>(&mut self, blocks: I) {
         let mut blocks = blocks.into_iter();
-        if self.tick == 0 {
+        let mut unproven = None;
+        if self.rank.iter().all(|&r| r == RANK_EMPTY) {
             let mut runs = DistinctRuns::default();
             let mut next_slot = vec![0usize; self.set_count];
             for (addr, dirty) in blocks.by_ref() {
-                let block = addr >> self.set_shift;
-                if !runs.admit(block) {
-                    self.prewarm(addr, dirty);
+                if !runs.admit(addr >> self.set_shift) {
+                    unproven = Some((addr, dirty));
                     break;
                 }
-                let tick = self.next_tick();
-                let set_idx = (block & self.set_mask) as usize;
+                let (set_idx, tag) = self.index(addr);
                 let slot = next_slot[set_idx];
                 next_slot[set_idx] = if slot + 1 == self.ways { 0 } else { slot + 1 };
                 let line = set_idx * self.ways + slot;
-                self.tags[line] = block >> self.index_bits;
-                self.lru[line] = tick;
+                self.tags[line] = tag;
                 self.set_dirty(line, dirty);
             }
+            self.rank_placements(&next_slot);
         }
-        for (addr, dirty) in blocks {
+        for (addr, dirty) in unproven.into_iter().chain(blocks) {
             self.prewarm(addr, dirty);
+        }
+    }
+
+    /// Ranks the lines the closed-form warm fill placed. Each set holds
+    /// its placements from slot 0 up, wrapping, and `next_slot[set]` is
+    /// the slot after the newest one, so recency falls leftwards from
+    /// that slot, wrapping at the set's end. A set is full once its last
+    /// slot is occupied; otherwise its cursor counts its lines.
+    fn rank_placements(&mut self, next_slot: &[usize]) {
+        let ways = self.ways;
+        for (set_idx, &next) in next_slot.iter().enumerate() {
+            let base = set_idx * ways;
+            let filled = if self.tags[base + ways - 1] == TAG_EMPTY {
+                next
+            } else {
+                ways
+            };
+            let newest = (next + ways - 1) % ways;
+            for (slot, rank) in self.rank[base..base + filled].iter_mut().enumerate() {
+                *rank = ((newest + ways - slot) % ways) as u8;
+            }
         }
     }
 
@@ -341,33 +328,18 @@ impl Cache {
         self.tags[base..base + self.ways].contains(&tag)
     }
 
-    /// Collects up to `limit` least-recently-used *dirty* blocks across
-    /// the cache and marks them clean, returning their block addresses
-    /// in recency order (Hetero-DMR's LLC-cleaning order, Section
-    /// III-E). The simulator models cleaning through the write-batch
-    /// watermark instead, so this is a recency probe: it exposes the
-    /// cache-wide LRU order that rank compression must preserve, and
-    /// the recency tests and oracles compare it.
-    pub fn clean_lru_dirty(&mut self, limit: usize) -> Vec<u64> {
-        let mut dirty: Vec<(u32, usize)> = Vec::new();
-        for (word_idx, &word) in self.dirty.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let line = word_idx * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if line < self.lru.len() && self.lru[line] != 0 {
-                    dirty.push((self.lru[line], line));
-                }
-            }
-        }
-        dirty.sort_unstable_by_key(|&(lru, _)| lru);
-        dirty.truncate(limit);
-        let mut chosen = Vec::with_capacity(dirty.len());
-        for &(_, line) in &dirty {
-            self.set_dirty(line, false);
-            chosen.push(self.block_of(line / self.ways, self.tags[line]));
-        }
-        chosen
+    /// The blocks resident in `addr`'s set, most recently used first
+    /// (no LRU update): the recency probe the LRU oracles compare after
+    /// every operation.
+    pub fn set_recency(&self, addr: u64) -> Vec<u64> {
+        let (set_idx, _) = self.index(addr);
+        let base = set_idx * self.ways;
+        let mut lines: Vec<(u8, u64)> = (base..base + self.ways)
+            .filter(|&line| self.rank[line] != RANK_EMPTY)
+            .map(|line| (self.rank[line], self.block_of(set_idx, self.tags[line])))
+            .collect();
+        lines.sort_unstable();
+        lines.into_iter().map(|(_, block)| block).collect()
     }
 
     /// Number of dirty lines currently resident.
@@ -496,31 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_lru_dirty_prefers_oldest() {
-        let mut c = Cache::new(4096, 4);
-        c.access(0, true); // oldest dirty
-        c.access(64, true);
-        c.access(128, true); // newest dirty
-        let cleaned = c.clean_lru_dirty(2);
-        assert_eq!(cleaned, vec![0, 1]);
-        assert_eq!(c.dirty_count(), 1);
-        // Cleaned blocks are still resident.
-        assert!(c.contains(0));
-        assert!(c.contains(64));
-    }
-
-    #[test]
-    fn clean_lru_dirty_respects_limit() {
-        let mut c = Cache::new(4096, 4);
-        for i in 0..10u64 {
-            c.access(i * 64, true);
-        }
-        assert_eq!(c.clean_lru_dirty(100).len(), 10);
-        assert_eq!(c.dirty_count(), 0);
-        assert!(c.clean_lru_dirty(5).is_empty());
-    }
-
-    #[test]
     fn hit_rate_tracks() {
         let mut c = Cache::new(4096, 4);
         c.access(0, false);
@@ -549,84 +496,6 @@ mod tests {
         assert_eq!(c.access(4 * 64, false).writeback, Some(0));
     }
 
-    /// A cache whose tick starts just below `u32::MAX` renormalizes
-    /// its recency partway through and must still match, op for op, a
-    /// twin whose tick started at 0: hits, writebacks, cleaning order,
-    /// residency and dirty counts. Both start with the same batch warm
-    /// fill, which the fresh twin places in closed form and the
-    /// wrapping one block by block across the renormalization.
-    #[test]
-    fn tick_wrap_renormalization_is_invisible() {
-        let mut fresh = Cache::new(1024, 4); // 4 sets x 4 ways
-        let mut wrapping = fresh.clone();
-        wrapping.tick = u32::MAX - 3;
-        // `TraceGen::warmup`'s shape: two descending runs, then an
-        // ascending one; 28 blocks over 16 lines.
-        let warm = (0..8u64).rev().chain((8..20).rev()).chain(24..32);
-        let warm = warm.map(|b| (b * 64 + b % 64, b % 3 == 0));
-        fresh.prewarm_blocks(warm.clone());
-        wrapping.prewarm_blocks(warm);
-        assert_eq!(fresh.dirty_count(), wrapping.dirty_count());
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        for step in 0..4_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // 32 blocks over 4 sets: a mix of hits and evictions.
-            let addr = (x >> 8) % 32 * 64;
-            let dirty = x & 1 == 1;
-            match (x >> 1) % 8 {
-                0..=3 => assert_eq!(
-                    fresh.access(addr, dirty),
-                    wrapping.access(addr, dirty),
-                    "step {step}: access"
-                ),
-                4 => assert_eq!(fresh.fill(addr), wrapping.fill(addr), "step {step}: fill"),
-                5 => {
-                    fresh.prewarm(addr, dirty);
-                    wrapping.prewarm(addr, dirty);
-                }
-                6 => assert_eq!(
-                    fresh.clean_lru_dirty(3),
-                    wrapping.clean_lru_dirty(3),
-                    "step {step}: cleaning order"
-                ),
-                _ => assert_eq!(
-                    fresh.contains(addr),
-                    wrapping.contains(addr),
-                    "step {step}: contains"
-                ),
-            }
-            assert_eq!(fresh.dirty_count(), wrapping.dirty_count(), "step {step}");
-        }
-        assert!(wrapping.tick < 5_000, "the tick wrapped and restarted low");
-        assert_eq!(fresh.lru.iter().filter(|&&l| l == 0).count(), 0);
-        assert_eq!(fresh.hits(), wrapping.hits());
-        assert_eq!(fresh.misses(), wrapping.misses());
-    }
-
-    #[test]
-    fn renormalization_keeps_empty_slots_and_global_order() {
-        let mut c = Cache::new(512, 4); // 2 sets x 4 ways
-        c.tick = u32::MAX - 4;
-        c.access(0, true); // set 0
-        c.access(64, true); // set 1
-        c.access(128, true); // set 0
-        c.access(192, true); // set 1; tick is now u32::MAX
-        c.access(0, false); // renormalizes, then refreshes block 0
-        assert_eq!(c.tick, 5);
-        let mut stamps: Vec<u32> = c.lru.iter().copied().filter(|&l| l != 0).collect();
-        stamps.sort_unstable();
-        assert_eq!(stamps, vec![2, 3, 4, 5]);
-        assert_eq!(
-            c.lru.iter().filter(|&&l| l == 0).count(),
-            4,
-            "empty slots stay 0"
-        );
-        // Oldest dirty first, across sets: 64, 128, 192, then 0.
-        assert_eq!(c.clean_lru_dirty(4), vec![1, 2, 3, 0]);
-    }
-
     #[test]
     fn dirty_count_survives_eviction_overwrite() {
         let mut c = Cache::new(128, 2); // 1 set, 2 ways
@@ -636,5 +505,67 @@ mod tests {
         let res = c.access(128, false); // evicts dirty A with a clean line
         assert_eq!(res.writeback, Some(0));
         assert_eq!(c.dirty_count(), 1, "evicted line's dirty bit cleared");
+    }
+
+    #[test]
+    fn recency_ranks_track_touch_order() {
+        let mut c = Cache::new(256, 4); // 1 set, 4 ways
+        for block in [0u64, 1, 2] {
+            c.access(block * 64, false);
+        }
+        assert_eq!(c.set_recency(0), vec![2, 1, 0]);
+        c.access(0, false); // a hit ages only the lines above it
+        assert_eq!(c.set_recency(0), vec![0, 2, 1]);
+        c.fill(3 * 64); // the last empty slot ages every line
+        c.access(4 * 64, false); // evicts block 1, the LRU line
+        assert_eq!(c.set_recency(0), vec![4, 3, 0, 2]);
+    }
+
+    /// Heap bytes of the per-line state: tags, ranks and dirty words.
+    fn heap_bytes_per_line(c: &Cache) -> f64 {
+        let heap = c.tags.capacity() * std::mem::size_of::<u32>()
+            + c.rank.capacity()
+            + c.dirty.capacity() * std::mem::size_of::<u64>();
+        heap as f64 / (c.set_count * c.ways) as f64
+    }
+
+    /// Every cache each simulated core holds (Table IV's L1 and L2, and
+    /// both hierarchies' L3 partitions) keeps at most 5.25 bytes of
+    /// state per line.
+    #[test]
+    fn simulated_caches_keep_at_most_5_25_bytes_per_line() {
+        use crate::config::{CoreConfig, HierarchyConfig, L3_WAYS};
+        let core = CoreConfig::default();
+        let (h1, h2) = (HierarchyConfig::hierarchy1(), HierarchyConfig::hierarchy2());
+        for (what, bytes, ways, expected_bytes) in [
+            ("L1", core.l1_bytes, core.l1_ways, 64 << 10),
+            ("L2", core.l2_bytes, core.l2_ways, 1 << 20),
+            ("Hierarchy1 L3", h1.l3_partition_bytes(), L3_WAYS, 2 << 20),
+            ("Hierarchy2 L3", h2.l3_partition_bytes(), L3_WAYS, 1 << 20),
+        ] {
+            assert_eq!(bytes, expected_bytes, "{what} size");
+            let per_line = heap_bytes_per_line(&Cache::new(bytes, ways));
+            assert!(per_line <= 5.25, "{what}: {per_line} heap bytes per line");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 256 exceeds")]
+    fn ways_beyond_u8_ranks_rejected() {
+        let _ = Cache::new(256 * 64, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x3fffffffc0 is beyond")]
+    fn access_beyond_32_bit_tags_rejected() {
+        let mut c = Cache::new(128, 2); // 1 set: the tag is the block
+        c.access(u64::from(u32::MAX) << 6, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x3fffffffc0 is beyond")]
+    fn warm_fill_beyond_32_bit_tags_rejected() {
+        let mut c = Cache::new(128, 2);
+        c.prewarm_blocks([(0, false), (u64::from(u32::MAX) << 6, false)]);
     }
 }

@@ -32,7 +32,7 @@ static PERMITS_INIT: Once = Once::new();
 pub fn set_jobs(n: usize) {
     CONFIGURED_JOBS.store(n, Ordering::SeqCst);
     permit_pool(); // force initialization, then overwrite
-    PERMITS.store(jobs() as isize - 1, Ordering::SeqCst);
+    PERMITS.store(extra_permits(jobs()), Ordering::SeqCst);
 }
 
 /// The resolved worker budget: the configured value, or the machine's
@@ -44,9 +44,15 @@ pub fn jobs() -> usize {
     }
 }
 
+/// Worker permits beyond the calling thread for a budget of `jobs`:
+/// `jobs - 1`, saturating at 0 below and at `isize::MAX` above.
+fn extra_permits(jobs: usize) -> isize {
+    isize::try_from(jobs.saturating_sub(1)).unwrap_or(isize::MAX)
+}
+
 fn permit_pool() -> &'static AtomicIsize {
     PERMITS_INIT.call_once(|| {
-        PERMITS.store(jobs() as isize - 1, Ordering::SeqCst);
+        PERMITS.store(extra_permits(jobs()), Ordering::SeqCst);
     });
     &PERMITS
 }
@@ -140,7 +146,7 @@ where
 /// The number of chunks to split `n` items into for a reduction: a few
 /// per worker so stragglers balance, never more than the items.
 fn chunk_count(n: usize) -> usize {
-    (jobs() * 4).clamp(1, n.max(1))
+    jobs().saturating_mul(4).clamp(1, n.max(1))
 }
 
 /// Counts `i in 0..n` for which `pred(i)` holds, in parallel. The
@@ -208,6 +214,21 @@ mod tests {
             serial[class(i)] += 1;
         }
         assert_eq!(parallel_tally::<3, _>(10_001, class), serial);
+    }
+
+    /// Budgets beyond `isize` saturate instead of wrapping the permit
+    /// pool negative (which would run everything serially).
+    #[test]
+    fn extra_permits_saturate() {
+        for (jobs, permits) in [
+            (0, 0),
+            (1, 0),
+            (2, 1),
+            (1usize << 63, isize::MAX),
+            (usize::MAX, isize::MAX),
+        ] {
+            assert_eq!(extra_permits(jobs), permits, "jobs {jobs}");
+        }
     }
 
     #[test]
