@@ -33,13 +33,19 @@ echo "== LRU reference (flattened caches vs naive true LRU) =="
 # the suite by name so a recency regression names itself here.
 cargo test --offline -q -p memsim --test lru_reference
 
-echo "== closed-form warm fill (batch prewarm vs per-block prewarm) =="
-# The L3 warm fill places provably distinct blocks without lookups and
-# must leave exactly the state per-block prewarm leaves (tags, dirty
-# bits and every set's recency order), on warmup-shaped, overlapping,
-# duplicated and many-run sequences. Runs the suite by name so a
+echo "== closed-form warm fill (warm_run vs per-block prewarm) =="
+# The L3 warm fill places a warm-up's descending run in closed form
+# (block i to slot i / sets of its set, ranks by placement order) and
+# must leave exactly the state per-block prewarm leaves: every set's
+# recency order and the dirty count, then op for op under random
+# traffic, on runs with arbitrary starts, wraps, partial and full
+# fills, any dirty fraction and an optional warm region. The engine's
+# own warm L3s must equal the per-block fill of TraceGen::warmup for
+# every suite, both hierarchies and two seeds, so a suite whose
+# warm-up leaves that shape fails here. Runs both by name so a
 # warm-fill regression names itself here.
 cargo test --offline -q -p memsim --test prewarm_closed_form
+cargo test --offline -q -p hetero-dmr --lib warm_l3_is_the_per_block_warm_fill
 
 echo "== replay oracle (recorded cache pass vs live simulation) =="
 # A prime batch records each suite's cache pass once and times every
@@ -119,6 +125,14 @@ for f in all.metrics.jsonl all.trace.json all.spans.txt all.series.jsonl \
     health.incidents.jsonl; do
     diff -u "$DET_DIR/obs_ser/$f" "$DET_DIR/obs_par/$f"
 done
+
+echo "== A/B pairs smoke (same binary on both sides) =="
+# scripts/ab_pairs.py runs two binaries in alternating pairs and
+# compares their metrics; one pair of fig1 against itself checks that
+# it reads the experiments 'ran ...; peak RSS ... kB' line.
+python3 scripts/ab_pairs.py --pairs 1 "$EXP" "$EXP" -- fig1 --quick \
+    > "$DET_DIR/ab.out"
+grep -q "^peak_rss_kb " "$DET_DIR/ab.out"
 
 echo "== results/ reproduce =="
 # results/ is exactly what a default full run prints and writes: its

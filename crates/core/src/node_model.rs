@@ -117,15 +117,17 @@ fn core_streams(hierarchy: &HierarchyConfig, config: &EvalConfig, suite: Suite) 
 /// depends on hierarchy, eval config and suite alone, so every design
 /// starts from the identical state (write volumes stay comparable;
 /// Hetero-DMR's cleaning drains the same dirty blocks in batches that
-/// eviction would have trickled).
+/// eviction would have trickled). The warm-up's run goes in closed form
+/// ([`Cache::warm_run`]); a warm region, if the suite has one, goes in
+/// after it block by block.
 fn warm_l3(hierarchy: &HierarchyConfig, stream: &TraceGen, dirty_fraction: f64) -> Cache {
     let blocks = hierarchy.l3_partition_bytes() / 64;
     let mut l3 = Cache::new(hierarchy.l3_partition_bytes(), L3_WAYS);
-    l3.prewarm_blocks(
-        stream
-            .warmup(blocks, dirty_fraction)
-            .map(|(block, dirty)| (block << 6, dirty)),
-    );
+    let warmup = stream.warmup_shape(blocks, dirty_fraction);
+    l3.warm_run(warmup.run, warmup.dirty);
+    for block in warmup.warm {
+        l3.prewarm(block << 6, false);
+    }
     l3
 }
 
@@ -827,6 +829,41 @@ mod tests {
             off_metrics.snapshot(),
             "mixed batch metrics"
         );
+    }
+
+    /// The engine's warm L3s are the per-block warm fill of each core's
+    /// `TraceGen::warmup`, for every suite, both hierarchies and two
+    /// seeds: every set holds the same blocks in the same recency order,
+    /// and as many are dirty. A suite footprint the closed form cannot
+    /// take fails here.
+    #[test]
+    fn warm_l3_is_the_per_block_warm_fill() {
+        for h in HierarchyConfig::both() {
+            let blocks = h.l3_partition_bytes() / 64;
+            for seed in [7, 11] {
+                let config = EvalConfig {
+                    seed,
+                    ..EvalConfig::default()
+                };
+                for suite in Suite::ALL {
+                    let dirty_fraction = suite.params().write_fraction;
+                    let streams = core_streams(&h, &config, suite);
+                    let l3s = warm_l3s(&h, &config, suite);
+                    for (core, (l3, stream)) in l3s.iter().zip(&streams).enumerate() {
+                        let mut each = Cache::new(h.l3_partition_bytes(), L3_WAYS);
+                        for (block, dirty) in stream.warmup(blocks, dirty_fraction) {
+                            each.prewarm(block << 6, dirty);
+                        }
+                        let what = format!("{} {} seed {seed} core {core}", h.name, suite.name());
+                        assert_eq!(l3.dirty_count(), each.dirty_count(), "{what}");
+                        for set in 0..l3.set_count() as u64 {
+                            let (a, b) = (l3.set_recency(set << 6), each.set_recency(set << 6));
+                            assert_eq!(a, b, "{what}: set {set}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Section III-A1: each write batch pays two 1 µs frequency

@@ -257,66 +257,65 @@ impl Cache {
         self.touch(addr, dirty);
     }
 
-    /// [`prewarm`](Self::prewarm) for each `(addr, dirty)` of `blocks`
-    /// in order, leaving exactly the state those calls would: the one
-    /// batch warm fill.
+    /// Warms an untouched cache with `run`, each block dirty by the next
+    /// flag of `dirty`, leaving exactly the state per-block
+    /// [`prewarm`](Self::prewarm) of the same pairs leaves — in closed
+    /// form, without looking any block up.
     ///
-    /// On an untouched cache (every slot empty) it skips the lookup for
-    /// every block it can prove new. A new block always misses; the
-    /// first empty slot of a set is its leftmost one (occupied slots
-    /// form a prefix); and once a set is full its LRU line is the one
-    /// placed `ways` placements earlier, since no block was touched
-    /// twice. So a set's `k`-th placement goes to slot `k % ways`, kept
-    /// as a wrapping cursor per set, and the ranks are written once at
-    /// the end from the cursors. A block is proven new while the blocks
-    /// so far form strictly monotone runs and it lies outside the
-    /// `[lo, hi]` range of every earlier run, the shape of
-    /// `workloads::TraceGen::warmup`. From the first block it cannot
-    /// prove new, it continues with per-block `prewarm` on the
-    /// identical state.
-    pub fn prewarm_blocks<I: IntoIterator<Item = (u64, bool)>>(&mut self, blocks: I) {
-        let mut blocks = blocks.into_iter();
-        let mut unproven = None;
-        if self.rank.iter().all(|&r| r == RANK_EMPTY) {
-            let mut runs = DistinctRuns::default();
-            let mut next_slot = vec![0usize; self.set_count];
-            for (addr, dirty) in blocks.by_ref() {
-                if !runs.admit(addr >> self.set_shift) {
-                    unproven = Some((addr, dirty));
-                    break;
-                }
-                let (set_idx, tag) = self.index(addr);
-                let slot = next_slot[set_idx];
-                next_slot[set_idx] = if slot + 1 == self.ways { 0 } else { slot + 1 };
-                let line = set_idx * self.ways + slot;
-                self.tags[line] = tag;
-                self.set_dirty(line, dirty);
-            }
-            self.rank_placements(&next_slot);
+    /// The run's blocks are distinct, so each misses. A span that is a
+    /// multiple of the set count makes consecutive blocks visit the sets
+    /// in cyclic (descending) order, so the run's `i`-th block is the
+    /// `i / sets`-th placement in its set and goes to that slot; recency
+    /// follows placement order, so a set holding `n` lines ranks slot `k`
+    /// `n - 1 - k`. A run longer than the cache evicts its own oldest
+    /// blocks: those only draw their dirty flags, and the last `lines`
+    /// blocks fill the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cache is untouched, the span is a positive
+    /// multiple of the set count, the run is no longer than its span,
+    /// the span's top block fits the tag range, and `dirty` yields a
+    /// flag per block.
+    pub fn warm_run<D: IntoIterator<Item = bool>>(&mut self, mut run: DescendingRun, dirty: D) {
+        let sets = self.set_count as u64;
+        assert!(
+            // Every rank is RANK_EMPTY (u8::MAX) iff their AND is; the
+            // AND vectorizes where an early-exit scan does not.
+            self.rank.iter().fold(RANK_EMPTY, |all, &r| all & r) == RANK_EMPTY,
+            "the closed-form warm fill needs an untouched cache"
+        );
+        assert!(
+            run.span > 0 && run.span.is_multiple_of(sets),
+            "warm run span {} is not a positive multiple of the {sets} sets",
+            run.span
+        );
+        assert!(
+            run.count <= run.span,
+            "warm run of {} blocks repeats blocks of its {}-block span",
+            run.count,
+            run.span
+        );
+        // The span's top block has its largest tag: check it once.
+        self.index((run.first + run.span - 1) << self.set_shift);
+        let mut dirty = dirty.into_iter();
+        let skip = run.count.saturating_sub(self.tags.len() as u64);
+        for _ in 0..skip {
+            run.next();
+            dirty.next();
         }
-        for (addr, dirty) in unproven.into_iter().chain(blocks) {
-            self.prewarm(addr, dirty);
-        }
-    }
-
-    /// Ranks the lines the closed-form warm fill placed. Each set holds
-    /// its placements from slot 0 up, wrapping, and `next_slot[set]` is
-    /// the slot after the newest one, so recency falls leftwards from
-    /// that slot, wrapping at the set's end. A set is full once its last
-    /// slot is occupied; otherwise its cursor counts its lines.
-    fn rank_placements(&mut self, next_slot: &[usize]) {
-        let ways = self.ways;
-        for (set_idx, &next) in next_slot.iter().enumerate() {
-            let base = set_idx * ways;
-            let filled = if self.tags[base + ways - 1] == TAG_EMPTY {
-                next
-            } else {
-                ways
-            };
-            let newest = (next + ways - 1) % ways;
-            for (slot, rank) in self.rank[base..base + filled].iter_mut().enumerate() {
-                *rank = ((newest + ways - slot) % ways) as u8;
-            }
+        // Each of the first `extra` sets the run visits holds `full + 1`
+        // lines, every other set `full`.
+        let (full, extra) = (run.count >> self.index_bits, run.count & self.set_mask);
+        let (ways, bits, mask) = (self.ways, self.index_bits, self.set_mask);
+        let (tags, ranks, dirty_words) = (&mut self.tags, &mut self.rank, &mut self.dirty);
+        for (i, block) in (0u64..).zip(run) {
+            let flag = dirty.next().expect("one dirty flag per warm block");
+            let slot = i >> bits;
+            let line = (block & mask) as usize * ways + slot as usize;
+            tags[line] = (block >> bits) as u32;
+            ranks[line] = (full + u64::from(i & mask < extra) - 1 - slot) as u8;
+            dirty_words[line >> 6] |= u64::from(flag) << (line & 63);
         }
     }
 
@@ -350,55 +349,39 @@ impl Cache {
     }
 }
 
-/// Closed runs [`DistinctRuns`] remembers; a block stream with more
-/// runs falls back to per-block lookups.
-const MAX_RUNS: usize = 4;
-
-/// Proves a stream of blocks pairwise distinct as it goes, for
-/// [`Cache::prewarm_blocks`]: the stream must split into strictly
-/// monotone runs, each block beyond its run's last one and outside the
-/// `[lo, hi]` range of every earlier run.
-#[derive(Default)]
-struct DistinctRuns {
-    /// `[lo, hi]` of each closed run.
-    closed: [(u64, u64); MAX_RUNS],
-    closed_len: usize,
-    /// The open run's first and last blocks (`None` before any block).
-    open: Option<(u64, u64)>,
-    /// The open run's direction, once it has two blocks.
-    ascending: Option<bool>,
+/// A run of `count` blocks walking down a span of `span` blocks whose
+/// lowest is `first`: block `i` is `first + (start - i) mod span`, so
+/// the run starts `start` blocks above `first` and wraps from `first` to
+/// the span's top. Its blocks are distinct while `count <= span`.
+/// Iterating yields them in order. [`Cache::warm_run`] fills a cache
+/// with such a run in closed form.
+#[derive(Debug, Clone, Copy)]
+pub struct DescendingRun {
+    /// The span's lowest block.
+    pub first: u64,
+    /// Blocks in the span.
+    pub span: u64,
+    /// The next block's offset above `first`.
+    pub start: u64,
+    /// Blocks left in the run.
+    pub count: u64,
 }
 
-impl DistinctRuns {
-    /// Takes the next block; `false` when it cannot prove the block
-    /// differs from every block before it.
-    fn admit(&mut self, block: u64) -> bool {
-        match self.open {
-            Some((first, last)) => {
-                let extends = match self.ascending {
-                    Some(true) => block > last,
-                    Some(false) => block < last,
-                    None => block != last,
-                };
-                if extends {
-                    self.ascending = Some(block > last);
-                    self.open = Some((first, block));
-                } else {
-                    if self.closed_len == MAX_RUNS {
-                        return false;
-                    }
-                    self.closed[self.closed_len] = (first.min(last), first.max(last));
-                    self.closed_len += 1;
-                    self.open = Some((block, block));
-                    self.ascending = None;
-                }
-            }
-            None => self.open = Some((block, block)),
+impl Iterator for DescendingRun {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.count == 0 {
+            return None;
         }
-        // The open run holds the block once; the closed ones must not.
-        !self.closed[..self.closed_len]
-            .iter()
-            .any(|&(lo, hi)| (lo..=hi).contains(&block))
+        self.count -= 1;
+        let block = self.first + self.start;
+        self.start = self.start.checked_sub(1).unwrap_or(self.span - 1);
+        Some(block)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.count as usize, Some(self.count as usize))
     }
 }
 
@@ -565,7 +548,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "address 0x3fffffffc0 is beyond")]
     fn warm_fill_beyond_32_bit_tags_rejected() {
-        let mut c = Cache::new(128, 2);
-        c.prewarm_blocks([(0, false), (u64::from(u32::MAX) << 6, false)]);
+        let mut c = Cache::new(128, 2); // 1 set: the span's top is its tag
+        let run = DescendingRun {
+            first: 0,
+            span: 1 << 32,
+            start: 0,
+            count: 2,
+        };
+        c.warm_run(run, [false; 2]);
     }
 }

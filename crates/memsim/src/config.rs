@@ -445,13 +445,12 @@ impl HierarchyConfig {
         [Self::hierarchy1(), Self::hierarchy2()]
     }
 
-    /// Per-core L3 partition size (L2+L3 per core minus the 1 MB L2),
-    /// rounded down to a power-of-two-friendly 64 KB multiple.
+    /// Per-core L3 partition size (L2+L3 per core minus the L2), rounded
+    /// down to a power-of-two number of `L3_WAYS`-way sets, at least one.
     pub fn l3_partition_bytes(&self) -> usize {
         let l3 = self.cache_per_core_bytes.saturating_sub(self.core.l2_bytes);
-        // Keep sets a power of two: round down to 2^k × 64 B × ways.
-        let sets = (l3 / (64 * L3_WAYS)).next_power_of_two() / 2;
-        (sets.max(1)) * 64 * L3_WAYS
+        let sets = (l3 / (64 * L3_WAYS)).checked_ilog2().map_or(1, |k| 1 << k);
+        sets * 64 * L3_WAYS
     }
 
     /// A stable 64-bit content fingerprint (FNV-1a over every field,
@@ -538,6 +537,32 @@ mod tests {
             // Power-of-two sets for the cache constructor.
             assert!((l3 / (64 * 16)).is_power_of_two());
         }
+    }
+
+    /// The partition rounds down to a power-of-two set count: an exact
+    /// power stays, a count between two powers takes the lower one, and
+    /// less than one set's worth keeps one set.
+    #[test]
+    fn l3_partition_rounds_down_to_power_of_two_sets() {
+        let set = 64 * L3_WAYS;
+        let with_l3 = |l3_bytes: usize| HierarchyConfig {
+            cache_per_core_bytes: CoreConfig::default().l2_bytes + l3_bytes,
+            ..HierarchyConfig::hierarchy1()
+        };
+        for (l3_bytes, expected) in [
+            (32 * set, 32 * set),
+            (48 * set, 32 * set),
+            (63 * set + 63, 32 * set),
+            (64 * set, 64 * set),
+            (set - 1, set),
+            (0, set),
+        ] {
+            let got = with_l3(l3_bytes).l3_partition_bytes();
+            assert_eq!(got, expected, "{l3_bytes} B");
+        }
+        let [h1, h2] = HierarchyConfig::both();
+        assert_eq!(h1.l3_partition_bytes(), 2 << 20);
+        assert_eq!(h2.l3_partition_bytes(), 1 << 20);
     }
 
     #[test]

@@ -93,8 +93,8 @@ impl CoreSim {
     }
 
     /// Creates a core around a prepared L3 partition, such as one
-    /// warmed with [`Cache::prewarm_blocks`]. L1, L2 and the prefetcher
-    /// start empty.
+    /// warmed in closed form with [`Cache::warm_run`]. L1, L2 and the
+    /// prefetcher start empty.
     pub fn with_l3(config: CoreConfig, l3: Cache) -> CoreSim {
         CoreSim {
             l1: Cache::new(config.l1_bytes, config.l1_ways),
@@ -235,13 +235,6 @@ impl CoreSim {
     /// optionally dirty — starting the simulation from steady state.
     pub fn prewarm_l3(&mut self, block: u64, dirty: bool) {
         self.l3.prewarm(block << 6, dirty);
-    }
-
-    /// [`prewarm_l3`](Self::prewarm_l3) for each `(block, dirty)` of
-    /// `blocks`, through the batch fill [`Cache::prewarm_blocks`].
-    pub(crate) fn prewarm_l3_blocks<I: IntoIterator<Item = (u64, bool)>>(&mut self, blocks: I) {
-        self.l3
-            .prewarm_blocks(blocks.into_iter().map(|(block, dirty)| (block << 6, dirty)));
     }
 }
 

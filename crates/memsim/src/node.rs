@@ -197,8 +197,9 @@ impl NodeSim {
     /// Warms core `core_idx`'s L3 partition with `(block, dirty)`
     /// pairs, so the run starts from a steady-state cache (full LLC,
     /// realistic writeback rate) the way the paper's warmed gem5
-    /// checkpoints do. The pairs go through the batch fill
-    /// [`Cache::prewarm_blocks`].
+    /// checkpoints do. This is the per-block reference fill: each pair
+    /// goes through [`Cache::prewarm`], where the node model warms its
+    /// partitions in closed form with [`Cache::warm_run`].
     ///
     /// # Panics
     ///
@@ -209,7 +210,9 @@ impl NodeSim {
         core_idx: usize,
         blocks: I,
     ) {
-        self.caches[core_idx].prewarm_l3_blocks(blocks);
+        for (block, dirty) in blocks {
+            self.caches[core_idx].prewarm_l3(block, dirty);
+        }
     }
 
     /// The L3 partition capacity in 64-byte blocks (how many warmup
@@ -575,7 +578,7 @@ mod tests {
     fn small(mut h: HierarchyConfig) -> HierarchyConfig {
         h.core.l1_bytes = 4 * 1024;
         h.core.l2_bytes = 16 * 1024;
-        h.cache_per_core_bytes = 48 * 1024; // 32 KB L3 partition
+        h.cache_per_core_bytes = 48 * 1024; // less the L2: a 32 KB L3 partition
         h
     }
 

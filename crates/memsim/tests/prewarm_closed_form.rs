@@ -1,180 +1,120 @@
-//! Differential property test: the batch warm fill
-//! [`Cache::prewarm_blocks`] must leave exactly the state per-block
-//! [`Cache::prewarm`] leaves over the same sequence. Sequences cover
-//! the shapes its closed form proves distinct (ascending and
-//! descending runs with strides 1–3, wraps shaped like
-//! `TraceGen::warmup`) and the ones it must hand back to per-block
-//! lookups (duplicates, overlapping ranges, more runs than it tracks),
-//! on untouched and pre-touched caches. After the warm fill every set
-//! must hold the same blocks in the same recency order. Both caches
-//! then take the same random `access`/`fill`/`contains` ops and must
-//! agree op for op: hits, writebacks, dirty count and the touched set's
-//! recency order, most to least recently used.
+//! Differential property test: the closed-form warm fill
+//! [`Cache::warm_run`] must leave exactly the state per-block
+//! [`Cache::prewarm`] leaves over the same `(block, dirty)` pairs. Runs
+//! take `TraceGen::warmup`'s shape: a descending run from an arbitrary
+//! start over a span that is a multiple of the set count, wrapping at
+//! the span's bottom, filling the cache partly, fully or past capacity,
+//! dirty with fraction 0, 1 or in between, and sometimes followed by a
+//! warm region placed block by block. After the fill every set must
+//! hold the same blocks in the same recency order, and as many lines
+//! must be dirty. Both caches then take the same random
+//! `access`/`fill`/`contains` ops and must agree op for op: hits,
+//! writebacks, dirty count and the touched set's recency order, most to
+//! least recently used.
 
-use memsim::cache::Cache;
+use memsim::cache::{Cache, DescendingRun};
 use proptest::prelude::*;
+use std::ops::Range;
 
-/// One strictly monotone run of blocks.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    start: u64,
-    len: u64,
-    stride: u64,
-    descending: bool,
-}
-
-impl Run {
-    fn blocks(self) -> impl Iterator<Item = u64> {
-        (0..self.len).map(move |i| {
-            let step = i * self.stride;
-            if self.descending {
-                self.start + self.len * self.stride - step
-            } else {
-                self.start + step
-            }
-        })
-    }
-}
-
-fn run(span: u64, max_len: u64) -> impl Strategy<Value = Run> {
-    (0..span, 0..=max_len, 1u64..=3, any::<bool>()).prop_map(|(start, len, stride, descending)| {
-        Run {
+/// A cache of `2^sets_log2` sets of `ways` lines and a warm-up for it: a
+/// run over a span of 1–40 set counts from an arbitrary first block and
+/// start, partial, exactly full or the whole span; one dirty flag per
+/// block at fraction 0, 1 or in between; and half the time a warm region
+/// of up to twice the capacity just above the span.
+fn shaped() -> impl Strategy<Value = (u32, usize, DescendingRun, Vec<bool>, Range<u64>)> {
+    let fraction = prop_oneof![Just(0.0), Just(1.0), 0.0..1.0];
+    let cache = (0u32..6, 1usize..17);
+    let run = (1u64..=40, 0u64..300, any::<u64>(), any::<u64>(), 0usize..3);
+    let rest = (fraction, any::<u64>(), any::<bool>(), any::<u64>());
+    (cache, run, rest).prop_map(|((sets_log2, ways), run, rest)| {
+        let (mult, first, start, raw_count, fill) = run;
+        let (p, seed, has_warm, raw_warm) = rest;
+        let (span, lines) = (mult << sets_log2, (ways as u64) << sets_log2);
+        let count = [raw_count % (span + 1), lines.min(span), span][fill];
+        let start = start % span;
+        // SplitMix64 draws, dirty below the fraction.
+        let flags = (1..=count).map(|i| {
+            let mut z = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (((z ^ (z >> 31)) >> 11) as f64) < p * (1u64 << 53) as f64
+        });
+        let warm = if has_warm { raw_warm % (2 * lines) } else { 0 };
+        let run = DescendingRun {
+            first,
+            span,
             start,
-            len,
-            stride,
-            descending,
-        }
-    })
-}
-
-/// Runs at arbitrary starts: disjoint, overlapping or nested.
-fn runs() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(run(512, 48), 0..6)
-        .prop_map(|runs| runs.into_iter().flat_map(Run::blocks).collect())
-}
-
-/// Short runs at disjoint bases, more of them than the closed form
-/// tracks, sometimes followed by one of them again while it is still
-/// resident. All runs go one way and each starts on the far side of
-/// the one before, so every run boundary closes a run.
-fn many_disjoint_runs() -> impl Strategy<Value = Vec<u64>> {
-    let runs = proptest::collection::vec(run(64, 8), 1..12);
-    let replay = proptest::collection::vec(any::<usize>(), 0..2);
-    (runs, any::<bool>(), replay).prop_map(|(runs, descending, replay)| {
-        let n = runs.len() as u64;
-        let placed = |k: usize| {
-            let base = 1_000 * if descending { k as u64 } else { n - k as u64 };
-            let run = Run {
-                descending,
-                ..runs[k]
-            };
-            run.blocks().map(move |b| b + base)
+            count,
         };
-        let mut blocks: Vec<u64> = (0..runs.len()).flat_map(placed).collect();
-        for k in replay {
-            blocks.extend(placed(k % runs.len()));
-        }
-        blocks
+        (
+            sets_log2,
+            ways,
+            run,
+            flags.collect(),
+            first + span..first + span + warm,
+        )
     })
 }
 
-/// `TraceGen::warmup`'s shape: `count` blocks descending from just
-/// behind a cursor over a footprint of `f`, wrapping (and, when
-/// `count > f`, coming round again), then an ascending warm region.
-fn warmup_shaped() -> impl Strategy<Value = Vec<u64>> {
-    (1u64..160, 0u64..160, 0u64..400, 0u64..96, 0u64..8).prop_map(
-        |(f, cursor, count, warm, hot)| {
-            let cursor = cursor % f;
-            (0..count)
-                .map(|i| hot + (cursor + f - 1 - i % f) % f)
-                .chain((0..warm).map(|i| hot + f + i))
-                .collect()
-        },
-    )
-}
-
-/// Arbitrary blocks from a small range: short runs, with duplicates
-/// near and far.
-fn scattered() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..48, 0..96)
-}
-
-/// Any of the shapes above, with some blocks repeated at random
-/// positions or right after themselves.
-fn sequence() -> impl Strategy<Value = Vec<u64>> {
-    let base = prop_oneof![runs(), many_disjoint_runs(), warmup_shaped(), scattered()];
-    let repeats = proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 0..3);
-    (base, repeats).prop_map(|(mut blocks, repeats)| {
-        for (from, to, adjacent) in repeats {
-            if !blocks.is_empty() {
-                let from = from % blocks.len();
-                let to = if adjacent {
-                    from + 1
-                } else {
-                    to % (blocks.len() + 1)
-                };
-                blocks.insert(to, blocks[from]);
-            }
-        }
-        blocks
-    })
-}
-
-/// Warms one cache with `prewarm_blocks` and a twin with per-block
-/// `prewarm`, then drives both through `ops`, asserting agreement
-/// after every op. Each op is `(kind, raw, flag, byte offset)`; an
-/// even `raw` picks one of the warmed blocks, an odd one any block
-/// within three times the capacity.
+/// Warms one cache with `warm_run` and a twin with per-block `prewarm`
+/// (each then takes the warm region per block), compares every set,
+/// then drives both through `ops`, asserting agreement after every op.
+/// Each op is `(kind, raw, flag, byte offset)`; an even `raw` picks one
+/// of the warmed blocks, an odd one any block within three times the
+/// capacity.
 fn check(
-    sets_log2: u32,
-    ways: usize,
-    pre_touch: &[(u64, bool)],
-    warm: &[(u64, bool, u64)],
+    (sets_log2, ways, run, flags, warm): (u32, usize, DescendingRun, Vec<bool>, Range<u64>),
     ops: &[(u8, u64, bool, u64)],
 ) -> Result<(), TestCaseError> {
     let set_count = 1usize << sets_log2;
-    let mut batch = Cache::new(set_count * ways * 64, ways);
-    for &(block, dirty) in pre_touch {
-        batch.access(block * 64, dirty);
+    let mut closed = Cache::new(set_count * ways * 64, ways);
+    let mut each = closed.clone();
+    closed.warm_run(run, flags.iter().copied());
+    for (block, dirty) in run.zip(flags) {
+        each.prewarm(block << 6, dirty);
     }
-    let mut each = batch.clone();
-    let warm_addrs = warm.iter().map(|&(b, d, off)| (b * 64 + off, d));
-    batch.prewarm_blocks(warm_addrs.clone());
-    for (addr, dirty) in warm_addrs {
-        each.prewarm(addr, dirty);
+    for block in warm.clone() {
+        closed.prewarm(block << 6, false);
+        each.prewarm(block << 6, false);
     }
     for set in 0..set_count as u64 {
         prop_assert_eq!(
-            batch.set_recency(set * 64),
-            each.set_recency(set * 64),
+            closed.set_recency(set << 6),
+            each.set_recency(set << 6),
             "set {}: recency order after the warm fill",
             set
         );
     }
+    prop_assert_eq!(
+        closed.dirty_count(),
+        each.dirty_count(),
+        "dirty count after the warm fill"
+    );
+    let warmed: Vec<u64> = run.chain(warm).collect();
     let span = (set_count * ways * 3) as u64;
     for (step, &(kind, raw, flag, offset)) in ops.iter().enumerate() {
-        let block = match warm.get((raw >> 1) as usize % warm.len().max(1)) {
-            Some(&(b, _, _)) if raw & 1 == 0 => b,
+        let block = match warmed.get((raw >> 1) as usize % warmed.len().max(1)) {
+            Some(&b) if raw & 1 == 0 => b,
             _ => (raw >> 1) % span,
         };
         let addr = block * 64 + offset;
         match kind {
             0..=3 => prop_assert_eq!(
-                batch.access(addr, flag),
+                closed.access(addr, flag),
                 each.access(addr, flag),
                 "step {}: access {:#x}",
                 step,
                 addr
             ),
             4 | 5 => prop_assert_eq!(
-                batch.fill(addr),
+                closed.fill(addr),
                 each.fill(addr),
                 "step {}: fill {:#x}",
                 step,
                 addr
             ),
             _ => prop_assert_eq!(
-                batch.contains(addr),
+                closed.contains(addr),
                 each.contains(addr),
                 "step {}: contains {:#x}",
                 step,
@@ -182,68 +122,51 @@ fn check(
             ),
         }
         prop_assert_eq!(
-            batch.set_recency(addr),
+            closed.set_recency(addr),
             each.set_recency(addr),
             "step {}: recency order of {:#x}'s set",
             step,
             addr
         );
         prop_assert_eq!(
-            batch.dirty_count(),
+            closed.dirty_count(),
             each.dirty_count(),
             "step {}: dirty count",
             step
         );
     }
-    prop_assert_eq!(batch.hits(), each.hits());
-    prop_assert_eq!(batch.misses(), each.misses());
+    prop_assert_eq!(closed.hits(), each.hits());
+    prop_assert_eq!(closed.misses(), each.misses());
     Ok(())
-}
-
-/// Flags and in-block byte offsets for each block of a sequence.
-fn decorate(blocks: Vec<u64>, flags: &[(bool, u64)]) -> Vec<(u64, bool, u64)> {
-    blocks
-        .into_iter()
-        .zip(flags.iter().cycle())
-        .map(|(b, &(dirty, offset))| (b, dirty, offset))
-        .collect()
 }
 
 fn ops() -> impl Strategy<Value = Vec<(u8, u64, bool, u64)>> {
     proptest::collection::vec((0u8..8, 0u64..1 << 20, any::<bool>(), 0u64..64), 1..400)
 }
 
-fn flags() -> impl Strategy<Value = Vec<(bool, u64)>> {
-    proptest::collection::vec((any::<bool>(), 0u64..64), 1..64)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// An untouched cache: the closed form applies until a block it
-    /// cannot prove new.
     #[test]
     fn batch_fill_matches_per_block_prewarm(
-        sets_log2 in 0u32..6,
-        ways in 1usize..17,
-        blocks in sequence(),
-        flags in flags(),
+        shaped in shaped(),
         ops in ops(),
     ) {
-        check(sets_log2, ways, &[], &decorate(blocks, &flags), &ops)?;
+        check(shaped, &ops)?;
     }
+}
 
-    /// A cache touched before the warm fill takes per-block lookups
-    /// throughout, with the same result.
-    #[test]
-    fn batch_fill_on_a_touched_cache_matches_per_block_prewarm(
-        sets_log2 in 0u32..6,
-        ways in 1usize..17,
-        pre_touch in proptest::collection::vec((0u64..512, any::<bool>()), 1..64),
-        blocks in sequence(),
-        flags in flags(),
-        ops in ops(),
-    ) {
-        check(sets_log2, ways, &pre_touch, &decorate(blocks, &flags), &ops)?;
-    }
+/// The closed form holds only on an untouched cache.
+#[test]
+#[should_panic(expected = "needs an untouched cache")]
+fn warm_fill_on_a_touched_cache_panics() {
+    let mut c = Cache::new(4 * 64 * 2, 2); // 4 sets
+    c.access(0, false);
+    let run = DescendingRun {
+        first: 8,
+        span: 8,
+        start: 7,
+        count: 8,
+    };
+    c.warm_run(run, [false; 8]);
 }

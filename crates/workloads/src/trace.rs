@@ -1,6 +1,7 @@
 //! The synthetic access-stream generator.
 
 use crate::suite::SuiteParams;
+use memsim::cache::DescendingRun;
 use memsim::trace::MemOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,23 +68,21 @@ impl TraceGen {
         self.remaining
     }
 
-    /// The `(block, dirty)` pairs a warmed cache would hold when this
-    /// stream begins: the `count` footprint blocks *behind* the
-    /// stream's starting cursor (its recent past), dirtied with
-    /// probability `dirty_fraction`, then the warm reuse region. Feed
-    /// to `memsim::NodeSim::prewarm_core` so the run starts in steady
-    /// state. A conventional system's steady-state LLC is dirty at
-    /// roughly the store fraction ([`SuiteParams::write_fraction`]);
-    /// a system with proactive LLC cleaning keeps it nearly clean.
-    ///
-    /// The blocks come as at most two descending runs (the footprint
-    /// behind the cursor, wrapping once) and one ascending run (the
-    /// warm region), pairwise distinct while `count` is at most the
-    /// footprint: the shape `memsim::cache::Cache::prewarm_blocks`
-    /// places without lookups.
-    pub fn warmup(&self, count: usize, dirty_fraction: f64) -> impl Iterator<Item = (u64, bool)> {
+    /// The warm-up a cache would hold when this stream begins, described
+    /// once: the `count` footprint blocks *behind* the stream's starting
+    /// cursor (its recent past), walking down from just behind it and
+    /// wrapping at the footprint's bottom, dirtied with probability
+    /// `dirty_fraction`, then the warm reuse region. A conventional
+    /// system's steady-state LLC is dirty at roughly the store fraction
+    /// ([`SuiteParams::write_fraction`]); a system with proactive LLC
+    /// cleaning keeps it nearly clean. `memsim::cache::Cache::warm_run`
+    /// places the run in closed form; [`warmup`](Self::warmup) yields
+    /// the same warm-up as pairs.
+    pub fn warmup_shape(&self, count: usize, dirty_fraction: f64) -> WarmupShape {
         let p = self.params;
+        let [cursor] = self.cursors;
         let first = self.base / 64 + p.hot_blocks;
+        let f = p.footprint_blocks;
         // The warm reuse region (when the suite uses one) goes in last
         // (most recently used) so a cache large enough to hold it
         // starts with it resident.
@@ -92,19 +91,25 @@ impl TraceGen {
         } else {
             0
         };
-        let warm_first = first + p.footprint_blocks;
-        Warmup {
-            rng: StdRng::seed_from_u64(self.base ^ 0x9E37_79B9),
-            dirty_fraction: dirty_fraction.clamp(0.0, 1.0),
-            first,
-            footprint: p.footprint_blocks,
-            cursors: self.cursors,
-            next_stream: 0,
-            per_stream: (count / STREAMS_PER_CORE) as u64,
-            left: 0,
-            offset: 0,
-            warm: warm_first..warm_first + warm,
+        WarmupShape {
+            run: DescendingRun {
+                first,
+                span: f,
+                start: (cursor + f - 1) % f,
+                count: count as u64,
+            },
+            dirty: DirtyDraws::new(self.base ^ 0x9E37_79B9, dirty_fraction),
+            warm: first + f..first + f + warm,
         }
+    }
+
+    /// The `(block, dirty)` pairs of [`warmup_shape`](Self::warmup_shape)
+    /// in order: the run's blocks with their dirty draws, then the warm
+    /// region, clean. Feed to `memsim::NodeSim::prewarm_core` for the
+    /// per-block warm fill.
+    pub fn warmup(&self, count: usize, dirty_fraction: f64) -> impl Iterator<Item = (u64, bool)> {
+        let WarmupShape { run, dirty, warm } = self.warmup_shape(count, dirty_fraction);
+        run.zip(dirty).chain(warm.map(|block| (block, false)))
     }
 
     /// [`warmup`](Self::warmup), collected.
@@ -157,51 +162,45 @@ impl TraceGen {
     }
 }
 
-/// The stream [`TraceGen::warmup`] returns: each stream cursor's pass
-/// over the footprint blocks behind it, then the warm region.
-struct Warmup {
-    rng: StdRng,
-    dirty_fraction: f64,
-    /// The first footprint block (just past the hot region).
-    first: u64,
-    footprint: u64,
-    cursors: [u64; STREAMS_PER_CORE],
-    /// The cursor whose pass starts next.
-    next_stream: usize,
-    per_stream: u64,
-    /// Blocks left in the current pass, and the footprint offset of
-    /// the next one: one below the last, wrapping from 0 to the top.
-    left: u64,
-    offset: u64,
-    warm: std::ops::Range<u64>,
+/// A stream's warm-up, from [`TraceGen::warmup_shape`]: one descending
+/// run over the footprint, its dirty flags in order, then the warm
+/// region's blocks (clean, most recent last).
+#[derive(Debug, Clone)]
+pub struct WarmupShape {
+    /// The footprint blocks behind the stream's cursor.
+    pub run: DescendingRun,
+    /// One dirty flag per run block.
+    pub dirty: DirtyDraws,
+    /// The warm reuse region, empty when the suite has none.
+    pub warm: std::ops::Range<u64>,
 }
 
-impl Iterator for Warmup {
-    type Item = (u64, bool);
+/// A warm-up's dirty flags: an endless stream of `random_bool(p)`
+/// draws from their own generator.
+#[derive(Debug, Clone)]
+pub struct DirtyDraws {
+    rng: StdRng,
+    p: f64,
+}
 
-    fn next(&mut self) -> Option<(u64, bool)> {
-        loop {
-            if self.left > 0 {
-                self.left -= 1;
-                let offset = self.offset;
-                self.offset = offset.checked_sub(1).unwrap_or(self.footprint - 1);
-                let dirty = self.rng.random_bool(self.dirty_fraction);
-                return Some((self.first + offset, dirty));
-            }
-            let Some(&cursor) = self.cursors.get(self.next_stream) else {
-                return self.warm.next().map(|block| (block, false));
-            };
-            // The pass starts just behind the cursor.
-            self.next_stream += 1;
-            self.left = self.per_stream;
-            self.offset = (cursor + self.footprint - 1) % self.footprint;
+impl DirtyDraws {
+    fn new(seed: u64, p: f64) -> DirtyDraws {
+        DirtyDraws {
+            rng: StdRng::seed_from_u64(seed),
+            p,
         }
+    }
+}
+
+impl Iterator for DirtyDraws {
+    type Item = bool;
+
+    fn next(&mut self) -> Option<bool> {
+        Some(self.rng.random_bool(self.p))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let passes = (STREAMS_PER_CORE - self.next_stream) as u64 * self.per_stream;
-        let n = (self.left + passes + (self.warm.end - self.warm.start)) as usize;
-        (n, Some(n))
+        (usize::MAX, None)
     }
 }
 
